@@ -48,7 +48,7 @@ def _random_poly(rng, p: int, deg: int, modulus) -> FpPolynomial:
 
 
 def criterion_1(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
-    """Chunked root-scan counters agree exactly with the naive double loop."""
+    """Vectorized box counters agree exactly with the naive double loop."""
     trials = 40 if quick else 200
     agreements = 0
     for i in range(trials):

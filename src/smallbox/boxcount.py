@@ -6,10 +6,11 @@ upper-bound formulas.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .ffield import FpPolynomial, discriminant, is_square_times_unit, sqrt_mod_int
+from .ffield import (FpPolynomial, discriminant, is_square_times_unit, match_count,
+                     poly_values)
+from .ffield import sqrt_mod_int  # noqa: F401  re-exported for existing importers
 
 WEIL_CONSTANT = 10.0  # implied constant accepted in front of sqrt(p) (ln p)^2
 DEFAULT_EPS = 0.05
@@ -43,6 +44,10 @@ class Box2:
     def x_range(self) -> range:
         return range(self.R + 1, self.R + self.M + 1)
 
+    @property
+    def y_range(self) -> range:
+        return range(self.S + 1, self.S + self.M + 1)
+
 
 @dataclass(frozen=True)
 class CountReport:
@@ -52,100 +57,28 @@ class CountReport:
     method: str  # "naive" | "sqrt_scan"
 
 
-def _split_ranges(x0: int, x1: int, parts: int) -> list[tuple[int, int]]:
-    """Partition [x0, x1] into at most `parts` contiguous chunks."""
-    n = x1 - x0 + 1
-    parts = max(1, min(parts, n))
-    step = n // parts
-    extra = n % parts
-    out, start = [], x0
-    for i in range(parts):
-        size = step + (1 if i < extra else 0)
-        out.append((start, start + size - 1))
-        start += size
-    return out
-
-
-def _curve_chunk(coeffs: tuple[int, ...], p: int, x0: int, x1: int,
-                 y_lo: int, y_hi: int) -> int:
+def _naive_count(coeffs, p, box: Box2, power: int) -> int:
+    """Reference double loop: #{(x, y) in box : y^power = f(x) mod p}."""
+    ys = [y ** power % p for y in box.y_range]
     count = 0
-    fast = p % 4 == 3
-    e = (p + 1) // 4 if fast else 0
-    for x in range(x0, x1 + 1):
+    for x in box.x_range:
         v = 0
         for c in reversed(coeffs):
             v = (v * x + c) % p
-        if v == 0:
-            if y_lo <= 0 <= y_hi:
-                count += 1
-            continue
-        if fast:
-            r = pow(v, e, p)
-            if r * r % p != v:
-                continue
-            roots = (r, p - r)
-        else:
-            roots = sqrt_mod_int(v, p)
-        for r in roots:
-            if y_lo <= r <= y_hi:
+        for w in ys:
+            if w == v:
                 count += 1
     return count
 
 
-def _graph_chunk(coeffs: tuple[int, ...], p: int, x0: int, x1: int,
-                 y_lo: int, y_hi: int) -> int:
-    count = 0
-    for x in range(x0, x1 + 1):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % p
-        if y_lo <= v <= y_hi:
-            count += 1
-    return count
-
-
-def _naive_chunk_curve(coeffs, p, x0, x1, y_lo, y_hi) -> int:
-    count = 0
-    for x in range(x0, x1 + 1):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % p
-        for y in range(y_lo, y_hi + 1):
-            if (y * y - v) % p == 0:
-                count += 1
-    return count
-
-
-def _naive_chunk_graph(coeffs, p, x0, x1, y_lo, y_hi) -> int:
-    count = 0
-    for x in range(x0, x1 + 1):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % p
-        for y in range(y_lo, y_hi + 1):
-            if (y - v) % p == 0:
-                count += 1
-    return count
-
-
-def _run_chunked(chunk_fn, coeffs, p, box: Box2, threads: int, chunks: int | None) -> int:
-    parts = chunks if chunks is not None else max(1, threads)
-    ranges = _split_ranges(box.R + 1, box.R + box.M, parts)
-    y_lo, y_hi = box.S + 1, box.S + box.M
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [ex.submit(chunk_fn, coeffs, p, a, b, y_lo, y_hi) for a, b in ranges]
-            return sum(f.result() for f in futs)
-    return sum(chunk_fn(coeffs, p, a, b, y_lo, y_hi) for a, b in ranges)
-
-
-def count_curve_points(f: FpPolynomial, box: Box2, *, method: str = "sqrt_scan",
-                       threads: int = 1, chunks: int | None = None) -> CountReport:
+def count_curve_points(f: FpPolynomial, box: Box2, *,
+                       method: str = "sqrt_scan") -> CountReport:
     """Exact #{(x, y) in box : y^2 = f(x) mod p}.
 
-    The sqrt_scan method walks the x-side once, takes the square roots of
-    f(x) and tests each root against the y-side.  The naive method is the
-    reference double loop; both always agree.
+    The sqrt_scan method evaluates f on the x-side and Y^2 on the y-side
+    and counts the equal pairs, sum over v of #{x : f(x) = v} * #{y : y^2 = v},
+    with one sort-and-search join.  The naive method is the reference double
+    loop; both always agree.
     """
     p = f.modulus.p
     box.validate_for(p)
@@ -153,21 +86,28 @@ def count_curve_points(f: FpPolynomial, box: Box2, *, method: str = "sqrt_scan",
         raise ValueError("deg f >= 1 required")
     if method not in ("sqrt_scan", "naive"):
         raise ValueError(f"unknown method {method!r}")
-    fn = _curve_chunk if method == "sqrt_scan" else _naive_chunk_curve
-    count = _run_chunked(fn, f.coeffs, p, box, threads, chunks)
+    if method == "naive":
+        count = _naive_count(f.coeffs, p, box, 2)
+    else:
+        count = match_count(poly_values(f.coeffs, box.x_range, p),
+                            poly_values((0, 0, 1), box.y_range, p))
     return CountReport(count=count, main_term=box.M * box.M / p,
                        bound_value=2.0 * box.M, method=method)
 
 
-def count_graph_points(f: FpPolynomial, box: Box2, *, method: str = "sqrt_scan",
-                       threads: int = 1, chunks: int | None = None) -> CountReport:
-    """Exact #{(x, y) in box : y = f(x) mod p}; at most one y per column."""
+def count_graph_points(f: FpPolynomial, box: Box2, *,
+                       method: str = "sqrt_scan") -> CountReport:
+    """Exact #{(x, y) in box : y = f(x) mod p}; at most one y per column,
+    so the fast path counts the values f(x) that fall in the y-window."""
     p = f.modulus.p
     box.validate_for(p)
     if method not in ("sqrt_scan", "naive"):
         raise ValueError(f"unknown method {method!r}")
-    fn = _graph_chunk if method == "sqrt_scan" else _naive_chunk_graph
-    count = _run_chunked(fn, f.coeffs, p, box, threads, chunks)
+    if method == "naive":
+        count = _naive_count(f.coeffs, p, box, 1)
+    else:
+        fx = poly_values(f.coeffs, box.x_range, p)
+        count = int(((fx > box.S) & (fx <= box.S + box.M)).sum())
     return CountReport(count=count, main_term=box.M * box.M / p,
                        bound_value=float(box.M), method=method)
 
@@ -198,13 +138,13 @@ def check_curve_irreducible(f: FpPolynomial):
             "y^2 - f(x) is reducible: f is a unit multiple of a perfect square")
 
 
-def weil_error(f: FpPolynomial, box: Box2, *, constant: float = WEIL_CONSTANT,
-               threads: int = 1) -> WeilReport:
+def weil_error(f: FpPolynomial, box: Box2, *,
+               constant: float = WEIL_CONSTANT) -> WeilReport:
     """Exact count of the curve points in the box against the square-root
     error budget sqrt(p) * (ln p)^2, with an accepted implied constant."""
     check_curve_irreducible(f)
     p = f.modulus.p
-    report = count_curve_points(f, box, threads=threads)
+    report = count_curve_points(f, box)
     main = box.M * box.M / p
     deviation = abs(report.count - main)
     budget = math.sqrt(p) * math.log(p) ** 2

@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"),
                         help="record format for --out (default csv)")
     parser.add_argument("--seed", help="64-bit seed for randomized suites")
-    parser.add_argument("--threads", help="worker threads for chunked scans")
     parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -99,9 +98,8 @@ class _Options:
 
 
 def _spec_run(opt, kind: str, params: dict) -> list[harness.ResultRecord]:
-    spec = harness.ExperimentSpec(
-        kind=kind, params=params,
-        seed=opt.get("seed", int, 0), threads=opt.get("threads", int, 1))
+    spec = harness.ExperimentSpec(kind=kind, params=params,
+                                  seed=opt.get("seed", int, 0))
     return harness.run(spec)
 
 
@@ -234,7 +232,7 @@ def _lattice_cmd(opt):
     coeffs = opt.ints("coeffs", required=True)
     n = opt.get("n", int, None)
     if n is not None and n != len(coeffs):
-        raise SystemExit(f"--n {n} disagrees with {len(coeffs)} coefficients")
+        raise ValueError(f"--n {n} disagrees with {len(coeffs)} coefficients")
     params = {"p": opt.get("p", int, required=True),
               "coeffs": ",".join(map(str, coeffs)),
               "halfwidths": opt.get("halfwidths", str, required=True)}
@@ -306,7 +304,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = _load_config(args.config) if args.config else {}
     opt = _Options(parser, args, cfg)
-    records, lines = _HANDLERS[args.command](opt)
+    try:
+        records, lines = _HANDLERS[args.command](opt)
+    except ValueError as exc:  # bad input: one line on stderr, exit code 2
+        parser.error(str(exc))
     for line in lines:
         print(line)
     out = opt.get("out")

@@ -1,5 +1,6 @@
 """Arithmetic over prime fields F_p: elements, polynomials, square roots,
-discriminants.
+discriminants, and the two vector kernels every box count is built on
+(Horner over a vector, and the pair count of a value join).
 
 Residues are stored in least nonnegative form, values in [0, p-1].  The
 modulus is capped below 2**62 so that products of two residues stay inside
@@ -12,7 +13,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 MAX_MODULUS = 1 << 62
+
+# below this modulus a product of two residues stays under 2**62, so vector
+# arithmetic runs in int64; above it the same code runs on Python integers
+INT64_P_LIMIT = 1 << 31
 
 # Deterministic Miller-Rabin witnesses, valid for every n < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -214,7 +221,8 @@ def sqrt_mod_int(a: int, p: int) -> tuple[int, ...]:
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
-    assert r * r % p == a
+    if r * r % p != a:
+        raise ArithmeticError(f"no square root of {a} mod {p}: is {p} prime?")
     return tuple(sorted((r, p - r))) if r != p - r else (r,)
 
 
@@ -327,6 +335,38 @@ class FpPolynomial:
 
     def __repr__(self) -> str:
         return f"FpPolynomial({self.to_text()!r} mod {self.modulus.p})"
+
+
+def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
+    """f(x) mod p for every integer x of xs, by Horner over the whole vector.
+
+    coeffs are ascending; xs is a range or an integer array, negative
+    values included.  The result holds residues in [0, p-1]: int64 while
+    p < INT64_P_LIMIT, Python integers (dtype object) above, exact either way.
+    """
+    dtype = np.int64 if p < INT64_P_LIMIT else object
+    if isinstance(xs, range):
+        xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
+    xs = np.asarray(xs).astype(dtype) % p
+    acc = np.zeros(len(xs), dtype=dtype)
+    for c in reversed(coeffs):
+        acc *= xs
+        acc += c % p
+        acc %= p
+    return acc
+
+
+def match_count(u: np.ndarray, v: np.ndarray) -> int:
+    """#{(i, j) : u[i] == v[j]}, i.e. sum over values w of
+    #{i : u[i] = w} * #{j : v[j] = w}.
+
+    Both sides are sorted and every u[i] is located in v by binary search,
+    so memory is O(len(u) + len(v)) whatever the size of the values.
+    """
+    u, v = np.sort(u), np.sort(v)  # sorted queries keep the search cache-friendly
+    n = np.searchsorted(v, u, side="right")
+    n -= np.searchsorted(v, u, side="left")
+    return int(n.sum())
 
 
 def poly_eval(f: FpPolynomial, x: Union[FpElement, int]) -> FpElement:

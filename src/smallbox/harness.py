@@ -42,15 +42,12 @@ class ExperimentSpec:
     kind: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         for key in REQUIRED_KEYS[self.kind]:
             if key not in self.params:
                 raise ValueError(f"missing key {key!r} for kind {self.kind!r}")
@@ -123,7 +120,7 @@ def run(spec: ExperimentSpec) -> list[ResultRecord]:
         counter = (boxcount.count_curve_points if kind == "count_curve"
                    else boxcount.count_graph_points)
         method = str(params.get("method", "sqrt_scan"))
-        rep = counter(f, box, method=method, threads=spec.threads)
+        rep = counter(f, box, method=method)
         oracle = None
         passed = rep.count <= rep.bound_value
         if params.get("oracle"):
@@ -136,7 +133,7 @@ def run(spec: ExperimentSpec) -> list[ResultRecord]:
         f = _poly(params, "f", pm)
         M = int(params["M"])
         box = boxcount.Box2(int(params.get("R", 0)), int(params.get("S", 0)), M)
-        rep = boxcount.weil_error(f, box, threads=spec.threads)
+        rep = boxcount.weil_error(f, box)
         return [_record(spec, rep.deviation, rep.constant * rep.weil_budget,
                         rep.count, rep.within_budget, t0)]
 
@@ -145,8 +142,7 @@ def run(spec: ExperimentSpec) -> list[ResultRecord]:
         g = int(params["g"])
         M = int(params["M"])
         R = tuple(_int_list(params.get("R", [0] * (2 * g))))
-        census = hyperelliptic.class_census(
-            pm, hyperelliptic.CubeBox(g, R, M), threads=spec.threads)
+        census = hyperelliptic.class_census(pm, hyperelliptic.CubeBox(g, R, M))
         moments_ok = (sum(census.class_sizes.values()) == census.total_nonsingular
                       and census.max_class_size <= 2 * M
                       and census.total_nonsingular + census.singular_count
@@ -283,8 +279,8 @@ def parse_records(path, fmt: str) -> list[ResultRecord]:
 
 
 class ResultCache:
-    """Content-addressed store keyed by (kind, params, seed); thread count
-    does not participate in the key.  Corrupt entries are evicted on read."""
+    """Content-addressed store keyed by (kind, params, seed).  Corrupt
+    entries are evicted on read."""
 
     def __init__(self, root):
         self.root = Path(root)

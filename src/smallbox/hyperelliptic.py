@@ -17,14 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import (FpElement, FpPolynomial, PrimeModulus, discriminant,
-                     is_qr, QrStatus, sqrt_mod_int)
+from .ffield import (INT64_P_LIMIT, FpElement, FpPolynomial, PrimeModulus,
+                     discriminant, is_qr, match_count, poly_values, QrStatus)
+from .ffield import sqrt_mod_int  # noqa: F401  re-exported for existing importers
 
 DEFAULT_EPS = 0.05
 CENSUS_CELL_GUARD = 10 ** 9
 
-# numpy paths multiply two residues inside int64; stay well clear of overflow
-_NUMPY_P_LIMIT = 1 << 31
+# numpy paths multiply two residues inside int64
+_NUMPY_P_LIMIT = INT64_P_LIMIT
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,7 @@ def _decode_key(key: int, p: int, g: int) -> tuple[int, ...]:
 
 
 def class_census(modulus: PrimeModulus, box: CubeBox, *,
-                 cell_guard: int = CENSUS_CELL_GUARD, threads: int = 1) -> ClassCensus:
+                 cell_guard: int = CENSUS_CELL_GUARD) -> ClassCensus:
     """Exhaustive census of isomorphism classes meeting the box.
 
     Enumerates every vector of the box, groups the nonsingular ones by
@@ -262,18 +263,10 @@ def class_census(modulus: PrimeModulus, box: CubeBox, *,
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * g)
         # slice the enumeration so orbit tensors stay modest
         chunk = max(1, int(3e7) // ((p - 1) * 2 * g))
-        slices = [grid[s:s + chunk] for s in range(0, len(grid), chunk)]
-        if threads > 1 and len(slices) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for keys in pool.map(lambda sl: _census_chunk_keys(sl, p, g), slices):
-                    key_counts.update(keys.tolist())
-        else:
-            for sl in slices:
-                key_counts.update(_census_chunk_keys(sl, p, g).tolist())
+        for s in range(0, len(grid), chunk):
+            key_counts.update(_census_chunk_keys(grid[s:s + chunk], p, g).tolist())
         decode = lambda k: _decode_key(k, p, g)
     else:
-        reps: dict = {}
         for vec in box.vectors():
             cv = CurveVector(g, vec, modulus)
             canon = canonical_representative(cv).a
@@ -377,13 +370,10 @@ def reduce_to_power_congruence(b: CurveVector, h: int, box: CubeBox) -> PowerCon
         raise ValueError("coefficients b_(2g-1) and b_(2g+1-h) must be nonzero")
     lam = pow(b_hi, h, p) * pow(b_lo * b_lo % p, -1, p) % p
     R, S, M = box.R[i_low], box.R[2 * g - 1], box.M
+    # X^2 = lambda^-1 Y^h, joined over the two coordinate windows
     inv_lam = pow(lam, -1, p)
-    count = 0
-    for y in range(S + 1, S + M + 1):
-        w = pow(y, h, p) * inv_lam % p
-        for x in sqrt_mod_int(w, p):
-            if R + 1 <= x <= R + M:
-                count += 1
+    count = match_count(poly_values((0, 0, 1), range(R + 1, R + M + 1), p),
+                        poly_values((0,) * h + (inv_lam,), range(S + 1, S + M + 1), p))
     return PowerCongruence(multiplier=FpElement(lam, b.modulus), x_offset=R,
                            y_offset=S, side=M, solution_count=count,
                            reduced_index=i_low)

@@ -14,11 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .ffield import FpPolynomial, PrimeModulus, is_prime, sqrt_mod_int
+from .ffield import (FpPolynomial, PrimeModulus, is_prime, match_count, poly_values,
+                     sqrt_mod_int)
 
 ENUM_GUARD = 10 ** 9
 AUX_CURVE_GUARD = 10 ** 6
 _VECTOR_CHUNK = 1 << 22
+_LEMMA6_SLICE = 1 << 16  # residues of F_p evaluated per numpy pass
 
 
 @dataclass(frozen=True)
@@ -235,12 +237,18 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
 def _validate_minima(lat: CongruenceLattice, box: ConvexBox,
                      rep: MinimaReport, n: int):
     lams, wits = rep.lambdas, rep.witnesses
-    assert len(lams) == len(wits) == n
-    assert all(a <= b for a, b in zip(lams, lams[1:]))
+    if not len(lams) == len(wits) == n:
+        raise RuntimeError(
+            f"expected {n} minima, got {len(lams)} with {len(wits)} witnesses")
+    if any(a > b for a, b in zip(lams, lams[1:])):
+        raise RuntimeError(f"minima out of order: {lams}")
     for lam, w in zip(lams, wits):
-        assert lat.contains(w)
-        assert _shell_norm(w, box) <= lam
-    assert _rank(wits) == n
+        if not lat.contains(w):
+            raise RuntimeError(f"witness {w} is not a lattice vector")
+        if _shell_norm(w, box) > lam:
+            raise RuntimeError(f"witness {w} lies outside {lam} * D")
+    if _rank(wits) != n:
+        raise RuntimeError("minima witnesses are linearly dependent")
 
 
 def double_factorial(k: int) -> int:
@@ -308,24 +316,14 @@ def build_thm2_lattice(c: Sequence[int], M: int, p: int) -> ProofLattice:
 
 def shifted_congruence_count(c: Sequence[int], M: int, p: int) -> int:
     """Solutions of y^2 - c_0 y = c_3 x^3 + c_2 x^2 + c_1 x (mod p) with
-    |x|, |y| <= M, counted exactly by solving the quadratic in y per x."""
+    |x|, |y| <= M, counted exactly by joining the values of both sides."""
     if M < 0:
         raise ValueError("M >= 0 required")
-    c0, c1, c2, c3 = (x % p for x in c)
-    inv2 = pow(2, -1, p)
-    count = 0
-    for x in range(-M, M + 1):
-        rhs = (c3 * x ** 3 + c2 * x * x + c1 * x) % p
-        # y^2 - c0 y - rhs = 0: discriminant c0^2 + 4 rhs
-        disc = (c0 * c0 + 4 * rhs) % p
-        for r in sqrt_mod_int(disc, p):
-            y0 = (c0 + r) * inv2 % p
-            first = y0 - ((y0 + M) // p) * p
-            y = first
-            while y <= M:
-                count += 1
-                y += p
-    return count
+    c0, c1, c2, c3 = c
+    window = range(-M, M + 1)
+    # residues repeat when M >= p; the join counts every (x, y) pair anyway
+    return match_count(poly_values((0, c1, c2, c3), window, p),
+                       poly_values((0, -c0, 1), window, p))
 
 
 def lemma6_count(f: FpPolynomial, g: FpPolynomial,
@@ -337,7 +335,7 @@ def lemma6_count(f: FpPolynomial, g: FpPolynomial,
     With the x_i distinct and nonzero the dependency forces y = h(x) for
     the unique degree-<=n polynomial h with zero constant term through the
     n data points, so the count reduces to a single-variable congruence of
-    degree at most mn.  The mn cap is asserted.
+    degree at most mn.  The mn cap is checked.
     """
     p = f.modulus.p
     if g.modulus.p != p:
@@ -359,12 +357,20 @@ def lemma6_count(f: FpPolynomial, g: FpPolynomial,
     mat = [[pow(x, e, p) for e in range(n, 0, -1)] + [y] for x, y in zip(xs, ys)]
     h = _solve_mod(mat, p)
     hpoly = FpPolynomial(tuple([0] + h[::-1]), f.modulus)
-    count = sum(1 for x in range(p) if f(x) == g(hpoly(x)))
+    count = 0
+    for start in range(0, p, _LEMMA6_SLICE):
+        x = range(start, min(start + _LEMMA6_SLICE, p))
+        gh = poly_values(g.coeffs, poly_values(hpoly.coeffs, x, p), p)
+        count += int((poly_values(f.coeffs, x, p) == gh).sum())
     if count > m * n:
         raise RuntimeError(f"count {count} exceeds cap {m * n}")
     if p <= 211:  # small enough to replay the determinant definition directly
-        direct = sum(1 for x in range(p) for y in range(p)
-                     if f(x) == g(y) and _dep_det(x, y, xs, ys, p) == 0)
+        # every (x, y) with f(x) = g(y), found through the fibres of g
+        g_fibres: dict[int, list[int]] = {}
+        for y in range(p):
+            g_fibres.setdefault(g(y), []).append(y)
+        direct = sum(1 for x in range(p) for y in g_fibres.get(f(x), ())
+                     if _dep_det(x, y, xs, ys, p) == 0)
         if direct != count:
             raise RuntimeError("interpolation shortcut disagrees with determinant scan")
     return count

@@ -71,15 +71,6 @@ def test_sqrt_scan_equals_naive_randomized():
         assert count_graph_points(f, box).count == naive_graph(f, box)
 
 
-def test_threads_do_not_change_counts():
-    mod = PrimeModulus(1009)
-    f = FpPolynomial.from_text("5,0,1,1", mod)
-    box = Box2(R=3, S=7, M=900)
-    single = count_curve_points(f, box, threads=1)
-    multi = count_curve_points(f, box, threads=4, chunks=13)
-    assert single.count == multi.count
-
-
 def test_translation_recentering_invariance():
     # shifting the x-window by t while recentering f at x+t is a bijection
     # on solutions, for curve and graph counts alike

@@ -99,3 +99,19 @@ def test_lattice_check(capsys):
                  "--p", "101", "--halfwidths", "4,6,9"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-curve", "--p", "10", "--f", "1,0,1", "--box", "0,0,5"],
+    ["count-curve", "--p", "101", "--f", "1,0,1", "--box", "0,0"],
+    ["count-graph", "--p", "31", "--f", "1,x", "--box", "0,0,5"],
+    ["lattice-check", "--n", "2", "--coeffs", "1,3,5", "--p", "101",
+     "--halfwidths", "4,6,9"],
+])
+def test_bad_input_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("smallbox: error: ")

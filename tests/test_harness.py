@@ -18,8 +18,8 @@ from smallbox.harness import (
 )
 
 
-def spec_of(kind, params, seed=7, threads=1):
-    return ExperimentSpec(kind=kind, params=params, seed=seed, threads=threads)
+def spec_of(kind, params, seed=7):
+    return ExperimentSpec(kind=kind, params=params, seed=seed)
 
 
 COUNT_PARAMS = {"p": 101, "f": [3, 2, 0, 1], "R": 0, "S": 0, "M": 50}
@@ -37,14 +37,13 @@ def test_spec_validation():
         spec_of("count_curve", {"p": 101})  # missing f, R, S, M
     with pytest.raises(ValueError):
         ExperimentSpec(kind="vinogradov", params={"k": 2, "m": 2, "H": 5},
-                       seed=2 ** 64, threads=1)
+                       seed=2 ** 64)
     assert "acceptance" in KINDS
 
 
-def test_cache_key_ignores_threads_and_param_order():
-    a = spec_of("count_curve", COUNT_PARAMS, threads=1)
-    b = spec_of("count_curve", dict(reversed(list(COUNT_PARAMS.items()))),
-                threads=8)
+def test_cache_key_ignores_param_order():
+    a = spec_of("count_curve", COUNT_PARAMS)
+    b = spec_of("count_curve", dict(reversed(list(COUNT_PARAMS.items()))))
     assert a.cache_key() == b.cache_key()
     c = spec_of("count_curve", {**COUNT_PARAMS, "M": 51})
     assert a.cache_key() != c.cache_key()
@@ -88,11 +87,9 @@ def test_run_census_moment_identities():
     assert all(r.passed for r in recs)
 
 
-def test_records_reproducible_across_threads():
-    one = run(spec_of("count_curve", COUNT_PARAMS, threads=1))
-    four = run(spec_of("count_curve", COUNT_PARAMS, threads=4))
-    assert strip_runtime(one) == strip_runtime(four)
-    again = run(spec_of("count_curve", COUNT_PARAMS, threads=1))
+def test_records_reproducible():
+    one = run(spec_of("count_curve", COUNT_PARAMS))
+    again = run(spec_of("count_curve", COUNT_PARAMS))
     assert strip_runtime(one) == strip_runtime(again)
 
 
@@ -144,9 +141,6 @@ def test_cache_round_trip(tmp_path):
     first = cache.run_cached(spec)
     assert cache.lookup(spec) == first
     assert cache.run_cached(spec) == first
-    # the same experiment at another thread count reuses the entry
-    assert cache.lookup(spec_of("count_curve", COUNT_PARAMS,
-                                threads=6)) == first
 
 
 def test_cache_evicts_corrupt_entries(tmp_path):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from smallbox import hyperelliptic
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.hyperelliptic import (
     CubeBox,
@@ -156,11 +157,12 @@ def test_census_agrees_with_per_class_walks():
     assert walked == cen.class_sizes
 
 
-def test_census_threads_and_python_fallback_agree():
+def test_census_python_fallback_agrees(monkeypatch):
     box = CubeBox(g=2, R=(1, 2, 3, 4), M=3)
-    single = class_census(MOD31, box)
-    multi = class_census(MOD31, box, threads=3)
-    assert single == multi
+    vectorized = class_census(MOD31, box)
+    # a zero limit sends the census and its keys down the pure-Python walk
+    monkeypatch.setattr(hyperelliptic, "_NUMPY_P_LIMIT", 0)
+    assert class_census(MOD31, box) == vectorized
 
 
 def test_census_counts_singular_separately():

@@ -18,6 +18,8 @@ from smallbox.lattice import (
     double_factorial,
     integer_points_on_aux_curve,
     lattice_points_in_box,
+    MinimaReport,
+    _validate_minima,
     lemma6_count,
     minkowski_check,
     shifted_congruence_count,
@@ -145,6 +147,22 @@ def test_minima_against_naive_oracle():
         rep = successive_minima(lat, box)
         oracle_prefix = naive_minima(lat, box)
         assert list(rep.lambdas)[:len(oracle_prefix)] == oracle_prefix
+
+
+def test_minima_validation_raises_on_bad_reports():
+    # raised, not asserted, so the checks also hold under python -O
+    lat = CongruenceLattice(coeffs=(1, 3, 5), p=101)
+    box = ConvexBox(halfwidths=(4, 6, 9))
+    rep = successive_minima(lat, box)
+    lams, wits = rep.lambdas, rep.witnesses
+    _validate_minima(lat, box, rep, 3)
+    for bad in (MinimaReport(lams[:2], wits),
+                MinimaReport(lams[::-1], wits[::-1]),
+                MinimaReport(lams, ((1, 0, 0),) + wits[1:]),
+                MinimaReport((Fraction(0),) + lams[1:], wits),
+                MinimaReport(lams, (wits[0],) * 3)):
+        with pytest.raises(RuntimeError):
+            _validate_minima(lat, box, bad, 3)
 
 
 def test_minima_homogeneity():

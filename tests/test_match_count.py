@@ -1,0 +1,140 @@
+"""The vectorized counting kernels (Horner over a vector, the sort-and-search
+match count) and every box count built on them, against brute-force double
+loops, at small primes (int64 path) and at p = 2^61 - 1 (Python-integer
+path)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smallbox.boxcount import Box2, count_curve_points, count_graph_points
+from smallbox.ffield import FpPolynomial, PrimeModulus, match_count, poly_values
+from smallbox.hyperelliptic import CubeBox, CurveVector, reduce_to_power_congruence
+from smallbox.lattice import lemma6_count, shifted_congruence_count
+
+BIG = (1 << 61) - 1
+PRIMES = (31, 101, 1009, BIG)
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def horner(coeffs, x, p):
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * x + c) % p
+    return v
+
+
+@st.composite
+def poly_in_box(draw, max_side=30):
+    """(p, coefficients, Box2) with a nonconstant polynomial."""
+    p = draw(st.sampled_from(PRIMES))
+    deg = draw(st.integers(1, 5))
+    coeffs = [draw(st.integers(0, p - 1)) for _ in range(deg)]
+    coeffs.append(draw(st.integers(1, p - 1)))
+    M = draw(st.integers(1, min(max_side, p - 2)))
+    R = draw(st.integers(0, p - M - 1))
+    S = draw(st.integers(0, p - M - 1))
+    return p, coeffs, Box2(R, S, M)
+
+
+@SETTINGS
+@given(st.lists(st.integers(-3, 3), max_size=25),
+       st.lists(st.integers(-3, 3), max_size=25),
+       st.booleans())
+def test_match_count_is_the_pair_count(u, v, as_objects):
+    dtype = object if as_objects else np.int64
+    expect = sum(1 for a in u for b in v if a == b)
+    assert match_count(np.array(u, dtype=dtype), np.array(v, dtype=dtype)) == expect
+
+
+@SETTINGS
+@given(st.sampled_from(PRIMES), st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=6),
+       st.lists(st.integers(-(1 << 62), 1 << 62), min_size=1, max_size=20))
+def test_poly_values_is_horner(p, coeffs, xs):
+    xs = [x % p - (p if i % 2 else 0) for i, x in enumerate(xs)]  # some negative
+    got = poly_values(coeffs, np.array(xs, dtype=np.int64), p)
+    assert [int(v) for v in got] == [horner(coeffs, x, p) for x in xs]
+
+
+@SETTINGS
+@given(poly_in_box())
+def test_curve_count_is_the_double_loop(case):
+    p, coeffs, box = case
+    f = FpPolynomial.from_ints(coeffs, PrimeModulus(p))
+    expect = sum(1 for x in box.x_range for y in range(box.S + 1, box.S + box.M + 1)
+                 if (y * y - horner(coeffs, x, p)) % p == 0)
+    assert count_curve_points(f, box).count == expect
+    assert count_curve_points(f, box, method="naive").count == expect
+
+
+@SETTINGS
+@given(poly_in_box())
+def test_graph_count_is_the_double_loop(case):
+    p, coeffs, box = case
+    f = FpPolynomial.from_ints(coeffs, PrimeModulus(p))
+    expect = sum(1 for x in box.x_range for y in range(box.S + 1, box.S + box.M + 1)
+                 if (y - horner(coeffs, x, p)) % p == 0)
+    assert count_graph_points(f, box).count == expect
+    assert count_graph_points(f, box, method="naive").count == expect
+
+
+@SETTINGS
+@given(st.data())
+def test_shifted_count_is_the_double_loop(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    c = [data.draw(st.integers(-2 * p, 2 * p)) for _ in range(4)]
+    # past p the window wraps, so residues repeat
+    M = data.draw(st.integers(0, 70 if p < 100 else 25))
+    c0, c1, c2, c3 = c
+    expect = sum(1 for x in range(-M, M + 1) for y in range(-M, M + 1)
+                 if (y * y - c0 * y - c3 * x ** 3 - c2 * x * x - c1 * x) % p == 0)
+    assert shifted_congruence_count(c, M, p) == expect
+
+
+@SETTINGS
+@given(st.data())
+def test_power_congruence_is_the_double_loop(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    g = data.draw(st.integers(1, 2))
+    h = data.draw(st.integers(2, 2 * g + 1))
+    b = CurveVector(g, tuple(data.draw(st.integers(1, p - 1)) for _ in range(2 * g)),
+                    PrimeModulus(p))
+    M = data.draw(st.integers(1, min(25, p - 2)))
+    box = CubeBox(g, tuple(data.draw(st.integers(0, p - M - 1)) for _ in range(2 * g)), M)
+    rep = reduce_to_power_congruence(b, h, box)
+    lam = int(rep.multiplier)
+    expect = sum(1 for x in range(rep.x_offset + 1, rep.x_offset + M + 1)
+                 for y in range(rep.y_offset + 1, rep.y_offset + M + 1)
+                 if (pow(y, h, p) - lam * x * x) % p == 0)
+    assert rep.solution_count == expect
+
+
+@SETTINGS
+@given(st.data())
+def test_lemma6_count_is_the_direct_scan(data):
+    # plant h, interpolate through it, and scan f(x) = g(h(x)) over all of F_p
+    p = data.draw(st.sampled_from(PRIMES[:3]))
+    mod = PrimeModulus(p)
+    n, m = data.draw(st.sampled_from(((3, 2), (5, 2), (5, 3), (4, 3))))
+    f = [data.draw(st.integers(0, p - 1)) for _ in range(n)] + [1]
+    g = [data.draw(st.integers(0, p - 1)) for _ in range(m)] + [1]
+    hc = [0] + [data.draw(st.integers(0, p - 1)) for _ in range(n)]
+    xs = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n, unique=True))
+    ys = [horner(hc, x, p) for x in xs]
+    expect = sum(1 for x in range(p)
+                 if horner(f, x, p) == horner(g, horner(hc, x, p), p))
+    got = lemma6_count(FpPolynomial.from_ints(f, mod), FpPolynomial.from_ints(g, mod),
+                       xs, ys)
+    assert got == expect
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, BIG - 1), min_size=1, max_size=30),
+       st.lists(st.integers(0, BIG - 1), min_size=1, max_size=4),
+       st.lists(st.integers(0, BIG - 1), min_size=1, max_size=4))
+def test_composed_values_at_the_object_path(xs, fc, hc):
+    # the lemma6 main count compares f(x) with g(h(x)); at p = 2^61 - 1 F_p
+    # cannot be scanned, so the composed evaluation is checked pointwise
+    composed = poly_values(fc, poly_values(hc, np.array(xs, dtype=np.int64), BIG), BIG)
+    assert composed.dtype == object
+    assert list(composed) == [horner(fc, horner(hc, x, BIG), BIG) for x in xs]
