@@ -9,7 +9,7 @@ from .boxcount import (Box2, CountReport, WeilReport, bound_I, bound_J,
 from .dynsys import Trajectory, bound_diameter, diameter, iterate, trajectory_length
 from .ffield import (FpElement, FpPolynomial, PrimeModulus, discriminant,
                      is_prime, is_qr, resultant, sqrt_mod)
-from .harness import ExperimentSpec, ResultCache, ResultRecord, emit, run
+from .harness import ExperimentSpec, ResultRecord, emit, run
 from .hyperelliptic import (ClassCensus, CubeBox, CurveVector, bound_N,
                             canonical_representative, class_census,
                             count_isomorphic_in_box, isomorphism_scalars,

@@ -21,9 +21,7 @@ from fractions import Fraction
 
 from . import analytic, boxcount, dynsys, hyperelliptic, lattice
 from .ffield import FpPolynomial, PrimeModulus
-from .harness import derived_rng
-
-DEFAULT_SEED = 20260815
+from .harness import DEFAULT_SEED, derived_rng
 
 # calibrated once against a full census sweep and frozen; the shape bound
 # min{p, M^2} is asymptotic, so the floor is a diagnostic constant

@@ -209,9 +209,11 @@ def sqrt_mod_int(a: int, p: int) -> tuple[int, ...]:
         while q % 2 == 0:
             q //= 2
             s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
+        for z in range(2, p):
+            if pow(z, (p - 1) // 2, p) == p - 1:
+                break
+        else:  # every odd prime has a nonresidue below it
+            raise ArithmeticError(f"no quadratic nonresidue mod {p}: is {p} prime?")
         m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
         while t != 1:
             i, t2 = 0, t

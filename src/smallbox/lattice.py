@@ -433,6 +433,8 @@ def integer_points_on_aux_curve(delta: int, coeffs: Sequence[int], M: int,
     """
     if delta == 0:
         raise ValueError("delta must be nonzero")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if M > AUX_CURVE_GUARD:
         raise ValueError(f"M = {M} above guard {AUX_CURVE_GUARD}")
     if M < 0:

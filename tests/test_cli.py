@@ -4,8 +4,108 @@ import json
 
 import pytest
 
+from smallbox import acceptance, dynsys, harness, hyperelliptic
 from smallbox.cli import main
 from smallbox.harness import parse_records
+
+# (argv, exit code, exact stdout) for every command but acceptance, recorded
+# before the commands were driven by the experiment registry
+GOLDEN = [
+    (["count-curve", "--p", "101", "--f", "3,2,0,1", "--box", "0,0,50"], 0,
+     "y^2 = f(x) points in box R=0,S=0,M=50 mod 101: 23 (trivial bound 100)\n"),
+    (["count-curve", "--p", "211", "--f", "7,0,1,1", "--box", "5,9,40",
+      "--naive"], 0,
+     "y^2 = f(x) points in box R=5,S=9,M=40 mod 211: 8 (trivial bound 80)\n"),
+    (["count-graph", "--p", "1009", "--f", "5,0,1,1", "--box", "3,7,90"], 0,
+     "y = f(x) points in box R=3,S=7,M=90 mod 1009: 14 (trivial bound 90)\n"),
+    (["count-graph", "--p", "101", "--f", "5,0,1,1", "--box", "3,7,40",
+      "--naive"], 0,
+     "y = f(x) points in box R=3,S=7,M=40 mod 101: 12 (trivial bound 40)\n"),
+    (["weil", "--p", "10007", "--f", "3,2,0,1", "--M", "900"], 0,
+     "count deviation from M^2/p: 12.06, budget 84872.95, "
+     "within budget (count 93)\n"),
+    (["weil", "--p", "1009", "--f", "3,2,0,1", "--M", "500", "--R", "7",
+      "--S", "11"], 0,
+     "count deviation from M^2/p: 29.23, budget 15196.56, "
+     "within budget (count 277)\n"),
+    (["curve-iso", "--p", "31", "--g", "1", "--a", "6,2", "--b", "3,4"], 0,
+     "isomorphic via 2 scalars: [2, 29]\n"),
+    (["curve-iso", "--p", "31", "--g", "1", "--a", "6,2", "--b", "3,5"], 0,
+     "not isomorphic (no scaling works)\n"),
+    (["curve-classes", "--p", "31", "--g", "1", "--M", "4", "--box", "2,3"], 0,
+     "{\n"
+     '  "class_count": 12,\n'
+     '  "total_nonsingular": 16,\n'
+     '  "second_moment": 24,\n'
+     '  "max_class_size": 2,\n'
+     '  "box_size": 16,\n'
+     '  "singular_count": 0,\n'
+     '  "class_sizes": {\n'
+     '    "1,4": 1,\n'
+     '    "1,11": 1,\n'
+     '    "1,16": 2,\n'
+     '    "3,1": 1,\n'
+     '    "3,2": 1,\n'
+     '    "3,4": 2,\n'
+     '    "3,6": 1,\n'
+     '    "3,8": 2,\n'
+     '    "3,12": 1,\n'
+     '    "5,1": 1,\n'
+     '    "5,4": 2,\n'
+     '    "5,6": 1\n'
+     "  }\n"
+     "}\n"),
+    (["curve-classes", "--p", "13", "--g", "1", "--M", "3"], 0,
+     "{\n"
+     '  "class_count": 5,\n'
+     '  "total_nonsingular": 7,\n'
+     '  "second_moment": 11,\n'
+     '  "max_class_size": 2,\n'
+     '  "box_size": 9,\n'
+     '  "singular_count": 2,\n'
+     '  "class_sizes": {\n'
+     '    "1,1": 2,\n'
+     '    "1,2": 1,\n'
+     '    "2,1": 2,\n'
+     '    "2,2": 1,\n'
+     '    "3,2": 1\n'
+     "  }\n"
+     "}\n"),
+    (["sharpness", "--p", "11", "--g", "1", "--M", "8"], 0,
+     "isomorphic count 3 vs residue witness 2 (2 x 1 residues): floor reached\n"),
+    (["sharpness", "--p", "1009", "--g", "1", "--M", "64"], 1,
+     "isomorphic count 6 vs residue witness 8 (2 x 4 residues): floor NOT reached\n"),
+    (["dynsys", "--p", "10007", "--f", "1,0,1", "--u0", "3"], 0,
+     "T = 189 (tail 3, cycle 186); D(N) = 9982, bound 1375.25, ratio 7.258\n"),
+    (["dynsys", "--p", "1009", "--f", "2,1,1", "--u0", "5", "--N", "20"], 0,
+     "T = 70 (tail 18, cycle 52); D(N) = 927, bound 142.06, ratio 6.526\n"),
+    (["vinogradov", "--k", "2", "--m", "2", "--H", "10"], 0,
+     "J(2,2;10) = 190 (diagonal floor 100, shape H^1)\n"),
+    (["--seed", "5", "vinogradov", "--k", "3", "--m", "2", "--H", "4"], 0,
+     "J(3,2;4) = 256 (diagonal floor 64, shape H^3)\n"),
+    (["expsum", "--p", "101", "--f", "1,2,1", "--k", "7", "--M", "20"], 0,
+     "S = -4.587726 + -3.418175i, |S| = 5.721114 <= M = 20\n"),
+    (["lattice-check", "--n", "3", "--coeffs", "1,3,5", "--p", "101",
+      "--halfwidths", "4,6,9"], 0,
+     "clipped minima product 0.166667 vs counting bound 4.56522 (23 points): ok\n"
+     "first-minimum volume bound: 64 <= 808: ok\n"),
+    (["lattice-check", "--coeffs", "1,7", "--p", "31", "--halfwidths",
+      "3,5"], 0,
+     "clipped minima product 1 vs counting bound 5 (3 points): ok\n"
+     "first-minimum volume bound: 60 <= 124: ok\n"),
+    (["thm2-lattice", "--p", "10007", "--c", "1,2,3,4", "--M", "4"], 0,
+     "lattice coeffs (1, 4, 3, 2, 1), halfwidths (128, 512, 128, 32, 32)\n"
+     "first minima: l1 = 1/128, l2 = 1/64, l3 = 1/32\n"
+     "shifted congruence solutions with |x|,|y| <= 4: 2\n"
+     "l3 < 1: yes (logged, not asserted)\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(argv, code, stdout, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().out == stdout
 
 
 def test_count_curve_exit_and_output(capsys):
@@ -59,7 +159,15 @@ def test_missing_required_option_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count-curve", "--p", "101"])
     assert exc.value.code == 2
-    assert "--f" in capsys.readouterr().err
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == "smallbox: error: missing --f (or config key f)"
+
+
+def test_short_box_names_the_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count-curve", "--p", "101", "--f", "1,0,1", "--box", "0,0"])
+    assert exc.value.code == 2
+    assert "--box" in capsys.readouterr().err.strip().splitlines()[-1]
 
 
 def test_sharpness_exit_reflects_floor(capsys):
@@ -115,3 +223,47 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("smallbox: error: ")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_command_runs_its_kernel_once(monkeypatch, capsys):
+    census = _count_calls(monkeypatch, hyperelliptic, "class_census")
+    assert main(["curve-classes", "--p", "31", "--g", "1", "--M", "4"]) == 0
+    assert len(census) == 1
+    traj = _count_calls(monkeypatch, dynsys, "trajectory_length")
+    assert main(["dynsys", "--p", "1009", "--f", "1,0,1", "--u0", "3"]) == 0
+    assert len(traj) == 1
+
+
+def test_seed_reaches_the_acceptance_suite(monkeypatch, capsys):
+    seeds = []
+
+    def run_all(quick=False, seed=None):
+        seeds.append((quick, seed))
+        return []
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    assert main(["--seed", "5", "acceptance", "--quick"]) == 0
+    assert main(["acceptance"]) == 0
+    assert seeds == [(True, 5), (False, harness.DEFAULT_SEED)]
+    assert capsys.readouterr().out == "0/0 criteria pass\n" * 2
+
+
+def test_lemma6_command(capsys):
+    params = {"p": 101, "f": [1, 2, 0, 1], "g": [3, 0, 1], "xs": [1, 2, 3],
+              "ys": [4, 5, 6]}
+    count = int(harness.run(harness.ExperimentSpec("lemma6", params))[0].value)
+    assert main(["lemma6", "--p", "101", "--f", "1,2,0,1", "--g", "3,0,1",
+                 "--xs", "1,2,3", "--ys", "4,5,6"]) == 0
+    assert capsys.readouterr().out == (
+        "points with f(x) = g(y) on the interpolation curve: "
+        f"{count} (cap deg f * deg g = 6): ok\n")

@@ -97,6 +97,13 @@ def test_sqrt_mod_int_sorted_tuple():
     assert all(r * r % 10007 == 2 for r in roots)
 
 
+def test_sqrt_mod_int_composite_modulus_raises():
+    # 9 = 1 mod 8 and 1 passes the Euler test, but no z is a nonresidue
+    # mod 9, so an unbounded search for one would never end
+    with pytest.raises(ArithmeticError):
+        sqrt_mod_int(1, 9)
+
+
 def test_polynomial_text_round_trip():
     mod = PrimeModulus(101)
     f = FpPolynomial.from_text("3,2,0,1", mod)

@@ -1,5 +1,5 @@
-"""Experiment harness: spec validation, dispatch, record persistence in
-both formats, the content-addressed cache, and seed reproducibility."""
+"""Experiment harness: spec validation against the registry, dispatch,
+record persistence in both formats, and seed reproducibility."""
 
 import json
 
@@ -7,9 +7,9 @@ import pytest
 
 from smallbox.harness import (
     CSV_COLUMNS,
-    KINDS,
+    DEFAULT_SEED,
+    EXPERIMENTS,
     ExperimentSpec,
-    ResultCache,
     ResultRecord,
     derived_rng,
     emit,
@@ -38,7 +38,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(kind="vinogradov", params={"k": 2, "m": 2, "H": 5},
                        seed=2 ** 64)
-    assert "acceptance" in KINDS
+    assert "acceptance" in EXPERIMENTS
 
 
 def test_cache_key_ignores_param_order():
@@ -134,25 +134,6 @@ def test_parse_rejects_malformed(tmp_path):
         emit([], "xml", tmp_path / "out.xml")
 
 
-def test_cache_round_trip(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
-    spec = spec_of("count_curve", COUNT_PARAMS)
-    assert cache.lookup(spec) is None
-    first = cache.run_cached(spec)
-    assert cache.lookup(spec) == first
-    assert cache.run_cached(spec) == first
-
-
-def test_cache_evicts_corrupt_entries(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
-    spec = spec_of("vinogradov", {"k": 2, "m": 2, "H": 4})
-    cache.run_cached(spec)
-    entry = cache.root / f"{spec.cache_key()}.json"
-    entry.write_text("{not json")
-    assert cache.lookup(spec) is None
-    assert not entry.exists()
-
-
 def test_derived_rng_reproducible_and_distinct():
     a = derived_rng(7, "trial", 3)
     b = derived_rng(7, "trial", 3)
@@ -162,3 +143,33 @@ def test_derived_rng_reproducible_and_distinct():
     stream = {tuple(r.random() for _ in range(3)) for r in
               (derived_rng(7, "trial", 3), c, d, derived_rng(7, "other", 3))}
     assert len(stream) == 4
+
+
+def test_spec_seed_defaults_to_the_suite_seed():
+    assert ExperimentSpec(kind="acceptance").seed == DEFAULT_SEED == 20260815
+
+
+def test_registry_commands_unique_and_options_translated():
+    commands = [exp.command for exp in EXPERIMENTS.values()]
+    assert len(set(commands)) == len(commands)
+    # CLI options that are not the params need a translation into params
+    assert all(exp.from_cli is not None for exp in EXPERIMENTS.values()
+               if exp.options is not None)
+
+
+@pytest.mark.parametrize("kind,params,value,bound", [
+    ("curve_iso", {"p": 31, "g": 1, "a": [6, 2], "b": [3, 4]}, 2.0, 30.0),
+    ("expsum", {"p": 101, "f": [1, 2, 1], "k": 7, "M": 20}, None, 20.0),
+    ("thm2_lattice", {"p": 10007, "c": [1, 2, 3, 4], "M": 4}, 1 / 32, 1.0),
+    ("lemma6", {"p": 101, "f": [1, 2, 0, 1], "g": [3, 0, 1], "xs": [1, 2, 3],
+                "ys": [4, 5, 6]}, None, 6.0),
+])
+def test_run_kinds_formerly_cli_only(kind, params, value, bound):
+    recs = run(spec_of(kind, params))
+    assert len(recs) == 1 and recs[0].kind == kind and recs[0].passed
+    assert recs[0].experiment_id.startswith(kind + "-")
+    assert recs[0].params == json.dumps(params, sort_keys=True,
+                                        separators=(",", ":"))
+    assert recs[0].bound_value == bound
+    if value is not None:
+        assert recs[0].value == value

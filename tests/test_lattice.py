@@ -330,6 +330,11 @@ def test_aux_curves_degenerate_delta():
         integer_points_on_aux_curve(0, [3, 5], 10, p)
 
 
+def test_aux_curves_reject_composite_modulus():
+    with pytest.raises(ValueError, match="not prime"):
+        integer_points_on_aux_curve(1, [1, 0, 1], 3, 9)
+
+
 def test_bombieri_pila_budget_shape():
     import math
     H, d = 10 ** 4, 3
