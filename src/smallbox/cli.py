@@ -15,6 +15,8 @@ import sys
 
 from . import harness
 
+FORMATS = ("csv", "json")  # record formats of harness.emit
+
 
 def _bool(v) -> bool:
     if isinstance(v, bool):
@@ -31,16 +33,20 @@ def _param(v):
 
 
 def _load_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror}") from None
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for ln, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{ln}: expected key=value")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -52,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="smallbox",
         description="Exact counting experiments in small boxes over prime fields")
     parser.add_argument("--out", help="write result records to this path")
-    parser.add_argument("--format", choices=("csv", "json"),
+    parser.add_argument("--format", choices=FORMATS,
                         help="record format for --out (default csv)")
     parser.add_argument("--seed", help="64-bit seed for randomized suites "
                         f"(default {harness.DEFAULT_SEED})")
@@ -71,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = {}
 
     def opt(name):
         v = getattr(args, name, None)
@@ -79,6 +85,11 @@ def main(argv=None) -> int:
 
     exp = harness.EXPERIMENTS[args.kind]
     try:  # bad input: one line on stderr, exit code 2
+        if args.config:
+            cfg.update(_load_config(args.config))
+        fmt = opt("format") or "csv"
+        if fmt not in FORMATS:  # checked before the run, not after its summary
+            raise ValueError(f"format {fmt!r} is not one of {', '.join(FORMATS)}")
         for name in exp.required_options:
             if opt(name) is None:
                 raise ValueError(f"missing --{name} (or config key {name})")
@@ -98,7 +109,7 @@ def main(argv=None) -> int:
         print(line)
     out = opt("out")
     if out:
-        harness.emit(records, opt("format") or "csv", out)
+        harness.emit(records, fmt, out)
         print(f"wrote {len(records)} records to {out}")
     return 0 if all(r.passed for r in records) else 1
 

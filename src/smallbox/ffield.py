@@ -371,16 +371,6 @@ def match_count(u: np.ndarray, v: np.ndarray) -> int:
     return int(n.sum())
 
 
-def poly_eval(f: FpPolynomial, x: Union[FpElement, int]) -> FpElement:
-    """Evaluate f at x by Horner's rule."""
-    if isinstance(x, FpElement):
-        if x.modulus != f.modulus:
-            raise ValueError(
-                f"mixed moduli: polynomial mod {f.modulus.p}, point mod {x.modulus.p}")
-        x = x.value
-    return FpElement(f(x), f.modulus)
-
-
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Remainder of a by b, both ascending coefficient lists, b nonzero."""
     r = a[:]

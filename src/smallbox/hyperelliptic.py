@@ -26,6 +26,8 @@ CENSUS_CELL_GUARD = 10 ** 9
 
 # numpy paths multiply two residues inside int64
 _NUMPY_P_LIMIT = INT64_P_LIMIT
+# class keys per singularity-filter pass: (2g+1)^2 matrix entries per key
+_FILTER_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -231,23 +233,59 @@ def _census_chunk_keys(grid: np.ndarray, p: int, g: int) -> np.ndarray:
     return (orbit @ place).min(axis=0)
 
 
-def _decode_key(key: int, p: int, g: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(2 * g):
-        key, r = divmod(key, p)
-        out.append(r)
-    return tuple(reversed(out))
+def nonsingular_mask(a, p: int) -> np.ndarray:
+    """Row k of a holds (a_0, ..., a_(2g-1)); True where the curve
+    Y^2 = f(X) = X^(2g+1) + a_(2g-1) X^(2g-1) + ... + a_0 is nonsingular.
+
+    f is monic, so the m x m Bezout matrix of f and f' (m = 2g+1) has
+    determinant +-Res(f, f'), zero mod p exactly when f has a repeated root
+    (also when p divides m and f' loses its top term).  Every row is decided
+    at once by fraction-free elimination mod p with a pivot row chosen per
+    matrix: row_r <- row_r * piv - row_c * a_rc, which scales the
+    determinant by a nonzero factor and needs no inverse.  int64 while
+    p < INT64_P_LIMIT, Python integers (dtype object) above, same code.
+    """
+    dtype = np.int64 if p < INT64_P_LIMIT else object
+    a = np.asarray(a).astype(dtype).T % p  # keys last: every step runs along them
+    m, n = len(a) + 1, a.shape[1]
+    f = np.zeros((m + 1, n), dtype=dtype)
+    f[:m - 1] = a
+    f[m] = 1
+    df = np.zeros((m + 1, n), dtype=dtype)
+    df[:m] = f[1:] * np.arange(1, m + 1).astype(dtype)[:, None] % p
+    # (f(x) f'(y) - f(y) f'(x)) / (x - y): the pair of degrees hi > lo adds
+    # (f_hi f'_lo - f_lo f'_hi) x^(lo+k) y^(hi-1-k) for k < hi - lo
+    bez = np.zeros((m, m, n), dtype=dtype)
+    for hi in range(1, m + 1):
+        for lo in range(hi):
+            c = (f[hi] * df[lo] - f[lo] * df[hi]) % p
+            for k in range(hi - lo):
+                bez[lo + k, hi - 1 - k] += c
+    bez %= p
+    alive = np.ones(n, dtype=bool)
+    keys = np.arange(n)
+    for c in range(m):
+        nonzero = bez[c:, c] != 0
+        alive &= nonzero.any(axis=0)
+        piv = c + nonzero.argmax(axis=0)
+        top = bez[piv, :, keys]  # (n, m): the pivot row of every matrix
+        bez[piv, :, keys] = bez[c].T
+        bez[c] = top.T
+        # column c below the pivot becomes zero and is never read again
+        bez[c + 1:, c + 1:] = (bez[c + 1:, c + 1:] * bez[c, c]
+                               - bez[c, c + 1:] * bez[c + 1:, c:c + 1]) % p
+    return alive
 
 
 def class_census(modulus: PrimeModulus, box: CubeBox, *,
                  cell_guard: int = CENSUS_CELL_GUARD) -> ClassCensus:
     """Exhaustive census of isomorphism classes meeting the box.
 
-    Enumerates every vector of the box, groups the nonsingular ones by
-    canonical representative, and reports the class count, the first and
-    second moments of the class sizes and the largest class.  Singular
-    vectors are excluded from the classes; their number is reported so the
-    box volume is fully accounted for.
+    Enumerates every vector of the box, groups them by canonical
+    representative, drops the singular classes in one `nonsingular_mask`
+    pass and reports the class count, the first and second moments of the
+    class sizes and the largest class.  The number of singular vectors is
+    reported so the box volume is fully accounted for.
     """
     p = modulus.p
     box.validate_for(p)
@@ -257,38 +295,35 @@ def class_census(modulus: PrimeModulus, box: CubeBox, *,
             f"box holds {cells} vectors, above the guard {cell_guard}; "
             "sample smaller sub-boxes instead")
     g = box.g
-    key_counts: Counter = Counter()
     if p <= _NUMPY_P_LIMIT and p ** (2 * g) < 2 ** 63:
         axes = [np.arange(r + 1, r + box.M + 1, dtype=np.int64) for r in box.R]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * g)
         # slice the enumeration so orbit tensors stay modest
         chunk = max(1, int(3e7) // ((p - 1) * 2 * g))
-        for s in range(0, len(grid), chunk):
-            key_counts.update(_census_chunk_keys(grid[s:s + chunk], p, g).tolist())
-        decode = lambda k: _decode_key(k, p, g)
+        keys, counts = np.unique(
+            np.concatenate([_census_chunk_keys(grid[s:s + chunk], p, g)
+                            for s in range(0, len(grid), chunk)]),
+            return_counts=True)
+        digits = []
+        for _ in range(2 * g):
+            keys, r = np.divmod(keys, p)
+            digits.append(r)
+        rows = np.stack(digits[::-1], axis=1)
     else:
-        for vec in box.vectors():
-            cv = CurveVector(g, vec, modulus)
-            canon = canonical_representative(cv).a
-            key_counts[canon] += 1
-        decode = lambda k: k
-    sizes = {}
-    singular = 0
-    for key, n in key_counts.items():
-        canon = decode(key)
-        cv = CurveVector(g, canon, modulus)
-        if cv.is_nonsingular():
-            sizes[canon] = n
-        else:
-            singular += n
-    total = sum(sizes.values())
+        key_counts = Counter(canonical_representative(CurveVector(g, vec, modulus)).a
+                             for vec in box.vectors())
+        rows = np.array(list(key_counts), dtype=object).reshape(-1, 2 * g)
+        counts = np.array(list(key_counts.values()), dtype=np.int64)
+    keep = np.concatenate([nonsingular_mask(rows[s:s + _FILTER_SLICE], p)
+                           for s in range(0, len(rows), _FILTER_SLICE)])
+    sizes = dict(zip(map(tuple, rows[keep].tolist()), counts[keep].tolist()))
     return ClassCensus(
         class_count=len(sizes),
-        total_nonsingular=total,
+        total_nonsingular=sum(sizes.values()),
         second_moment=sum(n * n for n in sizes.values()),
         max_class_size=max(sizes.values(), default=0),
         box_size=cells,
-        singular_count=singular,
+        singular_count=int(counts[~keep].sum()),
         class_sizes=sizes,
     )
 

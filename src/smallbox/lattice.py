@@ -153,7 +153,8 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, exact."""
+    """Rank over the rationals, exact; the independent check of the
+    minima witnesses, sharing no code with `_Echelon`."""
     mat = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     cols = len(mat[0]) if mat else 0
@@ -174,6 +175,33 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+class _Echelon:
+    """Integer row echelon basis grown one vector at a time, fraction-free
+    (Bareiss): a vector is reduced against each kept row at that row's pivot
+    column by cross multiplication, row <- piv * row - row[col] * kept, and
+    divided by the gcd of its entries after every reduction.  Each kept row
+    is zero at the pivots of the rows kept before it."""
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Keep v and return True exactly when it grows the span."""
+        w = list(v)
+        for col, row in self.rows:
+            if w[col]:
+                piv, x = row[col], w[col]
+                w = [piv * a - x * b for a, b in zip(w, row)]
+                d = math.gcd(*w)
+                if d > 1:
+                    w = [a // d for a in w]
+        col = next((j for j, a in enumerate(w) if a), None)
+        if col is None:
+            return False
+        self.rows.append((col, w))
+        return True
+
+
 @dataclass(frozen=True)
 class MinimaReport:
     lambdas: tuple[Fraction, ...]
@@ -191,8 +219,10 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
 
     Doubles the enumeration scale until the collected vectors span R^n,
     then scans them in order of their exact box norm, keeping each vector
-    that grows the span; the i-th kept norm is lambda_i.  All arithmetic is
-    rational, so the minima are attained values, not approximations.
+    that grows the span; the i-th kept norm is lambda_i.  Spans are tested
+    on an incremental integer echelon basis, so each candidate costs O(n^2)
+    integer operations; the norms are exact fractions, so the minima are
+    attained values, not approximations.
 
     upto requests only the first few minima; bodies whose later minima sit
     beyond the enumeration guard can still report their early ones exactly.
@@ -217,15 +247,21 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     while True:
         pc = lattice_points_in_box(lat, box, scale=scale, collect=True)
         nonzero = [v for v in pc.points if any(v)]
-        if len(nonzero) >= n and _rank(nonzero) >= n:
+        span = _Echelon()
+        if any(span.add(v) and len(span.rows) == n for v in nonzero):
             break
         scale *= 2
-    decorated = sorted((_shell_norm(v, box), v) for v in nonzero)
+    # |x_i| / h_i = |x_i| * weight_i / den, so integer keys sort like the norms
+    den = math.lcm(*(h.numerator for h in box.halfwidths))
+    weights = [h.denominator * (den // h.numerator) for h in box.halfwidths]
+    decorated = sorted((max(abs(x) * w for x, w in zip(v, weights)), v)
+                       for v in nonzero)
     lambdas: list[Fraction] = []
     witnesses: list[tuple[int, ...]] = []
+    span = _Echelon()
     for norm, v in decorated:
-        if _rank(witnesses + [v]) > len(witnesses):
-            lambdas.append(norm)
+        if span.add(v):
+            lambdas.append(Fraction(norm, den))
             witnesses.append(v)
             if len(witnesses) == n:
                 break

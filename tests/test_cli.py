@@ -148,11 +148,37 @@ def test_config_file_provides_defaults(tmp_path, capsys):
     assert capsys.readouterr().out != base
 
 
-def test_config_rejects_garbage(tmp_path):
+def _usage_error(argv, capsys) -> tuple[str, str]:
+    """Run argv, expect exit code 2; return the last stderr line and stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return err.strip().splitlines()[-1], out
+
+
+def test_config_rejects_garbage(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just some words\n")
-    with pytest.raises(ValueError):
-        main(["--config", str(cfg), "count-curve"])
+    last, _ = _usage_error(["--config", str(cfg), "count-curve"], capsys)
+    assert last == f"smallbox: error: {cfg}:1: expected key=value"
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    last, _ = _usage_error(["--config", str(cfg), "count-curve"], capsys)
+    assert last == f"smallbox: error: cannot read config {cfg}: No such file or directory"
+
+
+def test_config_format_checked_before_the_run(tmp_path, capsys):
+    out = tmp_path / "rec.out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format = xml\nout = {out}\np = 101\nf = 3,2,0,1\nbox = 0,0,50\n")
+    last, printed = _usage_error(["--config", str(cfg), "count-curve"], capsys)
+    assert last == "smallbox: error: format 'xml' is not one of csv, json"
+    assert printed == ""  # the summary is not printed before the error
+    assert not out.exists()
 
 
 def test_missing_required_option_errors(capsys):

@@ -2,12 +2,17 @@
 walks, canonical forms, the box census, and the power-congruence reduction,
 cross-checked against brute-force box scans."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallbox import hyperelliptic
-from smallbox.ffield import FpPolynomial, PrimeModulus
+from smallbox.ffield import FpPolynomial, PrimeModulus, discriminant
 from smallbox.hyperelliptic import (
     CubeBox,
     CurveVector,
@@ -17,12 +22,14 @@ from smallbox.hyperelliptic import (
     class_census,
     count_isomorphic_in_box,
     isomorphism_scalars,
+    nonsingular_mask,
     reduce_to_power_congruence,
     scaling_exponents,
     sharpness_witness,
 )
 
 MOD31 = PrimeModulus(31)
+BIG = (1 << 61) - 1
 
 
 def random_vector(rng, mod, g):
@@ -163,6 +170,76 @@ def test_census_python_fallback_agrees(monkeypatch):
     # a zero limit sends the census and its keys down the pure-Python walk
     monkeypatch.setattr(hyperelliptic, "_NUMPY_P_LIMIT", 0)
     assert class_census(MOD31, box) == vectorized
+
+
+def _scalar_nonsingular(row, p):
+    return not discriminant(FpPolynomial(tuple(row) + (0, 1), PrimeModulus(p))).is_zero()
+
+
+def _repeated_root_row(r, q_low, p):
+    """(a_0, ..., a_(2g-1)) of (X - r)^2 q(X) with q monic of degree 2g-1 and
+    its X^(2g-2) coefficient 2r, which cancels the X^(2g) term."""
+    q = list(q_low) + [2 * r % p, 1]
+    f = [0] * (len(q) + 2)
+    for i, c in enumerate(q):
+        for j, s in enumerate((r * r, -2 * r, 1)):
+            f[i + j] = (f[i + j] + c * s) % p
+    if f[-2] != 0:
+        raise AssertionError("X^(2g) term did not cancel")
+    return tuple(f[:-2])
+
+
+@st.composite
+def weierstrass_rows(draw):
+    """(p, g, rows): random, zero and repeated-root coefficient rows, at
+    primes that divide 2g+1 for some g, a mid prime and one above 2^31."""
+    p = draw(st.sampled_from((3, 5, 7, 31, 1009, BIG)))
+    g = draw(st.sampled_from((1, 2, 3)))
+    residue = st.integers(0, p - 1)
+    rows, repeated = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("random", "zero", "repeated")))
+        if kind == "random":
+            rows.append(tuple(draw(residue) for _ in range(2 * g)))
+        elif kind == "zero":
+            rows.append((0,) * (2 * g))
+        else:
+            repeated.append(len(rows))
+            rows.append(_repeated_root_row(
+                draw(residue), [draw(residue) for _ in range(2 * g - 2)], p))
+    return p, g, rows, repeated
+
+
+@settings(max_examples=80, deadline=None)
+@given(weierstrass_rows())
+def test_singularity_filter_matches_discriminants(case):
+    p, g, rows, repeated = case
+    mask = nonsingular_mask(np.array(rows, dtype=object), p).tolist()
+    assert mask == [_scalar_nonsingular(r, p) for r in rows]
+    x = sympy.Symbol("x")
+    assert mask == [sympy.discriminant(sympy.Poly((1, 0) + r[::-1], x)) % p != 0
+                    for r in rows]
+    assert not any(mask[i] for i in repeated)
+    if p < BIG:  # int64 input takes the same path as object input
+        assert nonsingular_mask(np.array(rows, dtype=np.int64), p).tolist() == mask
+
+
+@pytest.mark.parametrize("p, g", [(3, 1), (5, 2), (7, 1), (11, 1), (3, 2)])
+def test_singularity_filter_exhaustive(p, g):
+    # p = 2g+1 (f' loses its X^(2g) term) and neighbours, every vector
+    rows = list(itertools.product(range(p), repeat=2 * g))
+    mask = nonsingular_mask(np.array(rows, dtype=np.int64), p).tolist()
+    assert mask == [_scalar_nonsingular(r, p) for r in rows]
+
+
+def test_singularity_filter_genus3_at_7():
+    rng = random.Random(27)
+    rows = [tuple(rng.randrange(7) for _ in range(6)) for _ in range(400)]
+    rows += [_repeated_root_row(rng.randrange(7), [rng.randrange(7) for _ in range(4)], 7)
+             for _ in range(50)]
+    mask = nonsingular_mask(np.array(rows, dtype=np.int64), 7).tolist()
+    assert mask == [_scalar_nonsingular(r, 7) for r in rows]
+    assert not any(mask[400:])
 
 
 def test_census_counts_singular_separately():

@@ -7,11 +7,17 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.lattice import (
     CongruenceLattice,
     ConvexBox,
+    _Echelon,
+    _rank,
+    _shell_norm,
     bombieri_pila_budget,
     build_thm2_lattice,
     cor7_check,
@@ -123,6 +129,102 @@ def _rank_of(vecs):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+@st.composite
+def integer_rows(draw):
+    """Rows of one dimension in [2, 6], with duplicates, negations, zero rows
+    and sums of earlier rows mixed in."""
+    n = draw(st.integers(2, 6))
+    entry = st.integers(-9, 9)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("random", "duplicate", "negated", "zero", "sum")))
+        if kind == "zero" or not rows and kind != "random":
+            rows.append((0,) * n)
+        elif kind == "random":
+            rows.append(tuple(draw(entry) for _ in range(n)))
+        else:
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            rows.append(a if kind == "duplicate" else tuple(-x for x in a)
+                        if kind == "negated" else tuple(x + y for x, y in zip(a, b)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows())
+def test_echelon_rank_matches_fraction_rank_and_sympy(rows):
+    span = _Echelon()
+    for k, v in enumerate(rows, 1):
+        before = len(span.rows)
+        grew = span.add(v)
+        rank = _rank(rows[:k])
+        assert len(span.rows) == rank == sympy.Matrix(rows[:k]).rank()
+        assert grew == (rank > before)
+
+
+def _fraction_minima(lat, box, upto=None):
+    """The minima as computed before the echelon: full Fraction ranks of the
+    enumerated points at each doubling scale and of every witness prefix."""
+    n = lat.n if upto is None else min(upto, lat.n)
+    scale = Fraction(1)
+    while True:
+        nonzero = [v for v in lattice_points_in_box(lat, box, scale, collect=True).points
+                   if any(v)]
+        if len(nonzero) >= n and _rank(nonzero) >= n:
+            break
+        scale *= 2
+    lambdas, witnesses = [], []
+    for norm, v in sorted((_shell_norm(v, box), v) for v in nonzero):
+        if _rank(witnesses + [v]) > len(witnesses):
+            lambdas.append(norm)
+            witnesses.append(v)
+            if len(witnesses) == n:
+                break
+    return MinimaReport(tuple(lambdas), tuple(witnesses))
+
+
+def test_minima_equal_the_fraction_rank_path():
+    rng = random.Random(54)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        p = rng.choice((101, 211, 307, 409))
+        lat = CongruenceLattice(tuple(rng.randrange(1, p) for _ in range(n)), p)
+        box = ConvexBox(tuple(rng.randint(1, 8) for _ in range(n)))
+        upto = rng.choice((None, 1, 2, 3))
+        assert successive_minima(lat, box, upto=upto) == _fraction_minima(lat, box, upto)
+
+
+@pytest.mark.parametrize("lat, box, upto, lambdas, witnesses", [
+    (CongruenceLattice((17, 40, 3, 99, 5), 211), ConvexBox((3, 5, 2, 7, 4)), None,
+     ((1, 2), (1, 2), (1, 2), (2, 3), (2, 3)),
+     ((-1, -2, 1, 1, -1), (-1, 1, 0, 2, -2), (0, 0, -1, -2, -2),
+      (-2, -2, -1, -1, 1), (-2, 0, 1, -4, 1))),
+    (CongruenceLattice((2, 9, 40, 77, 101, 150), 307), ConvexBox((2, 3, 2, 4, 3, 2)), 4,
+     ((1, 2), (2, 3), (2, 3), (2, 3)),
+     ((0, -1, -1, 0, -1, 1), (-1, 2, -1, -1, 1, 0), (-1, 2, 1, 0, 1, 1),
+      (0, -1, -1, 2, 2, 0))),
+])
+def test_minima_frozen_reports(lat, box, upto, lambdas, witnesses):
+    # recorded on the Fraction-rank path
+    assert successive_minima(lat, box, upto=upto) == MinimaReport(
+        tuple(Fraction(*l) for l in lambdas), witnesses)
+
+
+@pytest.mark.parametrize("c, M, p, lambdas, witnesses", [
+    ((1, 2, 3, 4), 4, 10007, ((1, 128), (1, 64), (1, 32)),
+     ((-1, 1, -1, 0, 0), (-2, -1, 2, 0, 0), (-4, -2, 3, 1, 1))),
+    ((5, 7, 11, 13), 2, 1009, ((1, 16), (1, 16), (1, 16)),
+     ((-2, -1, 2, -1, 0), (-2, 0, 0, 1, -1), (-2, 1, -1, 0, 0))),
+    ((3, 1, 4, 1), 3, 100003, ((1, 72), (1, 72), (1, 24)),
+     ((-1, -3, 1, 0, 0), (-1, 1, 0, 0, 0), (-3, -9, 2, 1, 1))),
+])
+def test_thm2_partial_minima_frozen(c, M, p, lambdas, witnesses):
+    # the upto=3 path of the thm2_lattice kind, recorded on the Fraction-rank path
+    setup = build_thm2_lattice(c, M, p)
+    assert successive_minima(setup.lattice, setup.box, upto=3) == MinimaReport(
+        tuple(Fraction(*l) for l in lambdas), witnesses)
 
 
 def test_minima_frozen_example():
