@@ -354,7 +354,7 @@ def criterion_12(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
 
 def criterion_13(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
     """Isomorphism relation is an equivalence, canonical keys respect it,
-    and the orbit-walk count equals a raw box scan."""
+    and the root-based orbit count equals a raw box scan."""
     trials = 200 if quick else 1000
     p = 101
     pm = PrimeModulus(p)
@@ -389,7 +389,7 @@ def criterion_13(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
                 2, tuple(rng.randrange(31) for _ in range(4)), p31)
             if b.is_nonsingular():
                 break
-        walk = hyperelliptic.count_isomorphic_in_box(b, box)
+        count = hyperelliptic.count_isomorphic_in_box(b, box)
         exps = hyperelliptic.scaling_exponents(2)
         scan = 0
         for v in box.vectors():
@@ -397,9 +397,9 @@ def criterion_13(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
                        for e, bc, vc in zip(exps, b.a, v))
                    for al in range(1, 31)):
                 scan += 1
-        if walk != scan:
-            return CriterionResult(13, "isomorphism algebra", False, walk, scan,
-                                   f"orbit walk {walk} != box scan {scan}")
+        if count != scan:
+            return CriterionResult(13, "isomorphism algebra", False, count, scan,
+                                   f"orbit count {count} != box scan {scan}")
     return CriterionResult(
         13, "isomorphism algebra", True, trials, trials,
         f"{trials} triples pass equivalence + canonical checks, "

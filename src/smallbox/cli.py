@@ -109,7 +109,10 @@ def main(argv=None) -> int:
         print(line)
     out = opt("out")
     if out:
-        harness.emit(records, fmt, out)
+        try:
+            harness.emit(records, fmt, out)
+        except OSError as exc:  # a missing directory, no permission, ...
+            parser.error(str(exc))
         print(f"wrote {len(records)} records to {out}")
     return 0 if all(r.passed for r in records) else 1
 

@@ -1,6 +1,6 @@
-"""Arithmetic over prime fields F_p: elements, polynomials, square roots,
-discriminants, and the two vector kernels every box count is built on
-(Horner over a vector, and the pair count of a value join).
+"""Arithmetic over prime fields F_p: elements, polynomials, square and
+k-th roots, discriminants, and the two vector kernels every box count is
+built on (Horner over a vector, and the pair count of a value join).
 
 Residues are stored in least nonnegative form, values in [0, p-1].  The
 modulus is capped below 2**62 so that products of two residues stay inside
@@ -9,8 +9,10 @@ modulus is capped below 2**62 so that products of two residues stay inside
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -226,6 +228,116 @@ def sqrt_mod_int(a: int, p: int) -> tuple[int, ...]:
     if r * r % p != a:
         raise ArithmeticError(f"no square root of {a} mod {p}: is {p} prime?")
     return tuple(sorted((r, p - r))) if r != p - r else (r,)
+
+
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct primes of n >= 1, ascending, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class _RootContext:
+    """What d-th roots mod p need, for d | p-1: p-1 = s*t with s built from
+    the primes of d and gcd(t, d) = 1, gamma a generator of the order-s
+    subgroup, and per prime r with r^f || s the Pohlig-Hellman data
+    (r, r^f, gamma^(s/r^f), its inverse, {zeta^j: j} for zeta of order r,
+    CRT weight)."""
+
+    s: int
+    inv_d: int  # d^-1 mod t
+    gamma: int
+    unity: tuple[int, ...]  # the d-th roots of unity
+    digits: tuple[tuple[int, int, int, int, dict, int], ...]
+
+
+@lru_cache(maxsize=64)
+def _root_context(p: int, d: int) -> _RootContext:
+    n = p - 1
+    primes = _prime_factors(d)
+    parts = []  # r^f exactly dividing p-1, for each prime r of d
+    for r in primes:
+        q = r
+        while n % (q * r) == 0:
+            q *= r
+        parts.append(q)
+    s = math.prod(parts)
+    t = n // s
+    for h in range(2, p):  # h^t generates the order-s subgroup
+        if all(pow(h, n // r, p) != 1 for r in primes):
+            break
+    else:
+        raise ArithmeticError(f"no generator of the {s}-part of F_{p}^*: is {p} prime?")
+    gamma = pow(h, t, p)
+    digits = []
+    for r, q in zip(primes, parts):
+        g_r = pow(gamma, s // q, p)
+        zeta = pow(g_r, q // r, p)
+        logs = {pow(zeta, j, p): j for j in range(r)}
+        digits.append((r, q, g_r, pow(g_r, -1, p), logs, s // q * pow(s // q, -1, q)))
+    omega = pow(gamma, s // d, p)
+    # pow(., -1, 1) is 0: with t = 1 every start is corrected inside the subgroup
+    return _RootContext(s, pow(d, -1, t), gamma,
+                        tuple(pow(omega, j, p) for j in range(d)), tuple(digits))
+
+
+def _subgroup_log(y: int, ctx: _RootContext, p: int) -> int:
+    """log_gamma(y) mod s for y in the order-s subgroup: Pohlig-Hellman,
+    one base-r digit at a time, each found among r candidates."""
+    s, m = ctx.s, 0
+    for r, q, g_r, g_r_inv, logs, weight in ctx.digits:
+        y_r = pow(y, s // q, p)
+        x, rj = 0, 1
+        while rj < q:
+            digit = logs.get(pow(y_r * pow(g_r_inv, x, p) % p, q // (rj * r), p))
+            if digit is None:
+                raise ArithmeticError(f"{y} is outside the {s}-part of F_{p}^*")
+            x += digit * rj
+            rj *= r
+        m += x * weight
+    return m % s
+
+
+def roots_mod(c: int, k: int, p: int) -> tuple[int, ...]:
+    """Every x mod the odd prime p with x^k = c, ascending.
+
+    (0,) for c = 0; otherwise either () or the d = gcd(k, p-1) roots.
+    Adleman-Manders-Miller: x^k = c reduces to x^d = c^u with
+    u = (k/d)^-1 mod (p-1)/d; c^(u * d^-1 mod t) is a d-th root up to an
+    error in the order-s subgroup (p-1 = s*t, s holding the primes of d),
+    removed by a Pohlig-Hellman discrete log there; the rest are that root
+    times the d-th roots of unity.  Cost O(log p) multiplications per digit,
+    at most r candidates per digit for each prime r | d.
+    """
+    if k < 1:
+        raise ValueError(f"root degree must be >= 1, got {k}")
+    c %= p
+    if c == 0:
+        return (0,)
+    n = p - 1
+    d = math.gcd(k, n)
+    if pow(c, n // d, p) != 1:
+        return ()
+    a = pow(c, pow(k // d, -1, n // d), p)  # k/d and (p-1)/d are coprime
+    ctx = _root_context(p, d)
+    x = pow(a, ctx.inv_d, p)
+    # a / x^d lies in the order-s subgroup; gamma^(m/d) is its d-th root there
+    m = _subgroup_log(a * pow(pow(x, d, p), -1, p) % p, ctx, p)
+    if m % d:
+        raise ArithmeticError(f"{c} has no {k}-th root mod {p}: is {p} prime?")
+    x = x * pow(ctx.gamma, m // d, p) % p
+    roots = sorted(x * w % p for w in ctx.unity)
+    if any(pow(r, k, p) != c for r in roots) or len(set(roots)) != d:
+        raise ArithmeticError(f"{k}-th roots of {c} mod {p} failed to verify")
+    return tuple(roots)
 
 
 def sqrt_mod(a: Union[FpElement, int], modulus: PrimeModulus | None = None) -> set[FpElement]:

@@ -11,21 +11,21 @@ evaluators for per-class counts.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .ffield import (INT64_P_LIMIT, FpElement, FpPolynomial, PrimeModulus,
-                     discriminant, is_qr, match_count, poly_values, QrStatus)
+                     discriminant, is_qr, match_count, poly_values, QrStatus,
+                     roots_mod)
 from .ffield import sqrt_mod_int  # noqa: F401  re-exported for existing importers
 
 DEFAULT_EPS = 0.05
 CENSUS_CELL_GUARD = 10 ** 9
 
-# numpy paths multiply two residues inside int64
-_NUMPY_P_LIMIT = INT64_P_LIMIT
+# bytes of one census keying slice: n vectors x d/2 scalars x 2g coordinates
+_KEY_SLICE_BYTES = 1 << 23
 # class keys per singularity-filter pass: (2g+1)^2 matrix entries per key
 _FILTER_SLICE = 1 << 15
 
@@ -111,17 +111,32 @@ def apply_scaling(b: CurveVector, alpha: int) -> CurveVector:
                        b.modulus)
 
 
-@lru_cache(maxsize=32)
-def _power_table(p: int, g: int) -> np.ndarray:
-    """Row alpha-1 holds (alpha^(4g+2-2i) mod p) for i = 0..2g-1, alpha in F_p^*."""
-    alphas = np.arange(1, p, dtype=np.int64)
-    a2 = alphas * alphas % p
-    cols = [None] * (2 * g)
-    w = a2.copy()  # (alpha^2)^1
-    for k in range(2, 2 * g + 2):  # exponent k of alpha^2; coordinate i = 2g+1-k
-        w = w * a2 % p
-        cols[2 * g + 1 - k] = w.copy()
-    return np.stack(cols, axis=1)
+def _scaled_rows(alphas, a, p: int) -> np.ndarray:
+    """Row j holds (alpha_j^(4g+2-2i) a_i mod p) for i = 0..2g-1: int64 while
+    p < INT64_P_LIMIT, Python integers (dtype object) above."""
+    dtype = np.int64 if p < INT64_P_LIMIT else object
+    beta = np.asarray(alphas, dtype=dtype).reshape(-1)
+    beta = beta * beta % p
+    cols, w = [], beta
+    for _ in a:  # beta^2, beta^3, ...: coordinates 2g-1 down to 0
+        w = w * beta % p
+        cols.append(w)
+    return np.stack(cols[::-1], axis=1) * np.asarray(a, dtype=dtype) % p
+
+
+def _coset_minima(cs, d: int, p: int) -> list[int]:
+    """For each nonzero c of cs, the smallest x >= 1 with x/c a d-th power
+    mod p (d | p-1): the least member of c's coset of the d-th powers."""
+    e = (p - 1) // d
+    chars = [pow(c, e, p) for c in cs]
+    first: dict[int, int] = {}
+    missing, x = set(chars), 0
+    while missing:  # ends by x = c at the latest
+        x += 1
+        ch = pow(x, e, p)
+        first.setdefault(ch, x)
+        missing.discard(ch)
+    return [first[ch] for ch in chars]
 
 
 def _check_pair(a: CurveVector, b: CurveVector):
@@ -129,83 +144,91 @@ def _check_pair(a: CurveVector, b: CurveVector):
         raise ValueError("genus/modulus mismatch")
 
 
+def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*x + v*y = g = gcd(x, y)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return x, u0, v0
+
+
 def isomorphism_scalars(a: CurveVector, b: CurveVector) -> set[FpElement]:
     """All alpha in F_p^* with a_i = alpha^(4g+2-2i) b_i for every i.
 
     Nonempty exactly when the two vectors are isomorphic.  Singular vectors
-    are allowed; the relation is purely coefficient-wise.
+    are allowed; the relation is purely coefficient-wise.  The zero patterns
+    must match; an extended gcd over the exponents of the nonzero
+    coordinates (and p-1) gives alpha^G = C, whose k-th roots are the
+    candidates, each checked on every coordinate.  The all-zero pair gets
+    all of F_p^*.
     """
     _check_pair(a, b)
-    p = a.modulus.p
-    if p <= _NUMPY_P_LIMIT:
-        tab = _power_table(p, a.g)
-        orbit = tab * np.asarray(b.a, dtype=np.int64) % p
-        mask = (orbit == np.asarray(a.a, dtype=np.int64)).all(axis=1)
-        return {FpElement(int(al), a.modulus) for al in np.flatnonzero(mask) + 1}
-    exps = scaling_exponents(a.g)
-    out = set()
-    for al in range(1, p):
-        if all(pow(al, e, p) * bc % p == ac for e, bc, ac in zip(exps, b.a, a.a)):
-            out.add(FpElement(al, a.modulus))
-    return out
-
-
-def _orbit_rows(b: CurveVector) -> np.ndarray:
-    tab = _power_table(b.modulus.p, b.g)
-    return tab * np.asarray(b.a, dtype=np.int64) % b.modulus.p
+    p, exps = a.modulus.p, scaling_exponents(a.g)
+    if any((x == 0) != (y == 0) for x, y in zip(a.a, b.a)):
+        return set()
+    G, C = p - 1, 1  # alpha^(p-1) = 1 for every alpha
+    for e, x, y in zip(exps, a.a, b.a):
+        if y:
+            # u*G + v*e = gcd(G, e), so alpha^gcd = C^u (x/y)^v
+            g, u, v = _ext_gcd(G, e)
+            G, C = g, pow(C, u, p) * pow(x * pow(y, -1, p) % p, v, p) % p
+    return {FpElement(al, a.modulus) for al in roots_mod(C, G, p)
+            if all(pow(al, e, p) * y % p == x for e, x, y in zip(exps, a.a, b.a))}
 
 
 def canonical_representative(a: CurveVector) -> CurveVector:
     """Lexicographically smallest vector in the scaling orbit of a.
 
     Idempotent; two vectors share a canonical representative exactly when
-    they are isomorphic.  Works for singular and zero vectors too.
+    they are isomorphic.  Works for singular and zero vectors too.  The
+    first nonzero coordinate a_i0 is scaled by alpha^e (e = 4g+2-2i0), so
+    its orbit is the coset of a_i0 modulo the d-th powers, d = gcd(e, p-1);
+    its least member x fixes alpha up to the d roots of alpha^e = x/a_i0,
+    and the key is the lex-min over those candidates.
     """
-    p = a.modulus.p
-    if p <= _NUMPY_P_LIMIT and p ** (2 * a.g) < 2 ** 63:
-        orbit = _orbit_rows(a)
-        place = np.array([p ** (2 * a.g - 1 - j) for j in range(2 * a.g)],
-                         dtype=np.int64)
-        best = int(np.argmin(orbit @ place))
-        return CurveVector(a.g, tuple(int(c) for c in orbit[best]), a.modulus)
-    exps = scaling_exponents(a.g)
-    best_vec = a.a
-    for al in range(2, p):
-        cand = tuple(pow(al, e, p) * c % p for e, c in zip(exps, a.a))
-        if cand < best_vec:
-            best_vec = cand
-    return CurveVector(a.g, best_vec, a.modulus)
+    p, exps = a.modulus.p, scaling_exponents(a.g)
+    nonzero = [(e, c) for e, c in zip(exps, a.a) if c]
+    if not nonzero:
+        return a
+    e0, c0 = nonzero[0]
+    x, = _coset_minima([c0], math.gcd(e0, p - 1), p)
+    return CurveVector(a.g, min(tuple(pow(al, e, p) * c % p for e, c in zip(exps, a.a))
+                                for al in roots_mod(x * pow(c0, -1, p) % p, e0, p)),
+                       a.modulus)
 
 
 def _count_orbit_in_box(b: CurveVector, box: CubeBox) -> int:
-    """Distinct orbit members of b inside box: walks alpha in F_p^*, divides
-    the hit count by the stabilizer order (the walk covers each distinct
-    vector equally often)."""
-    p = b.modulus.p
+    """Distinct orbit members of b inside box.  For each of the M values v0
+    of coordinate 0's window the scalars with alpha^(4g+2) b_0 = v0 are the
+    k-th roots of v0/b_0; each candidate vector is tested against the box.
+    Every vector in the box is hit by exactly one stabilizer coset of
+    scalars, which is checked.  Cost O(M*g*log p)."""
+    p, g = b.modulus.p, b.g
+    if 0 in b.a:  # the orbit keeps zero coordinates; the box has none
+        return 0
     lo, hi = box.lows(), box.highs()
-    if p <= _NUMPY_P_LIMIT:
-        orbit = _orbit_rows(b)
-        lo_a = np.asarray(lo, dtype=np.int64)
-        hi_a = np.asarray(hi, dtype=np.int64)
-        hits = int(((orbit >= lo_a) & (orbit <= hi_a)).all(axis=1).sum())
-        stab = int((orbit == np.asarray(b.a, dtype=np.int64)).all(axis=1).sum())
-    else:
-        exps = scaling_exponents(b.g)
-        hits = stab = 0
-        for al in range(1, p):
-            row = tuple(pow(al, e, p) * c % p for e, c in zip(exps, b.a))
-            if all(l <= v <= h for v, l, h in zip(row, lo, hi)):
-                hits += 1
-            if row == b.a:
-                stab += 1
-    if hits % stab != 0:
-        raise RuntimeError("orbit walk inconsistent with stabilizer order")
-    return hits // stab
+    inv_b0 = pow(b.a[0], -1, p)
+    alphas = [al for v0 in range(lo[0], hi[0] + 1)
+              for al in roots_mod(v0 * inv_b0 % p, 4 * g + 2, p)]
+    rows = _scaled_rows(alphas, b.a, p)
+    inside = ((rows >= np.asarray(lo)) & (rows <= np.asarray(hi))).all(axis=1)
+    hits = int(inside.sum())
+    distinct = len(set(map(tuple, rows[inside].tolist())))
+    # alpha fixes b exactly when alpha^gcd(p-1, exponents) = 1
+    stab = math.gcd(p - 1, *scaling_exponents(g))
+    if hits != distinct * stab:
+        raise RuntimeError(f"orbit of {b.a} in the box: {hits} scalars for "
+                           f"{distinct} vectors, stabilizer order {stab}")
+    return distinct
 
 
 def count_isomorphic_in_box(b: CurveVector, box: CubeBox) -> int:
-    """Exact number of vectors in the box isomorphic to b (cost O(p*g),
-    independent of the box volume).  Agrees with the brute-force box scan."""
+    """Exact number of vectors in the box isomorphic to b, cost O(M*g*log p):
+    one k-th root extraction per value of the first coordinate's window,
+    independent of the rest of the box volume and of p's size beyond log p.
+    Agrees with the brute-force box scan."""
     if box.g != b.g:
         raise ValueError("genus mismatch between vector and box")
     box.validate_for(b.modulus.p)
@@ -223,14 +246,6 @@ class ClassCensus:
     box_size: int
     singular_count: int
     class_sizes: dict  # canonical vector tuple -> class size
-
-
-def _census_chunk_keys(grid: np.ndarray, p: int, g: int) -> np.ndarray:
-    """Canonical (lex-min over the orbit) key of every vector in grid."""
-    tab = _power_table(p, g)
-    place = np.array([p ** (2 * g - 1 - j) for j in range(2 * g)], dtype=np.int64)
-    orbit = tab[:, None, :] * grid[None, :, :] % p  # (p-1, n, 2g)
-    return (orbit @ place).min(axis=0)
 
 
 def nonsingular_mask(a, p: int) -> np.ndarray:
@@ -277,15 +292,55 @@ def nonsingular_mask(a, p: int) -> np.ndarray:
     return alive
 
 
+def _census_keys(box: CubeBox, p: int):
+    """Canonical key of every vector of the box, odometer order, one slice
+    at a time.  Every coordinate of the box is nonzero, so a vector's key
+    starts with the least member x of the coset of its first coordinate v0
+    modulo the d-th powers (d = gcd(4g+2, p-1)), reached by the d roots of
+    alpha^(4g+2) = x/v0.  Those are found once for each of the M values of
+    v0 (-alpha acts as alpha, so half of them suffice) and broadcast over
+    the slice as an (n, d/2, 2g) candidate tensor; the key is its lex-min
+    row.  Slices hold about _KEY_SLICE_BYTES of candidates."""
+    g, M = box.g, box.M
+    d = math.gcd(4 * g + 2, p - 1)
+    v0s = range(box.R[0] + 1, box.R[0] + M + 1)
+    alphas = [al for v0, x in zip(v0s, _coset_minima(v0s, d, p))
+              for al in roots_mod(x * pow(v0, -1, p) % p, 4 * g + 2, p) if 2 * al < p]
+    scal = _scaled_rows(alphas, (1,) * (2 * g), p).reshape(M, d // 2, 2 * g)
+    lows = np.asarray(box.lows()).astype(scal.dtype)
+    cells, step = box.cell_count(), max(1, _KEY_SLICE_BYTES // scal[0].nbytes)
+    for start in range(0, cells, step):
+        idx = np.unravel_index(np.arange(start, min(cells, start + step)), (M,) * (2 * g))
+        vec = np.stack(idx, axis=1).astype(scal.dtype) + lows
+        cand = scal[idx[0]] * vec[:, None, :] % p
+        alive = np.ones(cand.shape[:2], dtype=bool)
+        for j in range(1, 2 * g):  # coordinate 0 is x on every candidate
+            col = np.where(alive, cand[:, :, j], p)
+            alive &= col == col.min(axis=1, keepdims=True)
+        yield cand[np.arange(len(cand)), alive.argmax(axis=1)]
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lex order and how often each occurs; int64 and
+    object arrays alike."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return rows[starts], np.diff(np.append(starts, len(rows)))
+
+
 def class_census(modulus: PrimeModulus, box: CubeBox, *,
                  cell_guard: int = CENSUS_CELL_GUARD) -> ClassCensus:
     """Exhaustive census of isomorphism classes meeting the box.
 
-    Enumerates every vector of the box, groups them by canonical
-    representative, drops the singular classes in one `nonsingular_mask`
-    pass and reports the class count, the first and second moments of the
-    class sizes and the largest class.  The number of singular vectors is
-    reported so the box volume is fully accounted for.
+    Keys every vector of the box by its canonical representative
+    (`_census_keys`: M root extractions of O(log p) each, then O(g) array
+    passes per vector, never O(p)), groups equal keys, drops the singular
+    classes in one `nonsingular_mask` pass and reports the class count, the
+    first and second moments of the class sizes and the largest class.
+    The number of singular vectors is reported so the box volume is fully
+    accounted for.
     """
     p = modulus.p
     box.validate_for(p)
@@ -294,34 +349,16 @@ def class_census(modulus: PrimeModulus, box: CubeBox, *,
         raise ValueError(
             f"box holds {cells} vectors, above the guard {cell_guard}; "
             "sample smaller sub-boxes instead")
-    g = box.g
-    if p <= _NUMPY_P_LIMIT and p ** (2 * g) < 2 ** 63:
-        axes = [np.arange(r + 1, r + box.M + 1, dtype=np.int64) for r in box.R]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * g)
-        # slice the enumeration so orbit tensors stay modest
-        chunk = max(1, int(3e7) // ((p - 1) * 2 * g))
-        keys, counts = np.unique(
-            np.concatenate([_census_chunk_keys(grid[s:s + chunk], p, g)
-                            for s in range(0, len(grid), chunk)]),
-            return_counts=True)
-        digits = []
-        for _ in range(2 * g):
-            keys, r = np.divmod(keys, p)
-            digits.append(r)
-        rows = np.stack(digits[::-1], axis=1)
-    else:
-        key_counts = Counter(canonical_representative(CurveVector(g, vec, modulus)).a
-                             for vec in box.vectors())
-        rows = np.array(list(key_counts), dtype=object).reshape(-1, 2 * g)
-        counts = np.array(list(key_counts.values()), dtype=np.int64)
+    rows, counts = _unique_rows(np.concatenate(list(_census_keys(box, p))))
     keep = np.concatenate([nonsingular_mask(rows[s:s + _FILTER_SLICE], p)
                            for s in range(0, len(rows), _FILTER_SLICE)])
-    sizes = dict(zip(map(tuple, rows[keep].tolist()), counts[keep].tolist()))
+    kept = counts[keep]
+    sizes = dict(zip(map(tuple, rows[keep].tolist()), kept.tolist()))
     return ClassCensus(
         class_count=len(sizes),
-        total_nonsingular=sum(sizes.values()),
-        second_moment=sum(n * n for n in sizes.values()),
-        max_class_size=max(sizes.values(), default=0),
+        total_nonsingular=int(kept.sum()),
+        second_moment=int((kept * kept).sum()),
+        max_class_size=int(kept.max(initial=0)),
         box_size=cells,
         singular_count=int(counts[~keep].sum()),
         class_sizes=sizes,
@@ -360,10 +397,10 @@ def sharpness_witness(modulus: PrimeModulus, M: int, g: int) -> SharpnessReport:
         lim += 1
     residues = [q for q in range(1, lim + 1)
                 if is_qr(q, modulus) is QrStatus.RESIDUE]
-    qset = set(residues)
-    witness = sum(1 for al in range(1, p) if al * al % p in qset)
-    if witness != 2 * len(residues):
-        raise RuntimeError("root pairing violated")  # each residue has two roots
+    roots = [roots_mod(q, 2, p) for q in residues]
+    if any(len(r) != 2 for r in roots):
+        raise RuntimeError("root pairing violated: a residue without two square roots")
+    witness = sum(map(len, roots))
     n_count = _count_orbit_in_box(b, box)
     return SharpnessReport(curve=b, witness_count=witness,
                            residue_count=len(residues), isomorphic_count=n_count,

@@ -138,6 +138,15 @@ def test_out_writes_parseable_records(tmp_path, capsys):
     assert parse_records(out_json, "json")[0].value == float(2 * 81 - 9)
 
 
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "absent" / "x.csv"
+    last, printed = _usage_error(["--out", str(out), "vinogradov", "--k", "2",
+                                  "--m", "2", "--H", "9"], capsys)
+    assert last.startswith(f"smallbox: error: cannot write {out}: ")
+    assert "No such file or directory" in last
+    assert printed  # the summary came first; only the write failed
+
+
 def test_config_file_provides_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 101\nf = 3,2,0,1  # cubic\nbox = 0,0,50\n")

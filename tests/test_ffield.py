@@ -2,9 +2,13 @@
 the resultant/discriminant helpers, checked against exhaustive scans on
 small fields."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.ntheory import is_nthpow_residue, nthroot_mod
 
 from smallbox.ffield import (
     FpElement,
@@ -18,6 +22,7 @@ from smallbox.ffield import (
     monic_square_root,
     poly_gcd,
     resultant,
+    roots_mod,
     signed_rep,
     sqrt_mod,
     sqrt_mod_int,
@@ -95,6 +100,63 @@ def test_sqrt_mod_int_sorted_tuple():
     roots = sqrt_mod_int(2, 10007)
     assert len(roots) == 2 and roots[0] < roots[1]
     assert all(r * r % 10007 == 2 for r in roots)
+
+
+# 998244353 = 2^23 * 7 * 17 + 1 (a long 2-adic Pohlig-Hellman chain);
+# 2^61 - 1 runs above INT64_P_LIMIT
+ROOT_PRIMES = (3, 7, 13, 37, 1009, 998244353, 10 ** 9 + 7, (1 << 61) - 1)
+
+
+@st.composite
+def root_cases(draw):
+    """(c, k, p) with c zero, a k-th power, or (where one exists) not one."""
+    p = draw(st.sampled_from(ROOT_PRIMES))
+    k = draw(st.sampled_from((2, 3, 4, 5, 6, 7, 10, 14)))
+    kind = draw(st.sampled_from(("zero", "power", "nonresidue")))
+    if kind == "zero":
+        return 0, k, p
+    x = draw(st.integers(1, p - 1))
+    c = pow(x, k, p)
+    if kind == "nonresidue":
+        c = next((c * y % p for y in range(2, 200)
+                  if not is_nthpow_residue(c * y % p, k, p)), c)
+    return c, k, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_cases())
+def test_roots_mod_matches_sympy(case):
+    c, k, p = case
+    roots = roots_mod(c, k, p)
+    assert list(roots) == sorted(set(nthroot_mod(c, k, p, all_roots=True) or []))
+    assert len(roots) in ((1,) if c == 0 else (0, math.gcd(k, p - 1)))
+
+
+def test_roots_mod_exhaustive_small_fields():
+    for p in (3, 5, 7, 11, 13, 31, 37):
+        for k in range(1, 2 * p):
+            table = {}
+            for x in range(p):
+                table.setdefault(pow(x, k, p), []).append(x)
+            for c in range(p):
+                assert roots_mod(c, k, p) == tuple(table.get(c, [])), (c, k, p)
+
+
+def test_roots_mod_rejects_bad_input():
+    with pytest.raises(ValueError):
+        roots_mod(3, 0, 31)
+    # composite moduli: a candidate that fails x^k = c raises, never returns
+    with pytest.raises(ArithmeticError, match="failed to verify"):
+        roots_mod(1, 2, 9)
+    with pytest.raises(ArithmeticError, match="outside"):
+        roots_mod(8, 6, 9)
+    for m in (9, 15, 21, 25, 27, 91):
+        for c in range(m):
+            try:
+                roots = roots_mod(c, 2, m)
+            except ArithmeticError:
+                continue
+            assert all(x * x % m == c % m for x in roots)
 
 
 def test_sqrt_mod_int_composite_modulus_raises():

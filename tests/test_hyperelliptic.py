@@ -1,9 +1,13 @@
-"""Scaling isomorphisms of odd-degree hyperelliptic curve vectors: orbit
-walks, canonical forms, the box census, and the power-congruence reduction,
-cross-checked against brute-force box scans."""
+"""Scaling isomorphisms of odd-degree hyperelliptic curve vectors: scalars,
+canonical forms, box counts, the box census, and the power-congruence
+reduction, cross-checked against a plain orbit walk over every alpha and
+brute-force box scans."""
 
+import functools
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallbox import hyperelliptic
+from smallbox import harness
 from smallbox.ffield import FpPolynomial, PrimeModulus, discriminant
 from smallbox.hyperelliptic import (
     CubeBox,
@@ -37,9 +41,50 @@ def random_vector(rng, mod, g):
                        modulus=mod)
 
 
-def orbit(b):
+# The oracle: a plain walk over every alpha in F_p^*, for p <= 10^4 (and one
+# census just past 5 * 10^4).  It shares nothing with `ffield.roots_mod`.
+
+@functools.lru_cache(maxsize=None)
+def _alpha_powers(p, g):
+    """Row alpha-1 holds alpha^(4g+2-2i) mod p for i = 0..2g-1."""
+    return np.array([[pow(al, 4 * g + 2 - 2 * i, p) for i in range(2 * g)]
+                     for al in range(1, p)], dtype=np.int64)
+
+
+def walk(b):
+    """Row alpha-1 is the scaled vector alpha . b."""
     p = b.modulus.p
-    return {apply_scaling(b, alpha).a for alpha in range(1, p)}
+    return _alpha_powers(p, b.g) * np.asarray(b.a, dtype=np.int64) % p
+
+
+def walk_scalars(a, b):
+    return set((np.flatnonzero((walk(b) == np.asarray(a.a)).all(axis=1)) + 1).tolist())
+
+
+def walk_canonical(a):
+    rows = walk(a)
+    for j in range(rows.shape[1]):  # keep the rows minimal so far, column by column
+        rows = rows[rows[:, j] == rows[:, j].min()]
+    return tuple(rows[0].tolist())
+
+
+def walk_count(b, box):
+    rows = walk(b)
+    inside = ((rows >= box.lows()) & (rows <= box.highs())).all(axis=1)
+    return len(set(map(tuple, rows[inside].tolist())))
+
+
+def walk_census(mod, box):
+    sizes = Counter()
+    for v in box.vectors():
+        b = CurveVector(g=box.g, a=v, modulus=mod)
+        if b.is_nonsingular():
+            sizes[walk_canonical(b)] += 1
+    return dict(sizes)
+
+
+def orbit(b):
+    return set(map(tuple, walk(b).tolist()))
 
 
 def test_scaling_exponents_are_even_and_decreasing():
@@ -164,12 +209,95 @@ def test_census_agrees_with_per_class_walks():
     assert walked == cen.class_sizes
 
 
-def test_census_python_fallback_agrees(monkeypatch):
+def test_census_past_int64_keys_agrees_with_walks():
+    # p^4 >= 2^63: a genus-2 key no longer fits one int64 place-value code
+    p = 55109
+    assert p ** 4 >= 2 ** 63
+    mod = PrimeModulus(p)
     box = CubeBox(g=2, R=(1, 2, 3, 4), M=3)
-    vectorized = class_census(MOD31, box)
-    # a zero limit sends the census and its keys down the pure-Python walk
-    monkeypatch.setattr(hyperelliptic, "_NUMPY_P_LIMIT", 0)
-    assert class_census(MOD31, box) == vectorized
+    cen = class_census(mod, box)
+    walked = walk_census(mod, box)
+    assert cen.class_sizes == walked
+    assert cen.total_nonsingular + cen.singular_count == 81
+    assert cen.second_moment == sum(n * n for n in walked.values())
+    wide = CubeBox(g=2, R=(p - 10,) * 4, M=3)  # near p: every coordinate large
+    assert class_census(mod, wide).class_sizes == walk_census(mod, wide)
+
+
+def sparse_vector(rng, mod, g):
+    """Random coordinates, each zero with probability 1/4."""
+    return CurveVector(g, tuple(rng.randrange(mod.p) if rng.random() < 0.75 else 0
+                                for _ in range(2 * g)), mod)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 37, 61, 1009, 9973])
+def test_orbit_routines_match_the_walk(p):
+    rng = random.Random(p)
+    mod = PrimeModulus(p)
+    zero = CurveVector(2, (0,) * 4, mod)
+    assert {int(s) for s in isomorphism_scalars(zero, zero)} == set(range(1, p))
+    assert canonical_representative(zero) == zero
+    counted = 0
+    for _ in range(40):
+        g = rng.choice((1, 2, 3))
+        a = sparse_vector(rng, mod, g)
+        b = (apply_scaling(a, rng.randrange(1, p)) if rng.random() < 0.6
+             else sparse_vector(rng, mod, g))
+        assert {int(s) for s in isomorphism_scalars(a, b)} == walk_scalars(a, b)
+        assert canonical_representative(a).a == walk_canonical(a)
+        if p < 7 or not a.is_nonsingular():
+            continue
+        # a box around a random orbit member, so that counts are not all 0
+        M = rng.randint(1, min(p - 2, 40))
+        v = apply_scaling(a, rng.randrange(1, p)).a
+        box = CubeBox(g, tuple(max(0, min(p - M - 1, c - rng.randint(1, M))) for c in v), M)
+        n = count_isomorphic_in_box(a, box)
+        assert n == walk_count(a, box)
+        counted += n > 0
+    assert p < 7 or counted > 0
+
+
+@pytest.mark.parametrize("p, g, M", [(7, 1, 5), (13, 3, 2), (31, 1, 9), (31, 3, 2),
+                                     (101, 2, 3), (1009, 1, 12), (9973, 2, 3)])
+def test_census_keys_match_the_walk(p, g, M):
+    rng = random.Random(p * g * M)
+    mod = PrimeModulus(p)
+    box = CubeBox(g, tuple(rng.randrange(p - M) for _ in range(2 * g)), M)
+    cen = class_census(mod, box)
+    assert cen.class_sizes == walk_census(mod, box)
+    assert cen.total_nonsingular + cen.singular_count == M ** (2 * g)
+
+
+# the 2-adic and odd parts of p-1 differ: 2^31-1 = 2 * 3^2 * 7 * 11 * 31 *
+# 151 * 331 + 1 runs in int64, 2^61-1 on Python integers
+@pytest.mark.parametrize("p", [(1 << 31) - 1, (1 << 61) - 1])
+def test_orbit_memory_does_not_depend_on_p(p):
+    rng = random.Random(p)
+    mod = PrimeModulus(p)
+    tracemalloc.start()
+    try:
+        for g in (1, 2):
+            b = CurveVector(g, tuple(rng.randrange(1, p) for _ in range(2 * g)), mod)
+            a = apply_scaling(b, rng.randrange(2, p))
+            assert isomorphism_scalars(a, b)
+            assert canonical_representative(a) == canonical_representative(b)
+            box = CubeBox(g, tuple(c - 250 for c in a.a), 500)  # a sits inside
+            assert count_isomorphic_in_box(b, box) >= 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an O(p) power table would be 34 GB here
+    assert peak < 4 << 20
+
+
+def test_large_p_census_reports_against_min_p_M2():
+    p, M = 10 ** 9 + 7, 200
+    rec, = harness.run(harness.ExperimentSpec(
+        "census", {"p": p, "g": 1, "M": M, "R": [123_456_789, 987_654_321]}))
+    assert rec.bound_value == min(p, M * M)
+    assert rec.passed
+    # M^2 << p: almost every vector is its own class
+    assert 0.9 * M * M < rec.value <= rec.bound_value
 
 
 def _scalar_nonsingular(row, p):
