@@ -167,15 +167,10 @@ class VinogradovInstance:
             raise ValueError("k, m, H must all be >= 1")
 
 
-@dataclass(frozen=True)
-class PowerSumVector:
-    s: tuple[int, ...]
-
-
-def power_sum_vector(xs: Iterable[int], m: int) -> PowerSumVector:
+def power_sum_vector(xs: Iterable[int], m: int) -> tuple[int, ...]:
     """(s_1, ..., s_m) with s_j the sum of j-th powers of xs."""
     xs = list(xs)
-    return PowerSumVector(tuple(sum(x ** j for x in xs) for j in range(1, m + 1)))
+    return tuple(sum(x ** j for x in xs) for j in range(1, m + 1))
 
 
 def count_vinogradov(inst: VinogradovInstance) -> int:
@@ -203,11 +198,8 @@ def count_vinogradov(inst: VinogradovInstance) -> int:
     return sum(c * c for c in dist.values())
 
 
-def kappa(m: int, table: dict | None = None) -> int:
-    """Variables-per-side budget for the degree-m system: m^2 - 1, with an
-    optional override table for tighter future values."""
+def kappa(m: int) -> int:
+    """Variables-per-side budget for the degree-m system: m^2 - 1."""
     if m < 2:
         raise ValueError("m >= 2 required")
-    if table and m in table:
-        return table[m]
     return m * m - 1

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .ffield import (FpPolynomial, discriminant, is_square_times_unit, match_count,
                      poly_values)
-from .ffield import sqrt_mod_int  # noqa: F401  re-exported for existing importers
+from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
 WEIL_CONSTANT = 10.0  # implied constant accepted in front of sqrt(p) (ln p)^2
 DEFAULT_EPS = 0.05
@@ -131,15 +131,14 @@ def check_curve_irreducible(f: FpPolynomial):
     """
     if f.degree < 1:
         raise ValueError("y^2 - f(x) is reducible: f is constant")
-    if not discriminant(f).is_zero():
+    if discriminant(f) != 0:
         return
     if is_square_times_unit(f):
         raise ValueError(
             "y^2 - f(x) is reducible: f is a unit multiple of a perfect square")
 
 
-def weil_error(f: FpPolynomial, box: Box2, *,
-               constant: float = WEIL_CONSTANT) -> WeilReport:
+def weil_error(f: FpPolynomial, box: Box2) -> WeilReport:
     """Exact count of the curve points in the box against the square-root
     error budget sqrt(p) * (ln p)^2, with an accepted implied constant."""
     check_curve_irreducible(f)
@@ -149,8 +148,8 @@ def weil_error(f: FpPolynomial, box: Box2, *,
     deviation = abs(report.count - main)
     budget = math.sqrt(p) * math.log(p) ** 2
     return WeilReport(count=report.count, main_term=main, deviation=deviation,
-                      weil_budget=budget, constant=constant,
-                      within_budget=deviation <= constant * budget)
+                      weil_budget=budget, constant=WEIL_CONSTANT,
+                      within_budget=deviation <= WEIL_CONSTANT * budget)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Arithmetic over prime fields F_p: elements, polynomials, square and
-k-th roots, discriminants, and the two vector kernels every box count is
-built on (Horner over a vector, and the pair count of a value join).
+"""Arithmetic over prime fields F_p: polynomials, square and k-th roots,
+discriminants, and the two vector kernels every box count is built on
+(Horner over a vector, and the pair count of a value join).
 
 Residues are stored in least nonnegative form, values in [0, p-1].  The
 modulus is capped below 2**62 so that products of two residues stay inside
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,100 +67,11 @@ class PrimeModulus:
         if p % 2 == 0 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
 
-    def element(self, value: int) -> "FpElement":
-        return FpElement(value % self.p, self)
-
     def __int__(self) -> int:
         return self.p
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
-
-
-@dataclass(frozen=True)
-class FpElement:
-    """A residue modulo a PrimeModulus, stored in [0, p-1]."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.p)
-
-    def _coerce(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli: {self.modulus.p} vs {other.modulus.p}")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(o.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.value, self.modulus)
-
-    def __pow__(self, e: int):
-        return FpElement(pow(self.value, e, self.modulus.p), self.modulus)
-
-    def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 mod p")
-        return FpElement(pow(self.value, -1, self.modulus.p), self.modulus)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def signed(self) -> int:
-        """Least-absolute-value representative, in (-p/2, p/2)."""
-        p = self.modulus.p
-        return self.value if self.value <= p // 2 else self.value - p
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus.p})"
-
-
-def signed_rep(x: int, p: int) -> int:
-    """Least-absolute-value representative of x mod p, in (-p/2, p/2)."""
-    r = x % p
-    return r if r <= p // 2 else r - p
 
 
 class QrStatus(Enum):
@@ -169,20 +80,10 @@ class QrStatus(Enum):
     NONRESIDUE = "nonresidue"
 
 
-def _as_residue(a: Union[FpElement, int], modulus: PrimeModulus | None) -> tuple[int, PrimeModulus]:
-    if isinstance(a, FpElement):
-        if modulus is not None and a.modulus != modulus:
-            raise ValueError("mixed moduli")
-        return a.value, a.modulus
-    if modulus is None:
-        raise ValueError("plain integer needs an explicit modulus")
-    return a % modulus.p, modulus
-
-
-def is_qr(a: Union[FpElement, int], modulus: PrimeModulus | None = None) -> QrStatus:
+def is_qr(a: int, modulus: PrimeModulus) -> QrStatus:
     """Euler criterion, tri-state: zero / residue / nonresidue."""
-    v, mod = _as_residue(a, modulus)
-    p = mod.p
+    p = modulus.p
+    v = a % p
     if v == 0:
         return QrStatus.ZERO
     return QrStatus.RESIDUE if pow(v, (p - 1) // 2, p) == 1 else QrStatus.NONRESIDUE
@@ -340,12 +241,6 @@ def roots_mod(c: int, k: int, p: int) -> tuple[int, ...]:
     return tuple(roots)
 
 
-def sqrt_mod(a: Union[FpElement, int], modulus: PrimeModulus | None = None) -> set[FpElement]:
-    """All square roots of a in F_p, as a set of FpElement (possibly empty)."""
-    v, mod = _as_residue(a, modulus)
-    return {FpElement(r, mod) for r in sqrt_mod_int(v, mod.p)}
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -419,20 +314,6 @@ class FpPolynomial:
         return FpPolynomial(tuple(i * c % p for i, c in enumerate(self.coeffs))[1:],
                             self.modulus)
 
-    def shift(self, t: int) -> "FpPolynomial":
-        """The polynomial f(X + t), by Horner in the polynomial ring."""
-        p = self.modulus.p
-        t %= p
-        out: list[int] = []
-        for c in reversed(self.coeffs):
-            new = [0] * (len(out) + 1)
-            for i, a in enumerate(out):
-                new[i] = (new[i] + a * t) % p
-                new[i + 1] = (new[i + 1] + a) % p
-            new[0] = (new[0] + c) % p
-            out = new
-        return FpPolynomial(tuple(out), self.modulus)
-
     def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
         if self.modulus != other.modulus:
             raise ValueError("mixed moduli")
@@ -499,20 +380,6 @@ def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return r
 
 
-def poly_gcd(f: FpPolynomial, g: FpPolynomial) -> FpPolynomial:
-    """Monic gcd of f and g."""
-    if f.modulus != g.modulus:
-        raise ValueError("mixed moduli")
-    p = f.modulus.p
-    a, b = list(f.coeffs), list(g.coeffs)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    if not a:
-        return FpPolynomial((), f.modulus)
-    inv = pow(a[-1], -1, p)
-    return FpPolynomial(tuple(c * inv % p for c in a), f.modulus)
-
-
 def resultant(f: FpPolynomial, g: FpPolynomial) -> int:
     """Res(f, g) mod p via the Euclidean scheme.
 
@@ -545,7 +412,7 @@ def resultant(f: FpPolynomial, g: FpPolynomial) -> int:
         a, b = b, r
 
 
-def discriminant(f: FpPolynomial) -> FpElement:
+def discriminant(f: FpPolynomial) -> int:
     """disc(f) = (-1)^(m(m-1)/2) Res(f, f') / lc(f), m = deg f.
 
     Zero exactly when f has a repeated root over the algebraic closure.
@@ -556,8 +423,7 @@ def discriminant(f: FpPolynomial) -> FpElement:
     p = f.modulus.p
     res = resultant(f, f.derivative())
     sign = -1 if (m * (m - 1) // 2) % 2 == 1 else 1
-    val = sign * res * pow(f.leading_coefficient, -1, p)
-    return FpElement(val % p, f.modulus)
+    return sign * res * pow(f.leading_coefficient, -1, p) % p
 
 
 def monic_square_root(f: FpPolynomial) -> FpPolynomial | None:

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import (INT64_P_LIMIT, FpElement, FpPolynomial, PrimeModulus,
-                     discriminant, is_qr, match_count, poly_values, QrStatus,
-                     roots_mod)
-from .ffield import sqrt_mod_int  # noqa: F401  re-exported for existing importers
+from .boxcount import DEFAULT_EPS
+from .ffield import (INT64_P_LIMIT, FpPolynomial, PrimeModulus, discriminant, is_qr,
+                     match_count, poly_values, QrStatus, roots_mod, sqrt_mod_int)
 
-DEFAULT_EPS = 0.05
 CENSUS_CELL_GUARD = 10 ** 9
 
 # bytes of one census keying slice: n vectors x d/2 scalars x 2g coordinates
@@ -51,10 +49,7 @@ class CurveVector:
         return FpPolynomial(self.a + (0, 1), self.modulus)
 
     def is_nonsingular(self) -> bool:
-        return not discriminant(self.weierstrass_polynomial()).is_zero()
-
-    def elements(self) -> tuple[FpElement, ...]:
-        return tuple(FpElement(c, self.modulus) for c in self.a)
+        return discriminant(self.weierstrass_polynomial()) != 0
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,7 @@ def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
     return x, u0, v0
 
 
-def isomorphism_scalars(a: CurveVector, b: CurveVector) -> set[FpElement]:
+def isomorphism_scalars(a: CurveVector, b: CurveVector) -> set[int]:
     """All alpha in F_p^* with a_i = alpha^(4g+2-2i) b_i for every i.
 
     Nonempty exactly when the two vectors are isomorphic.  Singular vectors
@@ -174,7 +169,7 @@ def isomorphism_scalars(a: CurveVector, b: CurveVector) -> set[FpElement]:
             # u*G + v*e = gcd(G, e), so alpha^gcd = C^u (x/y)^v
             g, u, v = _ext_gcd(G, e)
             G, C = g, pow(C, u, p) * pow(x * pow(y, -1, p) % p, v, p) % p
-    return {FpElement(al, a.modulus) for al in roots_mod(C, G, p)
+    return {al for al in roots_mod(C, G, p)
             if all(pow(al, e, p) * y % p == x for e, x, y in zip(exps, a.a, b.a))}
 
 
@@ -330,8 +325,7 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[starts], np.diff(np.append(starts, len(rows)))
 
 
-def class_census(modulus: PrimeModulus, box: CubeBox, *,
-                 cell_guard: int = CENSUS_CELL_GUARD) -> ClassCensus:
+def class_census(modulus: PrimeModulus, box: CubeBox) -> ClassCensus:
     """Exhaustive census of isomorphism classes meeting the box.
 
     Keys every vector of the box by its canonical representative
@@ -345,9 +339,9 @@ def class_census(modulus: PrimeModulus, box: CubeBox, *,
     p = modulus.p
     box.validate_for(p)
     cells = box.cell_count()
-    if cells > cell_guard:
+    if cells > CENSUS_CELL_GUARD:
         raise ValueError(
-            f"box holds {cells} vectors, above the guard {cell_guard}; "
+            f"box holds {cells} vectors, above the guard {CENSUS_CELL_GUARD}; "
             "sample smaller sub-boxes instead")
     rows, counts = _unique_rows(np.concatenate(list(_census_keys(box, p))))
     keep = np.concatenate([nonsingular_mask(rows[s:s + _FILTER_SLICE], p)
@@ -397,7 +391,7 @@ def sharpness_witness(modulus: PrimeModulus, M: int, g: int) -> SharpnessReport:
         lim += 1
     residues = [q for q in range(1, lim + 1)
                 if is_qr(q, modulus) is QrStatus.RESIDUE]
-    roots = [roots_mod(q, 2, p) for q in residues]
+    roots = [sqrt_mod_int(q, p) for q in residues]
     if any(len(r) != 2 for r in roots):
         raise RuntimeError("root pairing violated: a residue without two square roots")
     witness = sum(map(len, roots))
@@ -409,7 +403,7 @@ def sharpness_witness(modulus: PrimeModulus, M: int, g: int) -> SharpnessReport:
 
 @dataclass(frozen=True)
 class PowerCongruence:
-    multiplier: FpElement  # lambda
+    multiplier: int  # lambda
     x_offset: int  # R, window of the degree-(2g+1-h) coordinate
     y_offset: int  # S, window of the degree-(2g-1) coordinate
     side: int
@@ -446,9 +440,8 @@ def reduce_to_power_congruence(b: CurveVector, h: int, box: CubeBox) -> PowerCon
     inv_lam = pow(lam, -1, p)
     count = match_count(poly_values((0, 0, 1), range(R + 1, R + M + 1), p),
                         poly_values((0,) * h + (inv_lam,), range(S + 1, S + M + 1), p))
-    return PowerCongruence(multiplier=FpElement(lam, b.modulus), x_offset=R,
-                           y_offset=S, side=M, solution_count=count,
-                           reduced_index=i_low)
+    return PowerCongruence(multiplier=lam, x_offset=R, y_offset=S, side=M,
+                           solution_count=count, reduced_index=i_low)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
 """Integer lattices cut out by a single congruence mod p, exact successive
 minima against box-shaped bodies, the double-factorial counting inequality,
-the five-dimensional proof lattice for the concentration bound, the
-determinant-congruence solution cap, and exact integer-point counts on the
-auxiliary plane curves."""
+the five-dimensional proof lattice for the concentration bound, and the
+determinant-congruence solution cap."""
 
 from __future__ import annotations
 
@@ -14,11 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ffield import (FpPolynomial, PrimeModulus, is_prime, match_count, poly_values,
-                     sqrt_mod_int)
+from .ffield import FpPolynomial, is_prime, match_count, poly_values
+from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
 ENUM_GUARD = 10 ** 9
-AUX_CURVE_GUARD = 10 ** 6
 _VECTOR_CHUNK = 1 << 22
 _LEMMA6_SLICE = 1 << 16  # residues of F_p evaluated per numpy pass
 
@@ -455,68 +453,3 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
                 mat[r] = [(a - fac * b) % p for a, b in zip(mat[r], mat[col])]
     return det % p
 
-
-def integer_points_on_aux_curve(delta: int, coeffs: Sequence[int], M: int,
-                                p: int) -> dict[int, int]:
-    """Group the integer points |x|, |y| <= M of
-
-        c_1 x^h + ... + c_h x + c_(h+1) y - delta y^2 = p z
-
-    by the integer z they land on; returns {z: count of (x, y)}.
-
-    Only pairs whose left side is divisible by p lie on any of the curves.
-    The quadratic in y is solved mod p per x, so the cost is O(M log p).
-    """
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if M > AUX_CURVE_GUARD:
-        raise ValueError(f"M = {M} above guard {AUX_CURVE_GUARD}")
-    if M < 0:
-        raise ValueError("M >= 0 required")
-    h = len(coeffs) - 1
-    if h < 1:
-        raise ValueError("need at least (c_1, c_2) coefficients")
-    c_y = coeffs[-1]
-    out: dict[int, int] = {}
-
-    def visit(x: int, y: int, poly_part: int):
-        lhs = poly_part + c_y * y - delta * y * y
-        z, r = divmod(lhs, p)
-        if r == 0:
-            out[z] = out.get(z, 0) + 1
-
-    dp, cy = delta % p, c_y % p
-    for x in range(-M, M + 1):
-        poly_part = sum(c * x ** (h - i) for i, c in enumerate(coeffs[:-1]))
-        rhs = (-poly_part) % p  # c_y y - delta y^2 = rhs (mod p)
-        if dp != 0:
-            # delta y^2 - c_y y + rhs' with rhs' = -rhs: use the monic form
-            disc = (cy * cy - 4 * dp * rhs) % p
-            inv = pow(2 * dp, -1, p)
-            roots = {(cy + r) * inv % p for r in sqrt_mod_int(disc, p)}
-        elif cy != 0:
-            roots = {rhs * pow(cy, -1, p) % p}
-        elif rhs == 0:
-            roots = {y % p for y in range(-M, M + 1)}  # every class with a rep works
-        else:
-            roots = set()
-        for y0 in roots:
-            first = y0 - ((y0 + M) // p) * p
-            y = first
-            while y <= M:
-                visit(x, y, poly_part)
-                y += p
-    return out
-
-
-def bombieri_pila_budget(H: int, d: int) -> float:
-    """Count budget H^(1/d) exp(12 sqrt(d log H log log H)) for integer points
-    of height H on a degree-d irreducible curve; diagnostic only."""
-    if H < 3:
-        raise ValueError("H >= 3 required for the log log term")
-    if d < 2:
-        raise ValueError("d >= 2 required")
-    lg = math.log(H)
-    return H ** (1 / d) * math.exp(12 * math.sqrt(d * lg * math.log(lg)))

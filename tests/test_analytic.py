@@ -118,8 +118,8 @@ def test_weyl_square_identity():
 
 
 def test_power_sum_vector():
-    assert power_sum_vector([1, 2, 3], 3).s == (6, 14, 36)
-    assert power_sum_vector([], 2).s == (0, 0)
+    assert power_sum_vector([1, 2, 3], 3) == (6, 14, 36)
+    assert power_sum_vector([], 2) == (0, 0)
 
 
 def test_count_vinogradov_small_exhaustive():
@@ -151,9 +151,7 @@ def test_count_vinogradov_guard():
         count_vinogradov(VinogradovInstance(4, 3, 10 ** 3))
 
 
-def test_kappa_default_and_override():
+def test_kappa_values():
     assert [kappa(m) for m in (2, 3, 4, 5)] == [3, 8, 15, 24]
-    assert kappa(3, table={3: 7}) == 7
-    assert kappa(4, table={3: 7}) == 15
     with pytest.raises(ValueError):
         kappa(1)

@@ -6,12 +6,12 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory import is_nthpow_residue, nthroot_mod
 
 from smallbox.ffield import (
-    FpElement,
     FpPolynomial,
     PrimeModulus,
     QrStatus,
@@ -20,11 +20,8 @@ from smallbox.ffield import (
     is_qr,
     is_square_times_unit,
     monic_square_root,
-    poly_gcd,
     resultant,
     roots_mod,
-    signed_rep,
-    sqrt_mod,
     sqrt_mod_int,
 )
 
@@ -55,27 +52,6 @@ def test_prime_modulus_rejects_bad_input():
             PrimeModulus(bad)
 
 
-def test_element_arithmetic_matches_integers():
-    mod = PrimeModulus(101)
-    rng = random.Random(1)
-    for _ in range(300):
-        a, b = rng.randrange(101), rng.randrange(101)
-        x, y = FpElement(a, mod), FpElement(b, mod)
-        assert int(x + y) == (a + b) % 101
-        assert int(x - y) == (a - b) % 101
-        assert int(x * y) == (a * b) % 101
-        assert int(-x) == (-a) % 101
-        if b:
-            assert int(x * y.inverse()) == a * pow(b, -1, 101) % 101
-
-
-def test_element_signed_representative():
-    mod = PrimeModulus(11)
-    assert [FpElement(v, mod).signed() for v in range(11)] == \
-        [0, 1, 2, 3, 4, 5, -5, -4, -3, -2, -1]
-    assert signed_rep(7, 11) == -4
-
-
 @pytest.mark.parametrize("p", [31, 13, 17, 41, 101, 211])
 def test_sqrt_mod_exhaustive(p):
     # p = 31 hits the p % 4 == 3 path, 13 the p % 8 == 5 path,
@@ -83,10 +59,9 @@ def test_sqrt_mod_exhaustive(p):
     mod = PrimeModulus(p)
     squares = {}
     for y in range(p):
-        squares.setdefault(y * y % p, set()).add(y)
+        squares.setdefault(y * y % p, []).append(y)
     for a in range(p):
-        got = {int(r) for r in sqrt_mod(a, mod)}
-        assert got == squares.get(a, set()), (p, a)
+        assert sqrt_mod_int(a, p) == tuple(squares.get(a, [])), (p, a)
         expected_status = (QrStatus.ZERO if a == 0 else
                            QrStatus.RESIDUE if a in squares else
                            QrStatus.NONRESIDUE)
@@ -190,34 +165,28 @@ def test_polynomial_derivative_and_shift():
     mod = PrimeModulus(101)
     f = FpPolynomial.from_ints((3, 2, 0, 1), mod)  # x^3 + 2x + 3
     assert f.derivative().coeffs == (2, 0, 3)
-    g = f.shift(5)
+    # differentiation commutes with the shift X -> X + 5, built by sympy
+    shifted = sympy.Poly(f.coeffs[::-1], sympy.Symbol("x")).shift(5)
+    g = FpPolynomial.from_ints([int(c) for c in shifted.all_coeffs()[::-1]], mod)
     for x in range(101):
-        assert g(x) == f((x + 5) % 101)
-
-
-def test_poly_gcd_tracks_common_roots():
-    mod = PrimeModulus(31)
-
-    def linear(a):
-        return FpPolynomial.from_ints((-a % 31, 1), mod)
-
-    f = linear(2) * linear(5) * linear(7)
-    g = linear(5) * linear(11)
-    d = poly_gcd(f, g)
-    assert d.degree == 1 and d(5) == 0
-    assert poly_gcd(f, linear(1)).degree == 0
+        assert g.derivative()(x) == f.derivative()((x + 5) % 101)
 
 
 def test_resultant_vanishes_iff_common_root():
     mod = PrimeModulus(31)
     rng = random.Random(3)
+    x = sympy.Symbol("x")
+
+    def over_f31(f):
+        return sympy.Poly(f.coeffs[::-1], x, modulus=31)
+
     for _ in range(200):
         f = FpPolynomial.from_ints(
             [rng.randrange(31) for _ in range(3)] + [1], mod)
         g = FpPolynomial.from_ints(
             [rng.randrange(31) for _ in range(2)] + [1], mod)
-        r = resultant(f, g)
-        assert (int(r) == 0) == (poly_gcd(f, g).degree >= 1)
+        common = sympy.gcd(over_f31(f), over_f31(g))
+        assert (resultant(f, g) == 0) == (common.degree() >= 1)
 
 
 def test_resultant_root_product():
@@ -233,7 +202,7 @@ def test_resultant_root_product():
         expect = 1
         for a in roots:
             expect = expect * f(a) % 101
-        assert int(resultant(g, f)) == expect
+        assert resultant(g, f) == expect
 
 
 def test_discriminant_cubic_closed_form():
@@ -242,7 +211,7 @@ def test_discriminant_cubic_closed_form():
     for _ in range(100):
         a, b = rng.randrange(211), rng.randrange(211)
         f = FpPolynomial.from_ints((b, a, 0, 1), mod)
-        assert int(discriminant(f)) == (-4 * a ** 3 - 27 * b * b) % 211
+        assert discriminant(f) == (-4 * a ** 3 - 27 * b * b) % 211
 
 
 def test_monic_square_root_inverts_squaring():

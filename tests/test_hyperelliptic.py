@@ -130,14 +130,13 @@ def test_isomorphism_scalars_equivalence_relation():
         a = random_vector(rng, mod, g)
         b = apply_scaling(a, rng.randrange(1, 101))
         c = apply_scaling(b, rng.randrange(1, 101))
-        assert any(int(s) == 1 for s in isomorphism_scalars(a, a))
+        assert 1 in isomorphism_scalars(a, a)
         ab = isomorphism_scalars(a, b)
         ba = isomorphism_scalars(b, a)
-        assert {int(s.inverse()) for s in ab} == {int(s) for s in ba}
+        assert {pow(s, -1, 101) for s in ab} == ba
         bc = isomorphism_scalars(b, c)
         ac = isomorphism_scalars(a, c)
-        assert {int(x) * int(y) % 101 for x in ab for y in bc} <= \
-            {int(s) for s in ac}
+        assert {x * y % 101 for x in ab for y in bc} <= ac
         unrelated = random_vector(rng, mod, g)
         if unrelated.a not in orbit(a):
             assert not isomorphism_scalars(a, unrelated)
@@ -150,7 +149,7 @@ def test_isomorphism_scalars_match_brute_force():
         b = random_vector(rng, MOD31, 1) if rng.random() < 0.5 \
             else apply_scaling(a, rng.randrange(1, 31))
         expect = {al for al in range(1, 31) if apply_scaling(b, al) == a}
-        assert {int(s) for s in isomorphism_scalars(a, b)} == expect
+        assert isomorphism_scalars(a, b) == expect
 
 
 def test_canonical_representative_is_orbit_minimum():
@@ -235,7 +234,7 @@ def test_orbit_routines_match_the_walk(p):
     rng = random.Random(p)
     mod = PrimeModulus(p)
     zero = CurveVector(2, (0,) * 4, mod)
-    assert {int(s) for s in isomorphism_scalars(zero, zero)} == set(range(1, p))
+    assert isomorphism_scalars(zero, zero) == set(range(1, p))
     assert canonical_representative(zero) == zero
     counted = 0
     for _ in range(40):
@@ -243,7 +242,7 @@ def test_orbit_routines_match_the_walk(p):
         a = sparse_vector(rng, mod, g)
         b = (apply_scaling(a, rng.randrange(1, p)) if rng.random() < 0.6
              else sparse_vector(rng, mod, g))
-        assert {int(s) for s in isomorphism_scalars(a, b)} == walk_scalars(a, b)
+        assert isomorphism_scalars(a, b) == walk_scalars(a, b)
         assert canonical_representative(a).a == walk_canonical(a)
         if p < 7 or not a.is_nonsingular():
             continue
@@ -301,7 +300,7 @@ def test_large_p_census_reports_against_min_p_M2():
 
 
 def _scalar_nonsingular(row, p):
-    return not discriminant(FpPolynomial(tuple(row) + (0, 1), PrimeModulus(p))).is_zero()
+    return discriminant(FpPolynomial(tuple(row) + (0, 1), PrimeModulus(p))) != 0
 
 
 def _repeated_root_row(r, q_low, p):
@@ -407,7 +406,7 @@ def test_power_congruence_reduction():
                                    for _ in range(2 * g)), M=M)
         pc = reduce_to_power_congruence(b, h, box)
         assert pc.reduced_index == 2 * g + 1 - h
-        lam = int(pc.multiplier)
+        lam = pc.multiplier
         brute = sum(1
                     for x in range(pc.x_offset + 1, pc.x_offset + M + 1)
                     for y in range(pc.y_offset + 1, pc.y_offset + M + 1)

@@ -18,11 +18,9 @@ from smallbox.lattice import (
     _Echelon,
     _rank,
     _shell_norm,
-    bombieri_pila_budget,
     build_thm2_lattice,
     cor7_check,
     double_factorial,
-    integer_points_on_aux_curve,
     lattice_points_in_box,
     MinimaReport,
     _validate_minima,
@@ -391,56 +389,3 @@ def test_lemma6_input_validation():
     with pytest.raises(ValueError):
         lemma6_count(f, g2, [1, 2], [1, 2])
 
-
-def test_aux_curves_match_brute_force():
-    rng = random.Random(57)
-    for _ in range(25):
-        p = rng.choice((101, 211))
-        h = rng.randint(1, 3)
-        coeffs = [rng.randrange(p) for _ in range(h + 1)]
-        delta = rng.randrange(1, 3 * p)
-        M = rng.randint(0, 15)
-        got = integer_points_on_aux_curve(delta, coeffs, M, p)
-        brute: dict = {}
-        for x in range(-M, M + 1):
-            for y in range(-M, M + 1):
-                poly = sum(c * x ** (h - i) for i, c in enumerate(coeffs[:-1]))
-                lhs = poly + coeffs[-1] * y - delta * y * y
-                z, r = divmod(lhs, p)
-                if r == 0:
-                    brute[z] = brute.get(z, 0) + 1
-        assert got == brute
-
-
-def test_aux_curves_degenerate_delta():
-    # delta divisible by p exercises the linear and the everything-vanishes
-    # branches
-    p = 101
-    got = integer_points_on_aux_curve(p, [3, 5], 10, p)
-    brute: dict = {}
-    for x in range(-10, 11):
-        for y in range(-10, 11):
-            lhs = 3 * x + 5 * y - p * y * y
-            z, r = divmod(lhs, p)
-            if r == 0:
-                brute[z] = brute.get(z, 0) + 1
-    assert got == brute
-    # c_y also divisible by p: per-x either all y classes or none
-    flat = integer_points_on_aux_curve(p, [p, p], 5, p)
-    assert sum(flat.values()) == 11 * 11
-    with pytest.raises(ValueError):
-        integer_points_on_aux_curve(0, [3, 5], 10, p)
-
-
-def test_aux_curves_reject_composite_modulus():
-    with pytest.raises(ValueError, match="not prime"):
-        integer_points_on_aux_curve(1, [1, 0, 1], 3, 9)
-
-
-def test_bombieri_pila_budget_shape():
-    import math
-    H, d = 10 ** 4, 3
-    expect = H ** (1 / d) * math.exp(
-        12 * math.sqrt(d * math.log(H) * math.log(math.log(H))))
-    assert bombieri_pila_budget(H, d) == pytest.approx(expect)
-    assert bombieri_pila_budget(10 ** 6, 3) > bombieri_pila_budget(10 ** 4, 3)

@@ -102,7 +102,7 @@ def test_power_congruence_is_the_double_loop(data):
     M = data.draw(st.integers(1, min(25, p - 2)))
     box = CubeBox(g, tuple(data.draw(st.integers(0, p - M - 1)) for _ in range(2 * g)), M)
     rep = reduce_to_power_congruence(b, h, box)
-    lam = int(rep.multiplier)
+    lam = rep.multiplier
     expect = sum(1 for x in range(rep.x_offset + 1, rep.x_offset + M + 1)
                  for y in range(rep.y_offset + 1, rep.y_offset + M + 1)
                  if (pow(y, h, p) - lam * x * x) % p == 0)

@@ -1,0 +1,42 @@
+"""Every public top-level function and class of the package and of the
+benchmark scripts has a reference outside its own definition.  Code that
+only tests call is deleted rather than kept: tests are not scanned, and
+the re-exports in `__init__.py` are import aliases, not references."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = (sorted((ROOT / "src" / "smallbox").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py")))
+
+# the paper's bound evaluators; ROADMAP item 6 wires them into records
+ALLOWED = {"bound_I", "bound_J", "bound_N"}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_public_definition_has_a_reference():
+    defined: list[tuple[str, str]] = []
+    references: set[str] = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            names = _referenced(node)
+            if isinstance(node, DEFINITIONS):
+                names.discard(node.name)  # recursion is not a caller
+                if not node.name.startswith("_"):
+                    defined.append((node.name, f"{path.relative_to(ROOT)}:{node.lineno}"))
+            references |= names
+    orphans = sorted(f"{where} {name}" for name, where in defined
+                     if name not in references and name not in ALLOWED)
+    assert not orphans, "public definitions without a reference:\n" + "\n".join(orphans)
+
+
+def test_the_scan_sees_the_package():
+    assert {p.name for p in SOURCES} >= {"ffield.py", "lattice.py", "run.py"}
