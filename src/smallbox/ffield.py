@@ -67,9 +67,6 @@ class PrimeModulus:
         if p % 2 == 0 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
 
-    def __int__(self) -> int:
-        return self.p
-
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
 

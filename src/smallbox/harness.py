@@ -289,7 +289,7 @@ def _lattice(params, seed):
     box = lattice.ConvexBox(tuple(Fraction(h) for h in
                                   _int_list(params["halfwidths"])))
     cor7 = lattice.cor7_check(lat, box)
-    mink = lattice.minkowski_check(lat, box)
+    mink = lattice.minkowski_check(lat, box, cor7.minima)
     rows = [Row(cor7.product, cor7.bound, cor7.point_count, cor7.ok, "-cor7"),
             Row(mink.product, mink.bound, None, mink.ok, "-mink")]
 

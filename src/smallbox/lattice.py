@@ -13,11 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ffield import FpPolynomial, is_prime, match_count, poly_values
+from .ffield import INT64_P_LIMIT, FpPolynomial, is_prime, match_count, poly_values
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
 ENUM_GUARD = 10 ** 9
-_VECTOR_CHUNK = 1 << 22
 _LEMMA6_SLICE = 1 << 16  # residues of F_p evaluated per numpy pass
 
 
@@ -74,80 +73,116 @@ class ConvexBox:
 @dataclass(frozen=True)
 class PointCount:
     count: int
-    points: tuple[tuple[int, ...], ...] | None
+    points: np.ndarray | None  # (count, n) int64 when collected
 
 
-def _range_bounds(box: ConvexBox, scale: Fraction) -> list[int]:
-    return [math.floor(scale * h) for h in box.halfwidths]
+def _half_sums(coords: Sequence[int], d: Sequence[int], bounds: Sequence[int],
+               p: int) -> np.ndarray:
+    """sum of d_j x_j mod p over every cell of the coordinates coords, in C
+    order (last coordinate fastest): int64 while p < INT64_P_LIMIT, Python
+    integers (dtype object) above."""
+    dtype = np.int64 if p < INT64_P_LIMIT else object
+    acc = np.zeros(1, dtype=dtype)
+    for j in coords:
+        vals = np.arange(-bounds[j], bounds[j] + 1, dtype=dtype) % p
+        acc = (acc[:, None] + d[j] * vals % p).reshape(-1)  # below 5p
+    return acc % p
+
+
+def _fill_cells(pts: np.ndarray, cells: np.ndarray, coords: Sequence[int],
+                bounds: Sequence[int]):
+    """Write the coordinates coords of C-order cell indices into pts."""
+    for j in reversed(coords):
+        cells, pts[:, j] = np.divmod(cells, 2 * bounds[j] + 1)
+        pts[:, j] -= bounds[j]
 
 
 def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
                           scale=1, collect: bool = False) -> PointCount:
-    """Exact count of Gamma intersected with scale*D.
+    """Exact count of Gamma intersected with scale*D, by a sorted join.
 
-    Enumerates the free coordinates and solves the congruence for a pivot
-    coordinate whose coefficient is invertible mod p, counting the in-range
-    representatives of its residue class.  The trailing free coordinates
-    are swept as one vectorized block; leading coordinates are chunked on
-    top of it, so memory stays bounded while counts merge by summation.
+    The pivot is the invertible coordinate of largest range [-b, b].  With
+    inv the inverse of its coefficient, the points are every choice of the
+    other coordinates with a pivot value x = -inv * sum c_j x_j (mod p).
+    The other coordinates split into a query half and a table half whose
+    cell counts are as close as possible; each cell is reduced to its
+    half-sum inv * sum c_j x_j mod p, and the table is sorted.  Write
+    2b+1 = q*p + w: every residue has q representatives in [-b, b] and the
+    w residues -b, ..., -b+w-1 one more.  A query u therefore meets q*|T|
+    points plus the table values t with (b - u - t) mod p < w, one cyclic
+    window of residues, counted by binary search:
+
+        count = q*|Q|*|T| + sum over queries of the window hits.
+
+    collect expands the same windows into a (count, n) int64 array.  A
+    balanced split leaves each half at most sqrt(F * f_max) cells, with F
+    the free cell count and f_max its largest range; the pivot range is at
+    least f_max, so a count needs O(sqrt(enumeration volume)) memory.
     """
     if lat.n != box.n:
         raise ValueError("dimension mismatch between lattice and box")
     scale = Fraction(scale)
     if scale < 0:
         raise ValueError("scale must be nonnegative")
+    scaled = [scale * h for h in box.halfwidths]
     vol = 1.0
-    for h in box.halfwidths:
-        vol *= 2 * float(scale * h) + 1
+    for h in scaled:
+        vol *= 2 * float(h) + 1
     if vol > ENUM_GUARD:
         raise ValueError(f"enumeration volume {vol:.3g} above guard {ENUM_GUARD}")
     p = lat.p
-    pivot = next((j for j, c in enumerate(lat.coeffs) if c % p != 0), None)
-    if pivot is None:
+    bounds = [math.floor(h) for h in scaled]
+    invertible = [j for j, c in enumerate(lat.coeffs) if c % p != 0]
+    if not invertible:
         raise ValueError("all coefficients divisible by p")
-    bounds = _range_bounds(box, scale)
+    pivot = max(invertible, key=lambda j: bounds[j])
     inv = pow(lat.coeffs[pivot], -1, p)
+    d = [inv * c % p for c in lat.coeffs]
+    b = bounds[pivot]
     free = [j for j in range(lat.n) if j != pivot]
-    b_piv = bounds[pivot]
+    cells = {j: 2 * bounds[j] + 1 for j in free}
+    total = math.prod(cells.values())
+    # the split whose larger half is smallest, over every subset (at most 2^5)
+    query = min((s for k in range(len(free) + 1)
+                 for s in itertools.combinations(free, k)),
+                key=lambda s: max(math.prod(cells[j] for j in s),
+                                  total // math.prod(cells[j] for j in s)))
+    table = [j for j in free if j not in query]
 
-    # split free dims: python loop over the head, numpy block over the tail
-    sizes = [2 * bounds[j] + 1 for j in free]
-    cut = len(free)
-    block = 1
-    while cut > 0 and block * sizes[cut - 1] <= _VECTOR_CHUNK:
-        block *= sizes[cut - 1]
-        cut -= 1
-    head, tail = free[:cut], free[cut:]
+    u = _half_sums(query, d, bounds, p)
+    t = _half_sums(table, d, bounds, p)
+    order = np.argsort(t)
+    t = t[order]
+    q, w = divmod(2 * b + 1, p)
+    # the window of a query u is the t with (a - t) mod p < w, a = (b - u)
+    # mod p: the values in [a + p - w + 1, a + p] of the sorted t, t + p
+    top = (b - u) % p + p
+    t2 = np.concatenate((t, t + p))
+    hi = np.searchsorted(t2, top, side="right")
+    hits = hi - np.searchsorted(t2, top - (w - 1), side="left")
+    count = q * len(u) * len(t) + int(hits.sum())
+    if not collect:
+        return PointCount(count=count, points=None)
 
-    tail_vals = [np.arange(-bounds[j], bounds[j] + 1, dtype=np.int64) for j in tail]
-    tail_shape = tuple(len(v) for v in tail_vals)
-    tail_sum = np.zeros(1, dtype=np.int64)
-    for j, vals in zip(tail, tail_vals):
-        tail_sum = (tail_sum[:, None] + (lat.coeffs[j] * vals % p)[None, :]).reshape(-1) % p
-
-    count = 0
-    pts: list[tuple[int, ...]] = []
-    for combo in itertools.product(*[range(-bounds[j], bounds[j] + 1) for j in head]):
-        s0 = sum(lat.coeffs[j] * x for j, x in zip(head, combo)) % p
-        root = (p - (s0 + tail_sum)) % p * inv % p
-        # reps of each class in [-b, b]: (b - r)//p + (b + r)//p + 1
-        reps = (b_piv - root) // p + (b_piv + root) // p + 1
-        count += int(reps.sum())
-        if collect:
-            for idx in np.flatnonzero(reps > 0):
-                t_combo = np.unravel_index(int(idx), tail_shape) if tail else ()
-                v = [0] * lat.n
-                for j, x in zip(head, combo):
-                    v[j] = x
-                for j, vals, ti in zip(tail, tail_vals, t_combo):
-                    v[j] = int(vals[ti])
-                r = int(root[idx])
-                x = r - ((r + b_piv) // p) * p
-                while x <= b_piv:
-                    v[pivot] = x
-                    pts.append(tuple(v))
-                    x += p
-    return PointCount(count=count, points=tuple(pts) if collect else None)
+    # walk each query's table cyclically down from its largest t <= a, at
+    # index hi - 1 - |T|: step i meets the pivot x = -b + ((a - t) mod p) +
+    # (i // |T|) * p, which increases, and the first q*|T| + hits steps are
+    # the x in [-b, b]
+    per = q * len(t) + hits
+    qi = np.repeat(np.arange(len(u)), per)
+    i = np.arange(count) - np.repeat(np.cumsum(per) - per, per)
+    tj = (hi[qi] - 1 - i) % len(t)
+    x = (top[qi] - t[tj]) % p - b
+    if q:
+        x += i // len(t) * p
+    inside = int(np.count_nonzero(x <= b))
+    if inside != count:
+        raise RuntimeError(f"window count {count} but {inside} expanded points in the box")
+    pts = np.empty((count, lat.n), dtype=np.int64)
+    pts[:, pivot] = x
+    _fill_cells(pts, qi, query, bounds)
+    _fill_cells(pts, order[tj], table, bounds)
+    return PointCount(count=count, points=pts)
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
@@ -215,10 +250,11 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
                       upto: int | None = None) -> MinimaReport:
     """Exact successive minima of D with respect to Gamma, with witnesses.
 
-    Doubles the enumeration scale until the collected vectors span R^n,
-    then scans them in order of their exact box norm, keeping each vector
-    that grows the span; the i-th kept norm is lambda_i.  Spans are tested
-    on an incremental integer echelon basis, so each candidate costs O(n^2)
+    Doubles the enumeration scale until the collected vectors span R^n.  At
+    each scale the nonzero points are sorted once by their exact box norm,
+    ties broken on the vector, and scanned once: each vector that grows the
+    span is kept, and the i-th kept norm is lambda_i.  Spans are tested on
+    an incremental integer echelon basis, so each candidate costs O(n^2)
     integer operations; the norms are exact fractions, so the minima are
     attained values, not approximations.
 
@@ -242,27 +278,31 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     scale = Fraction(1)
     while enum_volume(scale) > 10 ** 6 and scale > Fraction(1, 2 ** 40):
         scale /= 2
-    while True:
-        pc = lattice_points_in_box(lat, box, scale=scale, collect=True)
-        nonzero = [v for v in pc.points if any(v)]
-        span = _Echelon()
-        if any(span.add(v) and len(span.rows) == n for v in nonzero):
-            break
-        scale *= 2
     # |x_i| / h_i = |x_i| * weight_i / den, so integer keys sort like the norms
     den = math.lcm(*(h.numerator for h in box.halfwidths))
     weights = [h.denominator * (den // h.numerator) for h in box.halfwidths]
-    decorated = sorted((max(abs(x) * w for x, w in zip(v, weights)), v)
-                       for v in nonzero)
-    lambdas: list[Fraction] = []
-    witnesses: list[tuple[int, ...]] = []
-    span = _Echelon()
-    for norm, v in decorated:
-        if span.add(v):
-            lambdas.append(Fraction(norm, den))
-            witnesses.append(v)
-            if len(witnesses) == n:
-                break
+    while True:
+        pts = lattice_points_in_box(lat, box, scale=scale, collect=True).points
+        pts = pts[pts.any(axis=1)]
+        # |x_i| <= scale * h_i, so no key exceeds scale * den
+        dtype = np.int64 if max(*weights, scale * den) < 2 ** 63 else object
+        keys = (np.abs(pts).astype(dtype, copy=False)
+                * np.array(weights, dtype=dtype)).max(axis=1)
+        # the order of sorted((key, v)): by key, then by the vector
+        order = np.lexsort(tuple(pts[:, j] for j in reversed(range(lat.n))) + (keys,))
+        lambdas: list[Fraction] = []
+        witnesses: list[tuple[int, ...]] = []
+        span = _Echelon()
+        for r in order:
+            v = tuple(pts[r].tolist())
+            if span.add(v):
+                lambdas.append(Fraction(int(keys[r]), den))
+                witnesses.append(v)
+                if len(witnesses) == n:
+                    break
+        if len(witnesses) == n:
+            break
+        scale *= 2
     report = MinimaReport(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
     _validate_minima(lat, box, report, n)
     return report
@@ -315,13 +355,14 @@ def cor7_check(lat: CongruenceLattice, box: ConvexBox) -> Cor7Report:
                       ok=prod <= bound, point_count=pc.count, minima=rep)
 
 
-def minkowski_check(lat: CongruenceLattice, box: ConvexBox) -> Cor7Report:
-    """First-minimum form of Minkowski's theorem: lambda_1^n vol(D) <= 2^n det."""
-    rep = successive_minima(lat, box)
-    lhs = rep.lambdas[0] ** lat.n * box.volume()
+def minkowski_check(lat: CongruenceLattice, box: ConvexBox,
+                    minima: MinimaReport) -> Cor7Report:
+    """First-minimum form of Minkowski's theorem: lambda_1^n vol(D) <= 2^n det,
+    on minima already computed for (lat, box), e.g. `Cor7Report.minima`."""
+    lhs = minima.lambdas[0] ** lat.n * box.volume()
     rhs = Fraction(2 ** lat.n * lat.determinant())
     return Cor7Report(product=float(lhs), bound=float(rhs), ok=lhs <= rhs,
-                      point_count=-1, minima=rep)
+                      point_count=-1, minima=minima)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from smallbox import acceptance, dynsys, harness, hyperelliptic
+from smallbox import acceptance, dynsys, harness, hyperelliptic, lattice
 from smallbox.cli import main
 from smallbox.harness import parse_records
 
@@ -250,6 +250,9 @@ def test_lattice_check(capsys):
     ["count-graph", "--p", "31", "--f", "1,x", "--box", "0,0,5"],
     ["lattice-check", "--n", "2", "--coeffs", "1,3,5", "--p", "101",
      "--halfwidths", "4,6,9"],
+    # minima beyond the enumeration guard at p = 2^61 - 1
+    ["lattice-check", "--p", "2305843009213693951", "--coeffs",
+     "1,1152921504606846977", "--halfwidths", "3,3"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -278,6 +281,16 @@ def test_each_command_runs_its_kernel_once(monkeypatch, capsys):
     traj = _count_calls(monkeypatch, dynsys, "trajectory_length")
     assert main(["dynsys", "--p", "1009", "--f", "1,0,1", "--u0", "3"]) == 0
     assert len(traj) == 1
+
+
+def test_lattice_check_computes_the_minima_once(monkeypatch, capsys):
+    minima = _count_calls(monkeypatch, lattice, "successive_minima")
+    assert main(["lattice-check", "--coeffs", "1,3,5", "--p", "101",
+                 "--halfwidths", "4,6,9"]) == 0
+    assert len(minima) == 1
+    harness.run(harness.ExperimentSpec("lattice", {"p": 31, "coeffs": [1, 7],
+                                                   "halfwidths": [3, 2]}))
+    assert len(minima) == 2
 
 
 def test_seed_reaches_the_acceptance_suite(monkeypatch, capsys):

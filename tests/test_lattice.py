@@ -3,16 +3,20 @@ rational arithmetic, the counting and volume bounds, the cubic proof
 lattice, and the interpolation-driven curve intersection count."""
 
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.lattice import (
+    ENUM_GUARD,
     CongruenceLattice,
     ConvexBox,
     _Echelon,
@@ -69,7 +73,7 @@ def test_enumeration_matches_naive():
         expect = naive_points(lat, box)
         got = lattice_points_in_box(lat, box, collect=True)
         assert got.count == len(expect)
-        assert sorted(got.points) == sorted(expect)
+        assert sorted(map(tuple, got.points.tolist())) == sorted(expect)
 
 
 def test_enumeration_fractional_scale():
@@ -78,6 +82,88 @@ def test_enumeration_fractional_scale():
     for scale in (Fraction(1, 2), Fraction(3, 4), 2):
         expect = naive_points(lat, box, scale)
         assert lattice_points_in_box(lat, box, scale=scale).count == len(expect)
+
+
+NAIVE_CELLS = 4000  # cells naive_points may scan per hypothesis example
+
+
+@st.composite
+def join_cases(draw):
+    """Lattices of dimension 2..5 at small and word-sized primes, with zero
+    coefficients, fractional halfwidths and scales, boxes wider than p,
+    and elongated boxes; the scaled box keeps at most NAIVE_CELLS cells."""
+    n = draw(st.integers(2, 5))
+    p = draw(st.sampled_from((3, 5, 31, 101, 2 ** 31 - 1, 2 ** 61 - 1)))
+    coeffs = tuple(draw(st.one_of(st.just(0), st.integers(0, p - 1),
+                                  st.integers(-2 ** 64, 2 ** 64)))
+                   for _ in range(n))
+    assume(any(c % p for c in coeffs))
+    scale = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))))
+    halfwidths, cells = [], 1
+    for _ in range(n):
+        den = draw(st.integers(1, 3))
+        # the largest numerator whose scaled range still fits the budget
+        top = max(1, (NAIVE_CELLS // cells - 1) // 2 * den // max(scale, 1))
+        h = Fraction(draw(st.integers(1, min(top, 2000))), den)
+        halfwidths.append(h)
+        cells *= 2 * math.floor(scale * h) + 1
+    order = draw(st.permutations(range(n)))  # the long coordinate anywhere
+    return (CongruenceLattice(coeffs, p), ConvexBox(tuple(halfwidths[j] for j in order)),
+            scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(join_cases())
+def test_join_matches_naive(case):
+    lat, box, scale = case
+    expect = naive_points(lat, box, scale)
+    got = lattice_points_in_box(lat, box, scale=scale, collect=True)
+    assert got.count == len(expect) == lattice_points_in_box(lat, box, scale).count
+    assert got.points.shape == (len(expect), lat.n)
+    assert sorted(map(tuple, got.points.tolist())) == sorted(expect)
+
+
+@pytest.mark.parametrize("p", [3, 101, 2 ** 31 - 1])
+@pytest.mark.parametrize("scale", [Fraction(1, 2), 1])
+def test_elongated_box_matches_direct_scan(p, scale):
+    lat = CongruenceLattice((5, 7), p)
+    box = ConvexBox((10 ** 6, 1))
+    long = np.arange(-10 ** 6 * scale, 10 ** 6 * scale + 1, dtype=np.int64)
+    expect = np.concatenate([
+        np.stack([xs, np.full_like(xs, y)], axis=1)
+        for y in range(-int(scale), int(scale) + 1)
+        for xs in [long[(5 * long + 7 * y) % p == 0]]])
+    got = lattice_points_in_box(lat, box, scale=scale, collect=True)
+    assert got.count == len(expect)
+    pts = got.points[np.lexsort((got.points[:, 0], got.points[:, 1]))]
+    assert np.array_equal(pts, expect)
+
+
+def test_word_sized_prime_does_not_overflow():
+    # 107 is the count of a naive scan of all 41^4 cells; int64 products of
+    # coefficients near 2^61 with coordinates used to wrap and report 119
+    p = 2 ** 61 - 1
+    lat = CongruenceLattice((1, p - 3, 123456789012345678, 2 ** 60 + 7), p)
+    box = ConvexBox((20, 20, 20, 20))
+    got = lattice_points_in_box(lat, box, collect=True)
+    points = set(map(tuple, got.points.tolist()))
+    assert got.count == len(points) == 107
+    assert all(lat.contains(v) and max(map(abs, v)) <= 20 for v in points)
+
+
+@pytest.mark.parametrize("halfwidths", [(499, 499, 499), (31, 31, 31, 31, 31),
+                                        (10 ** 6, 249), (3000, 25, 25, 25)])
+def test_count_memory_is_square_root_of_volume(halfwidths):
+    lat = CongruenceLattice(tuple(range(3, 3 + 2 * len(halfwidths), 2)), 1000003)
+    box = ConvexBox(halfwidths)
+    assert ENUM_GUARD / 2 < math.prod(2 * h + 1 for h in halfwidths) <= ENUM_GUARD
+    tracemalloc.start()
+    try:
+        lattice_points_in_box(lat, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_enumeration_guard():
@@ -168,8 +254,8 @@ def _fraction_minima(lat, box, upto=None):
     n = lat.n if upto is None else min(upto, lat.n)
     scale = Fraction(1)
     while True:
-        nonzero = [v for v in lattice_points_in_box(lat, box, scale, collect=True).points
-                   if any(v)]
+        points = lattice_points_in_box(lat, box, scale, collect=True).points.tolist()
+        nonzero = [tuple(v) for v in points if any(v)]
         if len(nonzero) >= n and _rank(nonzero) >= n:
             break
         scale *= 2
@@ -326,7 +412,7 @@ def test_cor7_and_minkowski_hold_randomized():
         c7 = cor7_check(lat, box)
         assert c7.ok
         assert c7.point_count == lattice_points_in_box(lat, box).count
-        mink = minkowski_check(lat, box)
+        mink = minkowski_check(lat, box, c7.minima)
         assert mink.ok
         assert mink.point_count == -1
 
