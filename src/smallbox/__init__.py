@@ -12,8 +12,9 @@ from .ffield import (FpPolynomial, PrimeModulus, discriminant, is_prime, is_qr,
 from .harness import ExperimentSpec, ResultRecord, emit, run
 from .hyperelliptic import (ClassCensus, CubeBox, CurveVector, bound_N,
                             canonical_representative, class_census,
-                            count_isomorphic_in_box, isomorphism_scalars,
-                            reduce_to_power_congruence, sharpness_witness)
+                            class_censuses, count_isomorphic_in_box,
+                            isomorphism_scalars, reduce_to_power_congruence,
+                            sharpness_witness)
 from .lattice import (CongruenceLattice, ConvexBox, cor7_check, lemma6_count,
                       lattice_points_in_box, successive_minima)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analytic, boxcount, dynsys, hyperelliptic, lattice
-from .ffield import FpPolynomial, PrimeModulus
+from .ffield import FpPolynomial, PrimeModulus, poly_values
 from .harness import DEFAULT_SEED, derived_rng
 
 # calibrated once against a full census sweep and frozen; the shape bound
@@ -91,17 +91,18 @@ def criterion_3(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
     worst = 0.0
     ok = True
     for g in (1, 2):
+        cubes = []
         for M in range(1, 9):
             for i in range(per_cell):
                 rng = derived_rng(seed, f"c3-{g}-{M}", i)
                 R = tuple(rng.randrange(p - M) for _ in range(2 * g))
-                census = hyperelliptic.class_census(
-                    pm, hyperelliptic.CubeBox(g, R, M))
-                boxes += 1
-                if census.max_class_size:
-                    worst = max(worst, census.max_class_size / (2 * M))
-                if census.max_class_size > 2 * M:
-                    ok = False
+                cubes.append(hyperelliptic.CubeBox(g, R, M))
+        boxes += len(cubes)
+        for cube, census in zip(cubes, hyperelliptic.class_censuses(pm, cubes)):
+            if census.max_class_size:
+                worst = max(worst, census.max_class_size / (2 * cube.M))
+            if census.max_class_size > 2 * cube.M:
+                ok = False
     return CriterionResult(
         3, "trivial per-class bound", ok, worst, 1.0,
         f"{boxes} cubes over genus 1 and 2, worst N/(2M) = {worst:.3f}")
@@ -120,8 +121,9 @@ def criterion_4(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
         M = rng.randint(2, 15)
         cubes.append((tuple(rng.randrange(p - M) for _ in range(2)), M))
     checked = 0
-    for R, M in cubes:
-        census = hyperelliptic.class_census(pm, hyperelliptic.CubeBox(1, R, M))
+    censuses = hyperelliptic.class_censuses(
+        pm, [hyperelliptic.CubeBox(1, R, M) for R, M in cubes])
+    for (R, M), census in zip(cubes, censuses):
         vectors = [(a0, a1) for a0 in range(R[0] + 1, R[0] + M + 1)
                    for a1 in range(R[1] + 1, R[1] + M + 1)]
         # genus-1 discriminant in closed form, independent of the resultant path
@@ -158,9 +160,9 @@ def criterion_5(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
     for p in (101, 1009):
         pm = PrimeModulus(p)
         ratios = []
-        for M in sweep:
-            census = hyperelliptic.class_census(
-                pm, hyperelliptic.CubeBox(1, (0, 0), M))
+        censuses = hyperelliptic.class_censuses(
+            pm, [hyperelliptic.CubeBox(1, (0, 0), M) for M in sweep])
+        for M, census in zip(sweep, censuses):
             r = census.class_count / min(p, M * M)
             ratios.append(r)
             worst = min(worst, r)
@@ -314,7 +316,7 @@ def criterion_11(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         pm = PrimeModulus(p)
         f = _random_poly(rng, p, rng.randint(2, 4), pm)
         M = rng.randint(50, 400)
-        seq = [f(n) / p for n in range(1, M + 1)]
+        seq = poly_values(f.coeffs, range(1, M + 1), p) / p
         a = rng.random()
         b = a + rng.random() * (1 - a)
         if analytic.erdos_turan_check(seq, a, b, rng.randint(1, 30)).ok:

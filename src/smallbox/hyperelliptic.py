@@ -10,8 +10,10 @@ evaluators for per-class counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +24,13 @@ from .ffield import (INT64_P_LIMIT, FpPolynomial, PrimeModulus, discriminant, is
 
 CENSUS_CELL_GUARD = 10 ** 9
 
-# bytes of one census keying slice: n vectors x d/2 scalars x 2g coordinates
-_KEY_SLICE_BYTES = 1 << 23
-# class keys per singularity-filter pass: (2g+1)^2 matrix entries per key
-_FILTER_SLICE = 1 << 15
+# bytes the arrays of one census keying or singularity-filter slice may hold
+_SLICE_BYTES = 1 << 23
+# arrays of a slice's entry count alive at once, at the tracemalloc peak of a
+# keying slice (candidates, their products and keys, the cell digits) and of
+# a `nonsingular_mask` pass (the Bezout stack and its elimination products)
+_KEY_TEMPS = 3
+_FILTER_TEMPS = 4
 
 
 @dataclass(frozen=True)
@@ -232,15 +237,28 @@ def count_isomorphic_in_box(b: CurveVector, box: CubeBox) -> int:
     return _count_orbit_in_box(b, box)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassCensus:
+    """Census of one box.  The nonsingular classes stay arrays (`keys`,
+    base-p packed canonical vectors in ascending order, and `sizes`) until
+    `class_sizes` is read; censuses compare by identity."""
+
     class_count: int
     total_nonsingular: int
     second_moment: int
     max_class_size: int
     box_size: int
     singular_count: int
-    class_sizes: dict  # canonical vector tuple -> class size
+    keys: np.ndarray
+    sizes: np.ndarray
+    g: int
+    p: int
+
+    @functools.cached_property
+    def class_sizes(self) -> dict:
+        """Canonical vector tuple -> class size, built on first read."""
+        rows = _key_rows(self.keys, 2 * self.g, self.p)
+        return dict(zip(map(tuple, rows.tolist()), self.sizes.tolist()))
 
 
 def nonsingular_mask(a, p: int) -> np.ndarray:
@@ -287,76 +305,156 @@ def nonsingular_mask(a, p: int) -> np.ndarray:
     return alive
 
 
-def _census_keys(box: CubeBox, p: int):
-    """Canonical key of every vector of the box, odometer order, one slice
-    at a time.  Every coordinate of the box is nonzero, so a vector's key
-    starts with the least member x of the coset of its first coordinate v0
-    modulo the d-th powers (d = gcd(4g+2, p-1)), reached by the d roots of
-    alpha^(4g+2) = x/v0.  Those are found once for each of the M values of
-    v0 (-alpha acts as alpha, so half of them suffice) and broadcast over
-    the slice as an (n, d/2, 2g) candidate tensor; the key is its lex-min
-    row.  Slices hold about _KEY_SLICE_BYTES of candidates."""
-    g, M = box.g, box.M
+def _entry_bytes(dtype, largest: int) -> int:
+    """Bytes one array entry costs: its itemsize, plus for dtype object the
+    Python integer it points to, at most `largest`."""
+    dtype = np.dtype(dtype)
+    return 8 + sys.getsizeof(largest) if dtype == object else dtype.itemsize
+
+
+def _slice_len(entries: int, entry_bytes: int, temps: int) -> int:
+    """Items per slice so that `temps` arrays of `entries` entries of
+    `entry_bytes` per item fit in _SLICE_BYTES."""
+    return max(1, _SLICE_BYTES // (entries * entry_bytes * temps))
+
+
+def _key_rows(keys: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Unpack base-p keys into rows of n digits, most significant first."""
+    rows = np.empty((len(keys), n), dtype=keys.dtype)
+    for j in range(n - 1, -1, -1):
+        rows[:, j] = keys % p
+        keys = keys // p
+    return rows
+
+
+def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical key of every vector of every box, box after box, odometer
+    order within a box, packed as the base-p integer of its 2g coordinates
+    (coordinate 0 most significant, so integer order is lex order).
+
+    Every coordinate of a box is nonzero, so a vector's key starts with the
+    least member x of the coset of its first coordinate v0 modulo the d-th
+    powers (d = gcd(4g+2, p-1)), reached by the d roots of alpha^(4g+2) =
+    x/v0.  Those are found once for each distinct v0 of all the boxes (-alpha
+    acts as alpha, so half of them suffice) and broadcast over a slice of
+    vectors as a (vectors, d/2) array of packed candidates; the key is its
+    row minimum.  Keys are int64 while p^(2g) < 2^63, Python integers (dtype
+    object) above.  Slices are sized by _SLICE_BYTES from the real entry
+    size.
+    Returns the keys and the offset of each box's first key (plus the end).
+    """
+    g = boxes[0].g
+    n = 2 * g
     d = math.gcd(4 * g + 2, p - 1)
-    v0s = range(box.R[0] + 1, box.R[0] + M + 1)
+    v0s = sorted({v0 for b in boxes for v0 in range(b.R[0] + 1, b.R[0] + b.M + 1)})
     alphas = [al for v0, x in zip(v0s, _coset_minima(v0s, d, p))
               for al in roots_mod(x * pow(v0, -1, p) % p, 4 * g + 2, p) if 2 * al < p]
-    scal = _scaled_rows(alphas, (1,) * (2 * g), p).reshape(M, d // 2, 2 * g)
-    lows = np.asarray(box.lows()).astype(scal.dtype)
-    cells, step = box.cell_count(), max(1, _KEY_SLICE_BYTES // scal[0].nbytes)
-    for start in range(0, cells, step):
-        idx = np.unravel_index(np.arange(start, min(cells, start + step)), (M,) * (2 * g))
-        vec = np.stack(idx, axis=1).astype(scal.dtype) + lows
-        cand = scal[idx[0]] * vec[:, None, :] % p
-        alive = np.ones(cand.shape[:2], dtype=bool)
-        for j in range(1, 2 * g):  # coordinate 0 is x on every candidate
-            col = np.where(alive, cand[:, :, j], p)
-            alive &= col == col.min(axis=1, keepdims=True)
-        yield cand[np.arange(len(cand)), alive.argmax(axis=1)]
+    scal = _scaled_rows(alphas, (1,) * n, p).reshape(len(v0s), d // 2, n)
+    kdtype = np.int64 if p ** n < 1 << 63 else object  # keys are below p^n
+    place = np.array([p ** (n - 1 - j) for j in range(n)], dtype=kdtype)
+    side = np.array([b.M for b in boxes], dtype=np.int64)
+    lows = np.array([b.lows() for b in boxes], dtype=np.int64)
+    first = np.searchsorted(v0s, lows[:, 0])  # row of scal for each box's first v0
+    offsets = np.concatenate(([0], np.cumsum(side ** n)))
+    keys = np.empty(offsets[-1], dtype=kdtype)
+    # candidates are scal.dtype and keys kdtype: an object entry if either is
+    step = _slice_len((d // 2 + 1) * n, _entry_bytes(np.result_type(kdtype, scal.dtype), p ** n),
+                      _KEY_TEMPS)
+    for start in range(0, len(keys), step):
+        stop = min(len(keys), start + step)
+        ids = np.arange(start, stop)
+        box = np.searchsorted(offsets, ids, side="right") - 1
+        local, m = ids - offsets[box], side[box]
+        digits = np.empty((len(ids), n), dtype=np.int64)
+        for j in range(n - 1, -1, -1):
+            digits[:, j] = local % m
+            local //= m
+        vec = (digits + lows[box]).astype(scal.dtype)
+        cand = scal[first[box] + digits[:, 0]] * vec[:, None, :] % p
+        keys[start:stop] = (cand @ place).min(axis=1)
+    return keys, offsets
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in lex order and how often each occurs; int64 and
-    object arrays alike."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return rows[starts], np.diff(np.append(starts, len(rows)))
+def _run_starts(keys: np.ndarray, offsets) -> np.ndarray:
+    """Index of the first key of each run of equal keys, where every segment
+    keys[offsets[i]:offsets[i+1]] is sorted and no run crosses a segment
+    boundary.  (np.unique would import numpy.ma on its first call: 15 ms
+    and about 1 MB in every fresh interpreter.)"""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    new[offsets[:-1]] = True
+    return np.flatnonzero(new)
+
+
+def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
+    """Exhaustive census of the isomorphism classes meeting each box, for
+    many boxes of one genus in one pass.
+
+    Keys every vector of every box by its packed canonical representative
+    (`_packed_keys`: one root extraction of O(log p) per distinct value of
+    the first coordinate over all the boxes, then O(g) array passes per
+    vector, never O(p)), sorts each box's keys in place and groups equal
+    runs in one pass over all the boxes, and decides singularity once per
+    distinct key of all the boxes in `nonsingular_mask` passes; each box
+    looks its verdicts up by binary search.  Per box it reports the class
+    count, the first and second moments of the class sizes, the largest
+    class and the number of singular vectors, so the box volume is fully
+    accounted for.  The per-class sizes stay arrays until `class_sizes` is
+    read.  Raises ValueError on an empty batch or mixed genera.
+    """
+    boxes = list(boxes)
+    if not boxes:
+        raise ValueError("class_censuses needs at least one box")
+    genera = sorted({box.g for box in boxes})
+    if len(genera) > 1:
+        raise ValueError(f"class_censuses needs boxes of one genus, got genera {genera}")
+    p, g = modulus.p, genera[0]
+    for box in boxes:
+        box.validate_for(p)
+    cells = sum(box.cell_count() for box in boxes)
+    if cells > CENSUS_CELL_GUARD:
+        raise ValueError(
+            f"census of {cells} vectors, above the guard {CENSUS_CELL_GUARD}; "
+            "sample smaller sub-boxes instead")
+    # each array is dropped once used: the peak sets the process's RSS
+    keys, offsets = _packed_keys(boxes, p)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        keys[a:b].sort()  # in place: a box's equal keys become one run
+    first = _run_starts(keys, offsets)
+    ukeys = keys[first]
+    del keys
+    counts = np.diff(np.concatenate((first, offsets[-1:])))
+    starts = np.searchsorted(first, offsets[:-1])  # each box's first run
+    del first
+    distinct = np.sort(ukeys)
+    distinct = distinct[_run_starts(distinct, [0, len(distinct)])]
+    filter_dtype = np.int64 if p < INT64_P_LIMIT else object  # as nonsingular_mask's
+    step = _slice_len((2 * g + 1) ** 2, _entry_bytes(filter_dtype, p * p), _FILTER_TEMPS)
+    verdict = np.concatenate([nonsingular_mask(_key_rows(distinct[s:s + step], 2 * g, p), p)
+                              for s in range(0, len(distinct), step)])
+    keep = verdict[np.searchsorted(distinct, ukeys)]
+    del distinct, verdict
+    kept = np.where(keep, counts, 0)
+    class_count = np.add.reduceat(keep, starts).tolist()
+    total = np.add.reduceat(kept, starts).tolist()
+    second = np.add.reduceat(kept * kept, starts).tolist()
+    largest = np.maximum.reduceat(kept, starts).tolist()
+    singular = np.add.reduceat(counts - kept, starts).tolist()
+    del kept
+    # every census holds views of one array of kept keys and one of sizes
+    ukeys, counts = ukeys[keep], counts[keep]
+    bounds = np.cumsum([0] + class_count).tolist()
+    return [ClassCensus(class_count=n, total_nonsingular=t, second_moment=s2,
+                        max_class_size=mx, box_size=box.cell_count(), singular_count=sg,
+                        keys=ukeys[a:b], sizes=counts[a:b], g=g, p=p)
+            for box, n, t, s2, mx, sg, a, b in zip(boxes, class_count, total, second,
+                                                   largest, singular, bounds, bounds[1:])]
 
 
 def class_census(modulus: PrimeModulus, box: CubeBox) -> ClassCensus:
-    """Exhaustive census of isomorphism classes meeting the box.
-
-    Keys every vector of the box by its canonical representative
-    (`_census_keys`: M root extractions of O(log p) each, then O(g) array
-    passes per vector, never O(p)), groups equal keys, drops the singular
-    classes in one `nonsingular_mask` pass and reports the class count, the
-    first and second moments of the class sizes and the largest class.
-    The number of singular vectors is reported so the box volume is fully
-    accounted for.
-    """
-    p = modulus.p
-    box.validate_for(p)
-    cells = box.cell_count()
-    if cells > CENSUS_CELL_GUARD:
-        raise ValueError(
-            f"box holds {cells} vectors, above the guard {CENSUS_CELL_GUARD}; "
-            "sample smaller sub-boxes instead")
-    rows, counts = _unique_rows(np.concatenate(list(_census_keys(box, p))))
-    keep = np.concatenate([nonsingular_mask(rows[s:s + _FILTER_SLICE], p)
-                           for s in range(0, len(rows), _FILTER_SLICE)])
-    kept = counts[keep]
-    sizes = dict(zip(map(tuple, rows[keep].tolist()), kept.tolist()))
-    return ClassCensus(
-        class_count=len(sizes),
-        total_nonsingular=int(kept.sum()),
-        second_moment=int((kept * kept).sum()),
-        max_class_size=int(kept.max(initial=0)),
-        box_size=cells,
-        singular_count=int(counts[~keep].sum()),
-        class_sizes=sizes,
-    )
+    """Exhaustive census of the isomorphism classes meeting one box:
+    `class_censuses(modulus, [box])[0]`, see there."""
+    return class_censuses(modulus, [box])[0]
 
 
 @dataclass(frozen=True)

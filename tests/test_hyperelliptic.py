@@ -4,6 +4,7 @@ reduction, cross-checked against a plain orbit walk over every alpha and
 brute-force box scans."""
 
 import functools
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -15,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallbox import harness
+from smallbox import harness, hyperelliptic
 from smallbox.ffield import FpPolynomial, PrimeModulus, discriminant
 from smallbox.hyperelliptic import (
     CubeBox,
@@ -24,6 +25,7 @@ from smallbox.hyperelliptic import (
     bound_N,
     canonical_representative,
     class_census,
+    class_censuses,
     count_isomorphic_in_box,
     isomorphism_scalars,
     nonsingular_mask,
@@ -265,6 +267,102 @@ def test_census_keys_match_the_walk(p, g, M):
     cen = class_census(mod, box)
     assert cen.class_sizes == walk_census(mod, box)
     assert cen.total_nonsingular + cen.singular_count == M ** (2 * g)
+
+
+def _assert_census_is(cen, walked, box):
+    assert cen.class_sizes == walked
+    assert cen.class_count == len(walked)
+    assert cen.total_nonsingular == sum(walked.values())
+    assert cen.second_moment == sum(n * n for n in walked.values())
+    assert cen.max_class_size == max(walked.values(), default=0)
+    assert cen.total_nonsingular + cen.singular_count == cen.box_size == box.cell_count()
+
+
+@st.composite
+def census_batches(draw, p):
+    """Fresh, repeated and overlapping boxes of one genus and mixed sides."""
+    g = 2 if p == 55109 else draw(st.sampled_from((1, 2)))
+    top = min(p - 2, (8 if g == 1 else 3) if p <= 101 else (4 if g == 1 else 2))
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "overlap"))) if boxes else "fresh"
+        if kind == "repeat":
+            boxes.append(draw(st.sampled_from(boxes)))
+            continue
+        M = draw(st.integers(1, top))
+        if kind == "fresh":
+            R = tuple(draw(st.integers(0, p - M - 1)) for _ in range(2 * g))
+        else:  # shifted by at most 2 from an earlier box, so the two meet
+            base = draw(st.sampled_from(boxes))
+            R = tuple(min(max(0, r + draw(st.integers(-2, 2))), p - M - 1) for r in base.R)
+        boxes.append(CubeBox(g, R, M))
+    return boxes
+
+
+# p = 55109 has p^4 >= 2^63: its genus-2 keys take the dtype-object path
+@pytest.mark.parametrize("p", [7, 31, 101, 9973, 55109])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_censuses_match_per_box_walks(p, data):
+    boxes = data.draw(census_batches(p))
+    mod = PrimeModulus(p)
+    censuses = class_censuses(mod, boxes)
+    assert len(censuses) == len(boxes)
+    for box, cen in zip(boxes, censuses):
+        _assert_census_is(cen, walk_census(mod, box), box)
+
+
+@pytest.mark.parametrize("p", [998244353, BIG])
+def test_word_sized_census_matches_canonical_forms(p):
+    # 998244353 < 2^31 scales in int64, but its genus-2 keys need Python integers
+    mod = PrimeModulus(p)
+    for box in (CubeBox(2, (0,) * 4, 3), CubeBox(2, (p - 9, 5, p - 7, 2), 3)):
+        vectors = [CurveVector(2, v, mod) for v in box.vectors()]
+        expect = Counter(canonical_representative(b).a for b in vectors if b.is_nonsingular())
+        assert class_census(mod, box).class_sizes == dict(expect)
+
+
+@pytest.mark.parametrize("budget", [1, 2000])
+def test_census_slices_do_not_change_the_result(monkeypatch, budget):
+    # one vector and one key per slice, then a few per slice
+    boxes = [CubeBox(2, (3, 1, 4, 1), 3), CubeBox(2, (5, 9, 2, 6), 2), CubeBox(2, (3, 1, 4, 1), 3)]
+    expect = [walk_census(MOD31, box) for box in boxes]
+    monkeypatch.setattr(hyperelliptic, "_SLICE_BYTES", budget)
+    for box, cen, walked in zip(boxes, class_censuses(MOD31, boxes), expect):
+        _assert_census_is(cen, walked, box)
+
+
+def test_censuses_reject_empty_and_mixed_batches():
+    for boxes in ([], [CubeBox(1, (0, 0), 2), CubeBox(2, (0,) * 4, 2)]):
+        with pytest.raises(ValueError) as err:
+            class_censuses(MOD31, boxes)
+        assert str(err.value) and "\n" not in str(err.value)
+
+
+def test_large_census_keeps_its_classes_as_arrays():
+    # 10^6 vectors, 964,530 classes: the tuple dict is built only when read
+    tracemalloc.start()
+    try:
+        cen = class_census(PrimeModulus(10 ** 9 + 7), CubeBox(1, (0, 0), 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20
+    assert (cen.class_count, cen.total_nonsingular, cen.singular_count) == (964530, 10 ** 6, 0)
+    sizes = cen.class_sizes
+    assert len(sizes) == cen.class_count and sum(sizes.values()) == cen.total_nonsingular
+    assert sum(n * n for n in sizes.values()) == cen.second_moment
+    assert list(sizes) == sorted(sizes)
+    # sha-256 of the sorted items, recorded from the masked lex-min keying
+    # that packed keys replaced
+    digest = hashlib.sha256(repr(sorted(sizes.items())).encode()).hexdigest()
+    assert digest == "ce3f9ce50713c0e72679532f5c52cfbff1609ac76003eaee4cf13ed1a228636e"
+    # every class size is its orbit count in the box, on a sample of keys
+    mod, box = PrimeModulus(10 ** 9 + 7), CubeBox(1, (0, 0), 1000)
+    for key in random.Random(28).sample(list(sizes), 20):
+        b = CurveVector(1, key, mod)
+        assert canonical_representative(b).a == key
+        assert count_isomorphic_in_box(b, box) == sizes[key]
 
 
 # the 2-adic and odd parts of p-1 differ: 2^31-1 = 2 * 3^2 * 7 * 11 * 31 *
