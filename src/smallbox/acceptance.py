@@ -191,15 +191,13 @@ def criterion_7(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
     """Power-sum system table: exhaustive cross-check at H=2, the exact
     k=m=2 formula, and the desk-scale slope cap H^10.5."""
     top = 5 if quick else 8
-    counts = {H: analytic.count_vinogradov(analytic.VinogradovInstance(8, 3, H))
-              for H in range(2, top + 1)}
+    counts = {H: analytic.count_vinogradov(8, 3, H) for H in range(2, top + 1)}
     sides = Counter(analytic.power_sum_vector(xs, 3)
                     for xs in itertools.product((1, 2), repeat=8))
     exhaustive = sum(c * c for c in sides.values())
     ok = counts[2] == exhaustive
-    formula_ok = all(
-        analytic.count_vinogradov(analytic.VinogradovInstance(2, 2, H))
-        == 2 * H * H - H for H in range(1, 51))
+    formula_ok = all(analytic.count_vinogradov(2, 2, H) == 2 * H * H - H
+                     for H in range(1, 51))
     ok = ok and formula_ok
     worst = 0.0
     for H in range(4, top + 1):
@@ -271,7 +269,7 @@ def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
             checked += 1
             if i < 20:
                 N = rng.randint(1, traj.total_length)
-                vals = dynsys.iterate(f, u0, N).values
+                vals = traj.values[:N]
                 if dynsys.diameter(f, u0, N) != max(vals) - min(vals):
                     return CriterionResult(10, "iteration suite", False,
                                            checked, 3 * per_p,
@@ -341,7 +339,7 @@ def criterion_12(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         k = rng.randrange(1, p)
         M = rng.randint(1, 12)
         ident = analytic.weyl_square_identity(f, k, M)
-        s = abs(analytic.exp_sum((f, k), M))
+        s = abs(analytic.exp_sum(f, k, M))
         theta = Fraction(k * f.coeffs[-1] % p, p)
         majorant = (analytic.weyl_majorant(theta, deg, M)
                     * analytic.weyl_constant(deg))

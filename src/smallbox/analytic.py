@@ -29,34 +29,15 @@ class CheckResult:
     ok: bool
 
 
-def _phase_mod_one(x) -> float:
-    """Fractional part of a real or Fraction phase, in [0, 1)."""
-    return float(x - math.floor(x))
-
-
-def exp_sum(f, M: int) -> complex:
-    """Sum of e(f(n)) for n = 1..M.
-
-    Two phase forms: a pair (g, k) with g over F_p gives f(n) = k*g(n)/p,
-    reduced exactly in integers before the exponential; otherwise f is a
-    sequence of ascending real (or Fraction) coefficients evaluated by
-    Horner.
-    """
+def exp_sum(g: FpPolynomial, k: int, M: int) -> complex:
+    """Sum of e(k g(n) / p) for n = 1..M, g over F_p; each phase is reduced
+    exactly in integers before the exponential."""
     if M < 1:
         raise ValueError("M >= 1 required")
+    p = g.modulus.p
     total = 0j
-    if isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], FpPolynomial):
-        g, k = f
-        p = g.modulus.p
-        for n in range(1, M + 1):
-            total += cmath.exp(1j * TWO_PI * ((k * g(n)) % p) / p)
-        return total
-    coeffs = list(f)
     for n in range(1, M + 1):
-        x = 0
-        for c in reversed(coeffs):
-            x = x * n + c
-        total += cmath.exp(1j * TWO_PI * _phase_mod_one(x))
+        total += cmath.exp(1j * TWO_PI * ((k * g(n)) % p) / p)
     return total
 
 
@@ -85,17 +66,7 @@ def erdos_turan_check(seq: Sequence[float], alpha: float, beta: float,
     return CheckResult(lhs=lhs, rhs=rhs, ok=lhs <= rhs)
 
 
-def _as_fraction(theta) -> Fraction:
-    if isinstance(theta, Fraction):
-        return theta
-    if isinstance(theta, tuple) and len(theta) == 2:
-        return Fraction(theta[0], theta[1])
-    if isinstance(theta, int):
-        return Fraction(theta)
-    raise TypeError("theta must be a Fraction, an (a, q) pair or an integer")
-
-
-def weyl_majorant(theta, m: int, M: int) -> float:
+def weyl_majorant(theta: Fraction, m: int, M: int) -> float:
     """Right-hand side of the Weyl differencing estimate for a degree-m
     phase with leading coefficient theta (an exact rational):
 
@@ -111,8 +82,9 @@ def weyl_majorant(theta, m: int, M: int) -> float:
         raise ValueError("M >= 1 required")
     if M ** (m - 1) > WEYL_LOOP_GUARD:
         raise ValueError(f"loop guard exceeded: M^(m-1) = {M ** (m - 1)}")
-    th = _as_fraction(theta)
-    a, q = th.numerator, th.denominator
+    if not isinstance(theta, Fraction):
+        raise TypeError("theta must be a Fraction")
+    a, q = theta.numerator, theta.denominator
     fact = math.factorial(m)
     total = Fraction(0)
     ells = range(-(M - 1), M)
@@ -144,7 +116,7 @@ def weyl_square_identity(g: FpPolynomial, k: int, M: int) -> CheckResult:
     if M < 1:
         raise ValueError("M >= 1 required")
     p = g.modulus.p
-    s = exp_sum((g, k), M)
+    s = exp_sum(g, k, M)
     lhs = abs(s) ** 2
     rhs = 0j
     for h in range(-(M - 1), M):
@@ -156,24 +128,13 @@ def weyl_square_identity(g: FpPolynomial, k: int, M: int) -> CheckResult:
     return CheckResult(lhs=lhs, rhs=rhs.real, ok=ok)
 
 
-@dataclass(frozen=True)
-class VinogradovInstance:
-    k: int
-    m: int
-    H: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.m < 1 or self.H < 1:
-            raise ValueError("k, m, H must all be >= 1")
-
-
 def power_sum_vector(xs: Iterable[int], m: int) -> tuple[int, ...]:
     """(s_1, ..., s_m) with s_j the sum of j-th powers of xs."""
     xs = list(xs)
     return tuple(sum(x ** j for x in xs) for j in range(1, m + 1))
 
 
-def count_vinogradov(inst: VinogradovInstance) -> int:
+def count_vinogradov(k: int, m: int, H: int) -> int:
     """Exact number of solutions of the k-versus-k system of the first m
     symmetric power equations with all variables in [1, H].
 
@@ -181,7 +142,8 @@ def count_vinogradov(inst: VinogradovInstance) -> int:
     convolutions with the single-variable atom set, then sums the squared
     multiplicities.
     """
-    k, m, H = inst.k, inst.m, inst.H
+    if k < 1 or m < 1 or H < 1:
+        raise ValueError("k, m, H must all be >= 1")
     if H ** m * k > VINOGRADOV_STATE_GUARD:
         raise ValueError("state-space guard exceeded")
     atoms = [tuple(x ** j for j in range(1, m + 1)) for x in range(1, H + 1)]

@@ -2,9 +2,10 @@
 
 Every subcommand is an entry of `harness.EXPERIMENTS`.  It reads its options
 from flags, falling back to `key=value` lines of the file given by --config
-(flags win).  Results print as readable summaries and can be written as CSV
-or JSON records with --out.  The exit code is 0 exactly when every produced
-record passes.
+(flags win); a config key that names no option of the command is an error.
+Results print as readable summaries and can be written as CSV or JSON
+records with --out.  The exit code is 0 exactly when every produced record
+passes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _param(v):
         return v
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str, known) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -45,8 +46,10 @@ def _load_config(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{ln}: expected key=value")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in known:
+            raise ValueError(f"{path}:{ln}: unknown key {key!r} for {command}")
+        out[key] = val
     return out
 
 
@@ -84,18 +87,18 @@ def main(argv=None) -> int:
         return cfg.get(name) if v is None else v
 
     exp = harness.EXPERIMENTS[args.kind]
+    names = exp.required_options + exp.optional
     try:  # bad input: one line on stderr, exit code 2
         if args.config:
-            cfg.update(_load_config(args.config))
+            cfg.update(_load_config(args.config, exp.command,
+                                    ("out", "format", "seed", *names, *exp.flags)))
         fmt = opt("format") or "csv"
         if fmt not in FORMATS:  # checked before the run, not after its summary
             raise ValueError(f"format {fmt!r} is not one of {', '.join(FORMATS)}")
         for name in exp.required_options:
             if opt(name) is None:
                 raise ValueError(f"missing --{name} (or config key {name})")
-        params = {name: _param(opt(name))
-                  for name in exp.required_options + exp.optional
-                  if opt(name) is not None}
+        params = {name: _param(opt(name)) for name in names if opt(name) is not None}
         params.update({name: True for name in exp.flags if _bool(opt(name))})
         if exp.from_cli is not None:
             params = exp.from_cli(params)

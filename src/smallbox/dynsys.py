@@ -10,26 +10,20 @@ from dataclasses import dataclass
 from .boxcount import Box2
 from .ffield import FpPolynomial
 
-SEEN_SCAN_LIMIT = 10 ** 8
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    f: FpPolynomial
-    u0: int
-    values: tuple[int, ...]
-    tail_length: int | None = None
-    cycle_length: int | None = None
+    values: tuple[int, ...]  # u_0, ..., u_(T-1), pairwise distinct
+    tail_length: int
+    cycle_length: int
 
     @property
-    def total_length(self) -> int | None:
-        """Smallest t with u_t = u_s for some s < t, once resolved."""
-        if self.tail_length is None or self.cycle_length is None:
-            return None
+    def total_length(self) -> int:
+        """T: the smallest t with u_t = u_s for some s < t."""
         return self.tail_length + self.cycle_length
 
 
-def iterate(f: FpPolynomial, u0: int, N: int) -> Trajectory:
+def iterate(f: FpPolynomial, u0: int, N: int) -> tuple[int, ...]:
     """First N values u_0, ..., u_(N-1) of the iteration."""
     if N < 1:
         raise ValueError("N >= 1 required")
@@ -39,7 +33,7 @@ def iterate(f: FpPolynomial, u0: int, N: int) -> Trajectory:
     for _ in range(N - 1):
         u = f(u)
         vals.append(u)
-    return Trajectory(f=f, u0=vals[0], values=tuple(vals))
+    return tuple(vals)
 
 
 def _brent(f: FpPolynomial, u0: int) -> tuple[int, int]:
@@ -63,7 +57,9 @@ def _brent(f: FpPolynomial, u0: int) -> tuple[int, int]:
     return mu, lam
 
 
-def _seen_scan(f: FpPolynomial, u0: int) -> tuple[int, int]:
+def _seen_scan(f: FpPolynomial, u0: int) -> Trajectory:
+    """Walk until the first repeat, keeping each value's index; the dict's
+    insertion order is the trajectory itself."""
     seen: dict[int, int] = {}
     u, n = u0, 0
     while u not in seen:
@@ -71,26 +67,22 @@ def _seen_scan(f: FpPolynomial, u0: int) -> tuple[int, int]:
         u = f(u)
         n += 1
     s = seen[u]
-    return s, n - s
+    return Trajectory(tuple(seen), s, n - s)
 
 
 def trajectory_length(f: FpPolynomial, u0: int) -> Trajectory:
     """Resolve T for the orbit of u0: the values up to the first repeat plus
     (tail_length, cycle_length) with T = tail + cycle.
 
-    Brent's algorithm gives the answer in O(T) evaluations and O(1) memory;
-    for moduli up to 10^8 an explicit seen-set scan recomputes it and the
-    two must agree exactly.
+    One walk with a seen-set stores the values and finds the first repeat;
+    Brent's algorithm, in O(T) evaluations and O(1) memory, recomputes the
+    two lengths, and the two must agree exactly.
     """
-    p = f.modulus.p
-    u0 %= p
-    mu, lam = _brent(f, u0)
-    if p <= SEEN_SCAN_LIMIT:
-        if (mu, lam) != _seen_scan(f, u0):
-            raise RuntimeError("cycle detection mismatch between methods")
-    traj = iterate(f, u0, mu + lam)
-    return Trajectory(f=f, u0=u0, values=traj.values,
-                      tail_length=mu, cycle_length=lam)
+    u0 %= f.modulus.p
+    traj = _seen_scan(f, u0)
+    if _brent(f, u0) != (traj.tail_length, traj.cycle_length):
+        raise RuntimeError("cycle detection mismatch between methods")
+    return traj
 
 
 def diameter(f: FpPolynomial, u0: int, N: int) -> int:
@@ -98,7 +90,7 @@ def diameter(f: FpPolynomial, u0: int, N: int) -> int:
 
     Distance is the ordinary one on the integer segment, no wrap-around.
     """
-    vals = iterate(f, u0, N).values
+    vals = iterate(f, u0, N)
     return max(vals) - min(vals)
 
 
@@ -124,7 +116,7 @@ def pairs_in_box(f: FpPolynomial, u0: int, N: int, box: Box2) -> int:
     if N < 1:
         raise ValueError("N >= 1 required")
     box.validate_for(f.modulus.p)
-    vals = iterate(f, u0, N + 1).values
+    vals = iterate(f, u0, N + 1)
     lo_x, hi_x = box.R + 1, box.R + box.M
     lo_y, hi_y = box.S + 1, box.S + box.M
     return sum(1 for n in range(N)

@@ -23,6 +23,13 @@ MAX_MODULUS = 1 << 62
 # arithmetic runs in int64; above it the same code runs on Python integers
 INT64_P_LIMIT = 1 << 31
 
+
+def residue_dtype(p: int):
+    """The numpy dtype of residue vectors mod p: int64 while p < INT64_P_LIMIT,
+    Python integers (dtype object) above."""
+    return np.int64 if p < INT64_P_LIMIT else object
+
+
 # Deterministic Miller-Rabin witnesses, valid for every n < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -87,45 +94,9 @@ def is_qr(a: int, modulus: PrimeModulus) -> QrStatus:
 
 
 def sqrt_mod_int(a: int, p: int) -> tuple[int, ...]:
-    """Square roots of a modulo the odd prime p, as a tuple of residues.
-
-    Returns () when a is a nonresidue, (0,) for a=0, else the two roots.
-    Tonelli-Shanks with the usual fast paths for p % 4 == 3 and p % 8 == 5.
-    """
-    a %= p
-    if a == 0:
-        return (0,)
-    if pow(a, (p - 1) // 2, p) != 1:
-        return ()
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    elif p % 8 == 5:
-        r = pow(a, (p + 3) // 8, p)
-        if r * r % p != a:
-            r = r * pow(2, (p - 1) // 4, p) % p
-    else:
-        # Tonelli-Shanks: write p-1 = q * 2^s with q odd.
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        for z in range(2, p):
-            if pow(z, (p - 1) // 2, p) == p - 1:
-                break
-        else:  # every odd prime has a nonresidue below it
-            raise ArithmeticError(f"no quadratic nonresidue mod {p}: is {p} prime?")
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-    if r * r % p != a:
-        raise ArithmeticError(f"no square root of {a} mod {p}: is {p} prime?")
-    return tuple(sorted((r, p - r))) if r != p - r else (r,)
+    """Square roots of a modulo the odd prime p, as a sorted tuple of
+    residues: () when a is a nonresidue, (0,) for a = 0, else the two roots."""
+    return roots_mod(a, 2, p)
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -333,10 +304,10 @@ def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
     """f(x) mod p for every integer x of xs, by Horner over the whole vector.
 
     coeffs are ascending; xs is a range or an integer array, negative
-    values included.  The result holds residues in [0, p-1]: int64 while
-    p < INT64_P_LIMIT, Python integers (dtype object) above, exact either way.
+    values included.  The result holds residues in [0, p-1] of
+    residue_dtype(p), exact either way.
     """
-    dtype = np.int64 if p < INT64_P_LIMIT else object
+    dtype = residue_dtype(p)
     if isinstance(xs, range):
         xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
     xs = np.asarray(xs).astype(dtype) % p

@@ -36,9 +36,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown kind {self.kind!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        for key in EXPERIMENTS[self.kind].required:
+        exp = EXPERIMENTS[self.kind]
+        for key in exp.required:
             if key not in self.params:
                 raise ValueError(f"missing key {key!r} for kind {self.kind!r}")
+        for key in self.params:
+            if key not in exp.required and key not in exp.optional_params:
+                raise ValueError(f"unknown key {key!r} for kind {self.kind!r}")
 
     def canonical_params(self) -> str:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
@@ -88,10 +92,15 @@ class Experiment:
     optional: tuple[str, ...] = ()  # optional CLI options
     flags: tuple[str, ...] = ()  # CLI switches, passed on as True
     from_cli: Callable[[dict], dict] | None = None  # CLI options -> params
+    reads: tuple[str, ...] | None = None  # optional params, if not `optional` + `flags`
 
     @property
     def required_options(self) -> tuple[str, ...]:
         return self.required if self.options is None else self.options
+
+    @property
+    def optional_params(self) -> tuple[str, ...]:
+        return self.optional + self.flags if self.reads is None else self.reads
 
 
 def derived_rng(seed: int, label: str, i: int = 0) -> random.Random:
@@ -266,7 +275,7 @@ def _dynsys(params, seed):
 
 def _vinogradov(params, seed):
     k, m, H = (int(params[key]) for key in ("k", "m", "H"))
-    value = analytic.count_vinogradov(analytic.VinogradovInstance(k, m, H))
+    value = analytic.count_vinogradov(k, m, H)
     diag = H ** k
     row = Row(value, float(H) ** (2 * k - m * (m + 1) / 2), diag,
               diag <= value <= H ** (2 * k))
@@ -278,7 +287,7 @@ def _vinogradov(params, seed):
 def _expsum(params, seed):
     pm = PrimeModulus(int(params["p"]))
     k, M = int(params["k"]), int(params["M"])
-    s = analytic.exp_sum((_poly(params, "f", pm), k), M)
+    s = analytic.exp_sum(_poly(params, "f", pm), k, M)
     return [Row(abs(s), M, None, abs(s) <= M + 1e-9)], lambda recs: [
         f"S = {s.real:.6f} + {s.imag:.6f}i, |S| = {abs(s):.6f} <= M = {M}"]
 
@@ -352,7 +361,8 @@ def _acceptance(params, seed):
         f"{sum(r.passed for r in recs)}/{len(recs)} criteria pass"]
 
 
-_BOX = dict(options=("p", "f", "box"), flags=("naive",), from_cli=_box_params)
+_BOX = dict(options=("p", "f", "box"), flags=("naive",), from_cli=_box_params,
+            reads=("method", "oracle"))
 
 EXPERIMENTS: dict[str, Experiment] = {
     "count_curve": Experiment(("p", "f", "R", "S", "M"), "count-curve",
@@ -362,13 +372,15 @@ EXPERIMENTS: dict[str, Experiment] = {
     "weil": Experiment(("p", "f", "M"), "weil", _weil, optional=("R", "S")),
     "curve_iso": Experiment(("p", "g", "a", "b"), "curve-iso", _curve_iso),
     "census": Experiment(("p", "g", "M"), "curve-classes", _census,
-                         optional=("box",), from_cli=_census_params),
+                         optional=("box",), from_cli=_census_params, reads=("R",)),
     "sharpness": Experiment(("p", "g", "M"), "sharpness", _sharpness),
-    "dynsys": Experiment(("p", "f", "u0"), "dynsys", _dynsys, optional=("N",)),
+    "dynsys": Experiment(("p", "f", "u0"), "dynsys", _dynsys, optional=("N",),
+                         reads=("N", "eps")),
     "vinogradov": Experiment(("k", "m", "H"), "vinogradov", _vinogradov),
     "expsum": Experiment(("p", "f", "k", "M"), "expsum", _expsum),
     "lattice": Experiment(("p", "coeffs", "halfwidths"), "lattice-check",
-                          _lattice, optional=("n",), from_cli=_lattice_params),
+                          _lattice, optional=("n",), from_cli=_lattice_params,
+                          reads=()),
     "thm2_lattice": Experiment(("p", "c", "M"), "thm2-lattice", _thm2_lattice),
     "lemma6": Experiment(("p", "f", "g", "xs", "ys"), "lemma6", _lemma6),
     "acceptance": Experiment((), "acceptance", _acceptance, flags=("quick",)),

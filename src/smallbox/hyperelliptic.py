@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxcount import DEFAULT_EPS
-from .ffield import (INT64_P_LIMIT, FpPolynomial, PrimeModulus, discriminant, is_qr,
-                     match_count, poly_values, QrStatus, roots_mod, sqrt_mod_int)
+from .ffield import (FpPolynomial, PrimeModulus, discriminant, is_qr, match_count,
+                     poly_values, QrStatus, residue_dtype, roots_mod, sqrt_mod_int)
 
 CENSUS_CELL_GUARD = 10 ** 9
 
@@ -112,9 +112,9 @@ def apply_scaling(b: CurveVector, alpha: int) -> CurveVector:
 
 
 def _scaled_rows(alphas, a, p: int) -> np.ndarray:
-    """Row j holds (alpha_j^(4g+2-2i) a_i mod p) for i = 0..2g-1: int64 while
-    p < INT64_P_LIMIT, Python integers (dtype object) above."""
-    dtype = np.int64 if p < INT64_P_LIMIT else object
+    """Row j holds (alpha_j^(4g+2-2i) a_i mod p) for i = 0..2g-1, of
+    residue_dtype(p)."""
+    dtype = residue_dtype(p)
     beta = np.asarray(alphas, dtype=dtype).reshape(-1)
     beta = beta * beta % p
     cols, w = [], beta
@@ -270,10 +270,10 @@ def nonsingular_mask(a, p: int) -> np.ndarray:
     (also when p divides m and f' loses its top term).  Every row is decided
     at once by fraction-free elimination mod p with a pivot row chosen per
     matrix: row_r <- row_r * piv - row_c * a_rc, which scales the
-    determinant by a nonzero factor and needs no inverse.  int64 while
-    p < INT64_P_LIMIT, Python integers (dtype object) above, same code.
+    determinant by a nonzero factor and needs no inverse.  Runs in
+    residue_dtype(p), same code at every p.
     """
-    dtype = np.int64 if p < INT64_P_LIMIT else object
+    dtype = residue_dtype(p)
     a = np.asarray(a).astype(dtype).T % p  # keys last: every step runs along them
     m, n = len(a) + 1, a.shape[1]
     f = np.zeros((m + 1, n), dtype=dtype)
@@ -428,8 +428,7 @@ def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
     del first
     distinct = np.sort(ukeys)
     distinct = distinct[_run_starts(distinct, [0, len(distinct)])]
-    filter_dtype = np.int64 if p < INT64_P_LIMIT else object  # as nonsingular_mask's
-    step = _slice_len((2 * g + 1) ** 2, _entry_bytes(filter_dtype, p * p), _FILTER_TEMPS)
+    step = _slice_len((2 * g + 1) ** 2, _entry_bytes(residue_dtype(p), p * p), _FILTER_TEMPS)
     verdict = np.concatenate([nonsingular_mask(_key_rows(distinct[s:s + step], 2 * g, p), p)
                               for s in range(0, len(distinct), step)])
     keep = verdict[np.searchsorted(distinct, ukeys)]

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ffield import INT64_P_LIMIT, FpPolynomial, is_prime, match_count, poly_values
+from .ffield import FpPolynomial, is_prime, match_count, poly_values, residue_dtype
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
 ENUM_GUARD = 10 ** 9
@@ -79,9 +79,8 @@ class PointCount:
 def _half_sums(coords: Sequence[int], d: Sequence[int], bounds: Sequence[int],
                p: int) -> np.ndarray:
     """sum of d_j x_j mod p over every cell of the coordinates coords, in C
-    order (last coordinate fastest): int64 while p < INT64_P_LIMIT, Python
-    integers (dtype object) above."""
-    dtype = np.int64 if p < INT64_P_LIMIT else object
+    order (last coordinate fastest), of residue_dtype(p)."""
+    dtype = residue_dtype(p)
     acc = np.zeros(1, dtype=dtype)
     for j in coords:
         vals = np.arange(-bounds[j], bounds[j] + 1, dtype=dtype) % p

@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from smallbox.analytic import (
-    VinogradovInstance,
     count_vinogradov,
     erdos_turan_check,
     exp_sum,
@@ -29,25 +28,25 @@ def test_exp_sum_mod_p_phases_match_direct():
     k, M = 7, 60
     direct = sum(cmath.exp(2j * math.pi * (k * g(n) % 101) / 101)
                  for n in range(1, M + 1))
-    assert exp_sum((g, k), M) == pytest.approx(direct)
-    assert abs(exp_sum((g, k), M)) <= M + 1e-9
+    assert exp_sum(g, k, M) == pytest.approx(direct)
+    assert abs(exp_sum(g, k, M)) <= M + 1e-9
 
 
-def test_exp_sum_real_coefficients_linear_geometric():
-    # linear phase theta*n sums the geometric series exactly
-    theta = 0.3137
-    M = 40
-    s = exp_sum((0.0, theta), M)
-    z = cmath.exp(2j * math.pi * theta)
-    assert s == pytest.approx(z * (z ** M - 1) / (z - 1))
+def test_exp_sum_linear_phase_geometric():
+    # g(n) = 5n + 2 gives e(k g(n)/p) = e(2k/p) z^n with z = e(5k/p)
+    p, k, M = 1009, 3, 40
+    g = FpPolynomial.from_text("2,5", PrimeModulus(p))
+    z = cmath.exp(2j * math.pi * 5 * k / p)
+    shift = cmath.exp(2j * math.pi * 2 * k / p)
+    assert exp_sum(g, k, M) == pytest.approx(shift * z * (z ** M - 1) / (z - 1))
 
 
-def test_exp_sum_fraction_coefficients():
-    s = exp_sum((Fraction(0), Fraction(1, 4)), 4)
-    # phases 1/4, 2/4, 3/4, 0 sum to zero
-    assert abs(s) == pytest.approx(0.0, abs=1e-12)
+def test_exp_sum_complete_sum_vanishes():
+    # n = 1..p runs over all of F_p, and the p-th roots of unity sum to zero
+    g = FpPolynomial.from_text("0,1", PrimeModulus(31))
+    assert abs(exp_sum(g, 4, 31)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        exp_sum((0.0, 0.5), 0)
+        exp_sum(g, 4, 0)
 
 
 def test_erdos_turan_inequality_holds_and_lhs_exact():
@@ -86,7 +85,7 @@ def test_weyl_majorant_dominates_square_power():
         k = rng.randrange(1, p)
         M = rng.randint(4, 24)
         theta = Fraction(k * coeffs[-1] % p, p)
-        s = abs(exp_sum((g, k), M))
+        s = abs(exp_sum(g, k, M))
         assert s <= weyl_constant(m) * weyl_majorant(theta, m, M) + 1e-9
 
 
@@ -102,6 +101,8 @@ def test_weyl_majorant_m2_direct_formula():
         weyl_majorant(theta, 2, 10 ** 9 + 1)  # loop guard
     with pytest.raises(TypeError):
         weyl_majorant(0.3, 2, 5)  # inexact phase rejected
+    with pytest.raises(TypeError):
+        weyl_majorant((3, 17), 2, 5)  # only a Fraction is a phase
 
 
 def test_weyl_square_identity():
@@ -130,25 +131,28 @@ def test_count_vinogradov_small_exhaustive():
             for ys in itertools.product(side, repeat=k):
                 if power_sum_vector(xs, m) == power_sum_vector(ys, m):
                     brute += 1
-        assert count_vinogradov(VinogradovInstance(k, m, H)) == brute
+        assert count_vinogradov(k, m, H) == brute
 
 
 def test_count_vinogradov_quadratic_closed_form():
     # J(2, 2; H) = 2H^2 - H: only the trivial and swapped solutions
     for H in range(1, 40):
-        assert count_vinogradov(VinogradovInstance(2, 2, H)) == 2 * H * H - H
+        assert count_vinogradov(2, 2, H) == 2 * H * H - H
 
 
 def test_count_vinogradov_frozen_deep_instance():
     # 16 variables, degree 3, H = 2: every tuple matches only its own
     # multiset, so the count is C(16, 8) = 12870
-    assert count_vinogradov(VinogradovInstance(8, 3, 2)) == 12870
-    assert count_vinogradov(VinogradovInstance(8, 3, 3)) == 2157759
+    assert count_vinogradov(8, 3, 2) == 12870
+    assert count_vinogradov(8, 3, 3) == 2157759
 
 
 def test_count_vinogradov_guard():
     with pytest.raises(ValueError):
-        count_vinogradov(VinogradovInstance(4, 3, 10 ** 3))
+        count_vinogradov(4, 3, 10 ** 3)
+    for bad in ((0, 2, 3), (2, 0, 3), (2, 2, 0)):
+        with pytest.raises(ValueError, match=">= 1"):
+            count_vinogradov(*bad)
 
 
 def test_kappa_values():

@@ -174,6 +174,19 @@ def test_config_rejects_garbage(tmp_path, capsys):
     assert last == f"smallbox: error: {cfg}:1: expected key=value"
 
 
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # a misspelled switch used to be dropped, and the sqrt scan ran instead
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 101\nf = 3,2,0,1\nbox = 0,0,50\nnaiv = 1\n")
+    last, printed = _usage_error(["--config", str(cfg), "count-curve"], capsys)
+    assert last == f"smallbox: error: {cfg}:4: unknown key 'naiv' for count-curve"
+    assert printed == ""
+    # the switch itself, the output options and the seed are known keys
+    cfg.write_text("p = 101\nf = 3,2,0,1\nbox = 0,0,50\nnaive = 1\nseed = 5\n"
+                   f"format = json\nout = {tmp_path / 'rec.json'}\n")
+    assert main(["--config", str(cfg), "count-curve"]) == 0
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "absent.cfg"
     last, _ = _usage_error(["--config", str(cfg), "count-curve"], capsys)

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from smallbox import dynsys
 from smallbox.boxcount import Box2, count_graph_points
 from smallbox.dynsys import (
-    Trajectory,
     bound_diameter,
     diameter,
     iterate,
@@ -20,12 +20,11 @@ from smallbox.ffield import FpPolynomial, PrimeModulus
 def test_iterate_prefix_and_values():
     mod = PrimeModulus(101)
     f = FpPolynomial.from_text("1,0,1", mod)  # x^2 + 1
-    traj = iterate(f, 3, 6)
     vals = [3]
     for _ in range(5):
         vals.append((vals[-1] ** 2 + 1) % 101)
-    assert traj.values == tuple(vals)
-    assert traj.total_length is None
+    assert iterate(f, 3, 6) == tuple(vals)
+    assert iterate(f, 3 + 101, 1) == (3,)
     with pytest.raises(ValueError):
         iterate(f, 3, 0)
 
@@ -56,6 +55,29 @@ def test_trajectory_properties_randomized():
         assert f(traj.values[-1]) == traj.values[traj.tail_length]
 
 
+def test_trajectory_length_makes_its_own_walk(monkeypatch):
+    # the stored values come from the seen-set walk, not a separate pass
+    def no_iterate(*args):
+        raise AssertionError("iterate called")
+    monkeypatch.setattr(dynsys, "iterate", no_iterate)
+    f = FpPolynomial.from_text("1,0,1", PrimeModulus(10007))
+    traj = trajectory_length(f, 3)
+    assert (traj.tail_length, traj.cycle_length, len(traj.values)) == (3, 186, 189)
+
+
+def test_brent_checks_the_walk_at_large_p(monkeypatch):
+    # p = 10^9 + 7: T = 61,489, so the cross-check must hold above any
+    # threshold on p
+    f = FpPolynomial.from_text("1,0,1", PrimeModulus(10 ** 9 + 7))
+    traj = trajectory_length(f, 3)
+    assert traj.total_length == 61489
+    assert f(traj.values[-1]) == traj.values[traj.tail_length]
+    monkeypatch.setattr(dynsys, "_brent", lambda f, u0: (
+        traj.tail_length + 1, traj.cycle_length))
+    with pytest.raises(RuntimeError, match="mismatch"):
+        trajectory_length(f, 3)
+
+
 def test_diameter_is_max_minus_min():
     mod = PrimeModulus(10007)
     f = FpPolynomial.from_text("1,0,1", mod)
@@ -64,7 +86,7 @@ def test_diameter_is_max_minus_min():
     for _ in range(50):
         N = rng.randint(1, 80)
         u0 = rng.randrange(10007)
-        vals = iterate(f, u0, N).values
+        vals = iterate(f, u0, N)
         assert diameter(f, u0, N) == max(vals) - min(vals)
 
 
@@ -90,7 +112,7 @@ def test_pairs_in_box_matches_direct_scan():
         N = rng.randint(1, 60)
         M = rng.randint(1, 400)
         box = Box2(R=rng.randint(0, 1008 - M), S=rng.randint(0, 1008 - M), M=M)
-        vals = iterate(f, u0, N + 1).values
+        vals = iterate(f, u0, N + 1)
         expect = sum(1 for n in range(N)
                      if box.R + 1 <= vals[n] <= box.R + M
                      and box.S + 1 <= vals[n + 1] <= box.S + M)

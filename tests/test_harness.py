@@ -41,6 +41,29 @@ def test_spec_validation():
     assert "acceptance" in EXPERIMENTS
 
 
+def test_spec_rejects_unknown_keys():
+    # each of these used to run: no oracle, N = T, and the default corner
+    with pytest.raises(ValueError, match="unknown key 'orcale' for kind 'count_curve'"):
+        spec_of("count_curve", {**COUNT_PARAMS, "orcale": True})
+    with pytest.raises(ValueError, match="unknown key 'n' for kind 'dynsys'"):
+        spec_of("dynsys", {"p": 101, "f": [1, 0, 1], "u0": 3, "n": 5})
+    with pytest.raises(ValueError, match="unknown key 'box'"):  # the CLI name
+        spec_of("census", {"p": 31, "g": 1, "M": 5, "box": [0, 0]})
+
+
+def test_optional_params_are_read():
+    naive = run(spec_of("count_curve", {**COUNT_PARAMS, "method": "naive",
+                                        "oracle": True}))
+    assert (naive[0].value, naive[0].oracle_value, naive[0].passed) == (23.0, 23.0, True)
+    recs = run(spec_of("dynsys", {"p": 10007, "f": [1, 0, 1], "u0": 3,
+                                  "N": 50, "eps": 0.1}))
+    d = recs[1]
+    assert d.value == 9837.0
+    assert d.bound_value == min((50 * 10007) ** 0.5, 50 ** 2.0 * 10007 ** -0.1)
+    census = run(spec_of("census", {"p": 31, "g": 1, "M": 4, "R": [2, 3]}))
+    assert census[0].value == 12.0  # the curve-classes golden output's count
+
+
 def test_cache_key_ignores_param_order():
     a = spec_of("count_curve", COUNT_PARAMS)
     b = spec_of("count_curve", dict(reversed(list(COUNT_PARAMS.items()))))
