@@ -121,6 +121,7 @@ def criterion_4(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
         M = rng.randint(2, 15)
         cubes.append((tuple(rng.randrange(p - M) for _ in range(2)), M))
     checked = 0
+    powers = [(pow(al, 6, p), pow(al, 4, p)) for al in range(1, p)]
     censuses = hyperelliptic.class_censuses(
         pm, [hyperelliptic.CubeBox(1, R, M) for R, M in cubes])
     for (R, M), census in zip(cubes, censuses):
@@ -136,8 +137,7 @@ def criterion_4(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
         in_box = set(nonsingular)
         pair_count = 0
         for b0, b1 in nonsingular:
-            images = {(pow(al, 6, p) * b0 % p, pow(al, 4, p) * b1 % p)
-                      for al in range(1, p)}
+            images = {(s0 * b0 % p, s1 * b1 % p) for s0, s1 in powers}
             pair_count += len(images & in_box)
         if census.second_moment != pair_count:
             return CriterionResult(4, "census moment identities", False,
@@ -378,6 +378,7 @@ def criterion_13(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
             return CriterionResult(13, "isomorphism algebra", False, i, trials,
                                    f"algebra failed on trial {i} (g={g})")
     p31 = PrimeModulus(31)
+    exps = hyperelliptic.scaling_exponents(2)
     scans = 4 if quick else 12
     for i in range(scans):
         rng = derived_rng(seed, "c13-scan", i)
@@ -390,13 +391,9 @@ def criterion_13(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
             if b.is_nonsingular():
                 break
         count = hyperelliptic.count_isomorphic_in_box(b, box)
-        exps = hyperelliptic.scaling_exponents(2)
-        scan = 0
-        for v in box.vectors():
-            if any(all(pow(al, e, 31) * bc % 31 == vc
-                       for e, bc, vc in zip(exps, b.a, v))
-                   for al in range(1, 31)):
-                scan += 1
+        orbit = {tuple(pow(al, e, 31) * bc % 31 for e, bc in zip(exps, b.a))
+                 for al in range(1, 31)}
+        scan = sum(1 for v in box.vectors() if v in orbit)
         if count != scan:
             return CriterionResult(13, "isomorphism algebra", False, count, scan,
                                    f"orbit count {count} != box scan {scan}")

@@ -10,7 +10,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -259,9 +259,10 @@ def _dynsys(params, seed):
     traj = dynsys.trajectory_length(f, u0)
     T = traj.total_length
     N = int(params.get("N", T))
-    D = dynsys.diameter(f, u0, N)
     bound = dynsys.bound_diameter(N, pm.p, max(f.degree, 2),
-                                  float(params.get("eps", 0.0)))
+                                  float(params.get("eps", 0.0)))  # raises unless N >= 1
+    vals = traj.values[:N]  # u_0, ..., u_(N-1) take these values also for N > T
+    D = max(vals) - min(vals)
     rows = [Row(T, pm.p, None, T <= pm.p, "-T"),
             Row(D, bound, None, D <= pm.p - 1, "-D")]
 
@@ -397,7 +398,7 @@ def _csv_cell(v) -> str:
 
 def emit(records: list[ResultRecord], fmt: str, path) -> None:
     """Write records as CSV (fixed column order) or JSON, UTF-8, trailing
-    newline."""
+    newline; a record's flat fields are read off it in declaration order."""
     path = Path(path)
     try:
         if fmt == "csv":
@@ -405,9 +406,9 @@ def emit(records: list[ResultRecord], fmt: str, path) -> None:
                 w = csv.writer(fh)
                 w.writerow(CSV_COLUMNS)
                 for r in records:
-                    w.writerow([_csv_cell(v) for v in astuple(r)])
+                    w.writerow([_csv_cell(v) for v in vars(r).values()])
         elif fmt == "json":
-            rows = [dict(zip(CSV_COLUMNS, astuple(r))) for r in records]
+            rows = [dict(zip(CSV_COLUMNS, vars(r).values())) for r in records]
             path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
         else:
             raise ValueError(f"unknown format {fmt!r}")

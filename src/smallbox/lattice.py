@@ -409,7 +409,8 @@ def lemma6_count(f: FpPolynomial, g: FpPolynomial,
     With the x_i distinct and nonzero the dependency forces y = h(x) for
     the unique degree-<=n polynomial h with zero constant term through the
     n data points, so the count reduces to a single-variable congruence of
-    degree at most mn.  The mn cap is checked.
+    degree at most mn.  The mn cap is checked, and at p <= 211 the count is
+    replayed on the determinant itself, expanded once along its free row.
     """
     p = f.modulus.p
     if g.modulus.p != p:
@@ -439,12 +440,17 @@ def lemma6_count(f: FpPolynomial, g: FpPolynomial,
     if count > m * n:
         raise RuntimeError(f"count {count} exceeds cap {m * n}")
     if p <= 211:  # small enough to replay the determinant definition directly
+        # the determinant of (x^n, ..., x, y) over the data rows is linear in
+        # that free row: expand it once into cofactors C_n, ..., C_1, C_y
+        cof = [(-1) ** j * _det_mod([r[:j] + r[j + 1:] for r in mat], p)
+               for j in range(n + 1)]
         # every (x, y) with f(x) = g(y), found through the fibres of g
         g_fibres: dict[int, list[int]] = {}
         for y in range(p):
             g_fibres.setdefault(g(y), []).append(y)
         direct = sum(1 for x in range(p) for y in g_fibres.get(f(x), ())
-                     if _dep_det(x, y, xs, ys, p) == 0)
+                     if (sum(c * pow(x, n - j, p) for j, c in enumerate(cof[:n]))
+                         + cof[n] * y) % p == 0)
         if direct != count:
             raise RuntimeError("interpolation shortcut disagrees with determinant scan")
     return count
@@ -464,14 +470,6 @@ def _solve_mod(aug: list[list[int]], p: int) -> list[int]:
                 fac = mat[r][col]
                 mat[r] = [(a - fac * b) % p for a, b in zip(mat[r], mat[col])]
     return [mat[r][n] for r in range(n)]
-
-
-def _dep_det(x: int, y: int, xs: Sequence[int], ys: Sequence[int], p: int) -> int:
-    n = len(xs)
-    rows = [[pow(x, e, p) for e in range(n, 0, -1)] + [y]]
-    rows += [[pow(xi, e, p) for e in range(n, 0, -1)] + [yi]
-             for xi, yi in zip(xs, ys)]
-    return _det_mod(rows, p)
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:

@@ -203,6 +203,12 @@ def test_config_format_checked_before_the_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dynsys_rejects_an_empty_prefix(capsys):
+    last, _ = _usage_error(["dynsys", "--p", "1009", "--f", "1,0,1", "--u0", "3",
+                            "--N", "0"], capsys)
+    assert last == "smallbox: error: N >= 1 required"
+
+
 def test_missing_required_option_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count-curve", "--p", "101"])

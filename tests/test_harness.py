@@ -1,16 +1,21 @@
 """Experiment harness: spec validation against the registry, dispatch,
 record persistence in both formats, and seed reproducibility."""
 
+import csv
+import dataclasses
 import json
 
 import pytest
 
+from smallbox import dynsys
+from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.harness import (
     CSV_COLUMNS,
     DEFAULT_SEED,
     EXPERIMENTS,
     ExperimentSpec,
     ResultRecord,
+    _csv_cell,
     derived_rng,
     emit,
     parse_records,
@@ -91,6 +96,22 @@ def test_run_dynsys_emits_length_and_diameter():
     assert by_suffix["T"].passed and by_suffix["D"].passed
 
 
+def test_dynsys_record_reads_the_stored_walk(monkeypatch):
+    params = {"p": 10007, "f": [1, 0, 1], "u0": 3}
+    f = FpPolynomial.from_ints([1, 0, 1], PrimeModulus(10007))
+    T = dynsys.trajectory_length(f, 3).total_length
+    beyond = dynsys.diameter(f, 3, 3 * T)  # N > T repeats the same values
+
+    def walk(*args):
+        raise AssertionError("the dynsys record walked its orbit again")
+    monkeypatch.setattr(dynsys, "diameter", walk)
+    monkeypatch.setattr(dynsys, "iterate", walk)
+    assert run(spec_of("dynsys", {**params, "N": 50}))[1].value == 9837.0
+    assert run(spec_of("dynsys", {**params, "N": 3 * T}))[1].value == beyond
+    with pytest.raises(ValueError, match="N >= 1 required"):
+        run(spec_of("dynsys", {**params, "N": 0}))
+
+
 def test_run_vinogradov():
     recs = run(spec_of("vinogradov", {"k": 2, "m": 2, "H": 12}))
     assert recs[0].value == float(2 * 12 * 12 - 12)
@@ -122,6 +143,18 @@ def test_emit_parse_round_trip(tmp_path):
         path = tmp_path / f"out.{fmt}"
         emit(recs, fmt, path)
         assert parse_records(path, fmt) == recs
+
+
+def test_emit_writes_every_field_in_order(tmp_path):
+    recs = (run(spec_of("dynsys", {"p": 1009, "f": [2, 1, 1], "u0": 5}))
+            + run(spec_of("count_curve", COUNT_PARAMS)))
+    rows = [dataclasses.astuple(r) for r in recs]
+    emit(recs, "json", tmp_path / "out.json")
+    assert ((tmp_path / "out.json").read_text()
+            == json.dumps([dict(zip(CSV_COLUMNS, row)) for row in rows], indent=2) + "\n")
+    emit(recs, "csv", tmp_path / "out.csv")
+    with (tmp_path / "out.csv").open(newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [[_csv_cell(v) for v in row] for row in rows]
 
 
 def test_csv_header_and_shape(tmp_path):

@@ -14,6 +14,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from smallbox import lattice
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.lattice import (
     ENUM_GUARD,
@@ -459,6 +460,57 @@ def test_lemma6_counts_planted_composition():
         count = lemma6_count(f, g, xs, ys)
         expect = sum(1 for x in range(p) if f(x) == g(h(x)))
         assert count == expect <= 3 * 2
+
+
+def _leibniz_det(rows, p):
+    """Determinant mod p as the signed sum over every permutation."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % p
+
+
+def test_lemma6_counts_unplanted_data_by_the_determinant():
+    # random ys plant no h: the count is every (x, y) in F_p^2 with
+    # f(x) = g(y) whose free row is a dependency of the data rows
+    rng = random.Random(66)
+    for p in (13, 31):
+        mod = PrimeModulus(p)
+        for n, m in ((3, 2), (4, 3), (5, 2), (5, 3)):
+            for _ in range(3):
+                f = FpPolynomial.from_ints(
+                    [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], mod)
+                g = FpPolynomial.from_ints(
+                    [rng.randrange(p) for _ in range(m)] + [rng.randrange(1, p)], mod)
+                xs = rng.sample(range(1, p), n)
+                ys = [rng.randrange(p) for _ in range(n)]
+                data = [[pow(x, e, p) for e in range(n, 0, -1)] + [y]
+                        for x, y in zip(xs, ys)]
+                expect = sum(
+                    1 for x in range(p) for y in range(p) if f(x) == g(y)
+                    and _leibniz_det([[pow(x, e, p) for e in range(n, 0, -1)] + [y]]
+                                     + data, p) == 0)
+                assert lemma6_count(f, g, xs, ys) == expect <= m * n
+
+
+def test_lemma6_oracle_catches_a_wrong_shortcut(monkeypatch):
+    mod = PrimeModulus(101)
+    f = FpPolynomial.from_text("1,2,0,1", mod)
+    g = FpPolynomial.from_text("3,0,1", mod)
+    assert lemma6_count(f, g, [1, 2, 3], [1, 2, 3]) == 1  # h(x) = x
+    solve = lattice._solve_mod
+
+    def perturbed(aug, p):
+        h = solve(aug, p)
+        return [(h[0] + 1) % p] + h[1:]
+    monkeypatch.setattr(lattice, "_solve_mod", perturbed)
+    with pytest.raises(RuntimeError, match="disagrees with determinant scan"):
+        lemma6_count(f, g, [1, 2, 3], [1, 2, 3])
 
 
 def test_lemma6_input_validation():
