@@ -210,7 +210,7 @@ def _census(params, seed):
     g, M = int(params["g"]), int(params["M"])
     R = tuple(_int_list(params.get("R", [0] * (2 * g))))
     census = hyperelliptic.class_census(pm, hyperelliptic.CubeBox(g, R, M))
-    moments_ok = (sum(census.class_sizes.values()) == census.total_nonsingular
+    moments_ok = (int(census.sizes.sum()) == census.total_nonsingular
                   and census.max_class_size <= 2 * M
                   and census.total_nonsingular + census.singular_count
                   == census.box_size)
@@ -301,7 +301,7 @@ def _lattice(params, seed):
     cor7 = lattice.cor7_check(lat, box)
     mink = lattice.minkowski_check(lat, box, cor7.minima)
     rows = [Row(cor7.product, cor7.bound, cor7.point_count, cor7.ok, "-cor7"),
-            Row(mink.product, mink.bound, None, mink.ok, "-mink")]
+            Row(mink.lhs, mink.rhs, None, mink.ok, "-mink")]
 
     def summary(recs):
         cor7, mink = recs

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .analytic import CheckResult
 from .ffield import FpPolynomial, is_prime, match_count, poly_values, residue_dtype
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
@@ -355,13 +356,12 @@ def cor7_check(lat: CongruenceLattice, box: ConvexBox) -> Cor7Report:
 
 
 def minkowski_check(lat: CongruenceLattice, box: ConvexBox,
-                    minima: MinimaReport) -> Cor7Report:
+                    minima: MinimaReport) -> CheckResult:
     """First-minimum form of Minkowski's theorem: lambda_1^n vol(D) <= 2^n det,
     on minima already computed for (lat, box), e.g. `Cor7Report.minima`."""
     lhs = minima.lambdas[0] ** lat.n * box.volume()
     rhs = Fraction(2 ** lat.n * lat.determinant())
-    return Cor7Report(product=float(lhs), bound=float(rhs), ok=lhs <= rhs,
-                      point_count=-1, minima=minima)
+    return CheckResult(lhs=float(lhs), rhs=float(rhs), ok=lhs <= rhs)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,37 @@ Criteria 6 and 7 state requirements the implemented quantities do not meet
 (the witness construction cannot reach the demanded floor once opposite
 scalars collide, and the deep power-sum counts exceed the demanded
 exponent); those two tests fail by design rather than weaken the check.
+Each verdict is first compared with the benchmark's recorded gate output
+(`perfbench/refs/gate.json.gz`, input set 0, which is the default seed), so
+a drifted detail line fails here and not only in the benchmark.
 """
 
+import gzip
+import importlib.util
+import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from smallbox import acceptance
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up while it loads
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _workloads()
+with gzip.open(PERFBENCH / "refs" / "gate.json.gz", "rt") as fh:
+    GATE_REFS = json.load(fh)["sets"]["0"]
 
 
 def _run(fn):
@@ -26,6 +50,9 @@ def _run(fn):
                          ids=[f.__name__ for f in acceptance.CRITERIA])
 def test_criterion(fn):
     res = _run(fn)
+    ref = GATE_REFS[f"c{res.number:02d}"]
+    out = [bool(res.passed), res.value, res.bound, res.detail]
+    assert workloads.same(out, ref), f"criterion {res.number}: {out} vs recorded {ref}"
     assert res.passed, f"criterion {res.number} ({res.name}): {res.detail}"
 
 

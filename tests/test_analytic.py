@@ -7,8 +7,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from smallbox import acceptance
 from smallbox.analytic import (
     count_vinogradov,
     erdos_turan_check,
@@ -47,6 +49,71 @@ def test_exp_sum_complete_sum_vanishes():
     assert abs(exp_sum(g, 4, 31)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         exp_sum(g, 4, 0)
+
+
+def _direct_sums(g, k, M):
+    """S and the shifted double sum of weyl_square_identity by scalar
+    Horner calls and cmath, one term at a time."""
+    p = g.modulus.p
+
+    def e(t):
+        return cmath.exp(2j * math.pi * (t % p) / p)
+
+    S = sum(e(k * g(n)) for n in range(1, M + 1))
+    double = sum(e(k * (g(n + h) - g(n)))
+                 for h in range(1 - M, M) for n in range(1, M + 1) if 1 <= n + h <= M)
+    return S, double
+
+
+@pytest.mark.parametrize("p", [101, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_exp_sum_and_square_identity_match_direct_loops(p):
+    # 2^31 - 1 is the largest prime with int64 residues, 2^61 - 1 runs on
+    # Python integers (dtype object)
+    rng = random.Random(p)
+    mod = PrimeModulus(p)
+    for M in (1, 2, 9, 31, 60):
+        g = FpPolynomial.from_ints(
+            [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [rng.randrange(1, p)], mod)
+        for k in (rng.randrange(1, p), -rng.randrange(1, p), -1):
+            S, double = _direct_sums(g, k, M)
+            assert exp_sum(g, k, M) == pytest.approx(S, abs=1e-9 * M)
+            res = weyl_square_identity(g, k, M)
+            assert res.ok
+            assert res.lhs == pytest.approx(abs(S) ** 2, abs=1e-9 * M * M)
+            assert res.rhs == pytest.approx(double.real, abs=1e-9 * M * M)
+            assert abs(double.imag) < 1e-9 * M * M
+
+
+def test_sums_make_no_scalar_horner_call(monkeypatch):
+    g = FpPolynomial.from_text("3,1,0,7", PrimeModulus(1009))
+    want = _direct_sums(g, 5, 40)
+
+    def refuse(self, x):
+        raise AssertionError("scalar Horner call")
+
+    monkeypatch.setattr(FpPolynomial, "__call__", refuse)
+    assert exp_sum(g, 5, 40) == pytest.approx(want[0], abs=1e-9)
+    assert weyl_square_identity(g, 5, 40).rhs == pytest.approx(want[1].real, abs=1e-9)
+    assert acceptance.criterion_12(quick=True).passed
+
+
+def test_erdos_turan_rhs_matches_per_k_exponentials():
+    # the check takes e(k gamma) as the k-th power of e(gamma); rounding
+    # drifts by about K 2^-53 relative
+    rng = random.Random(44)
+    g = FpPolynomial.from_text("0,0,0,1", PrimeModulus(1009))
+    for K in (1, 2, 30, 117, 200):
+        M = rng.randint(50, 400)
+        for seq in ([rng.random() for _ in range(M)],
+                    [g(n) / 1009 for n in range(1, M + 1)]):
+            alpha = rng.uniform(0, 0.9)
+            beta = rng.uniform(alpha, 1.0)
+            gam = np.array(seq)
+            rhs = M / K + sum((1.0 / K + min(beta - alpha, 1.0 / k))
+                              * abs(np.exp(2j * np.pi * k * gam).sum())
+                              for k in range(1, K + 1))
+            res = erdos_turan_check(seq, alpha, beta, K)
+            assert res.rhs == pytest.approx(3.0 * rhs, rel=1e-12, abs=0)
 
 
 def test_erdos_turan_inequality_holds_and_lhs_exact():

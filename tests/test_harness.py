@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from smallbox import dynsys
+from smallbox import dynsys, hyperelliptic
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.harness import (
     CSV_COLUMNS,
@@ -129,6 +129,19 @@ def test_run_lattice_emits_both_checks():
 def test_run_census_moment_identities():
     recs = run(spec_of("census", {"p": 31, "g": 1, "M": 5}))
     assert all(r.passed for r in recs)
+
+
+def test_run_census_keeps_classes_as_arrays(monkeypatch):
+    # the record needs only the size total; the per-class dict of a large
+    # box costs far more than the census itself
+    want = strip_runtime(run(spec_of("census", {"p": 101, "g": 1, "M": 7, "R": [5, 9]})))
+
+    def refuse(self):
+        raise AssertionError("class dict built")
+
+    monkeypatch.setattr(hyperelliptic.ClassCensus, "class_sizes", property(refuse))
+    recs = run(spec_of("census", {"p": 101, "g": 1, "M": 7, "R": [5, 9]}))
+    assert strip_runtime(recs) == want and all(r.passed for r in recs)
 
 
 def test_records_reproducible():

@@ -414,8 +414,9 @@ def test_cor7_and_minkowski_hold_randomized():
         assert c7.ok
         assert c7.point_count == lattice_points_in_box(lat, box).count
         mink = minkowski_check(lat, box, c7.minima)
-        assert mink.ok
-        assert mink.point_count == -1
+        assert mink.ok and mink.lhs <= mink.rhs
+        assert mink.lhs == float(c7.minima.lambdas[0] ** n * box.volume())
+        assert mink.rhs == 2 ** n * p  # the congruence lattice has determinant p
 
 
 def test_thm2_lattice_shape():
