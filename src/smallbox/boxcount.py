@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ffield import (FpPolynomial, discriminant, is_square_times_unit, match_count,
+from .ffield import (FpPolynomial, discriminant, match_count, monic_square_root,
                      poly_values)
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
@@ -52,18 +52,17 @@ class Box2:
 @dataclass(frozen=True)
 class CountReport:
     count: int
-    main_term: float
     bound_value: float
-    method: str  # "naive" | "sqrt_scan"
 
 
-def _naive_count(coeffs, p, box: Box2, power: int) -> int:
+def naive_count(f: FpPolynomial, box: Box2, power: int) -> int:
     """Reference double loop: #{(x, y) in box : y^power = f(x) mod p}."""
+    p = f.modulus.p
     ys = [y ** power % p for y in box.y_range]
     count = 0
     for x in box.x_range:
         v = 0
-        for c in reversed(coeffs):
+        for c in reversed(f.coeffs):
             v = (v * x + c) % p
         for w in ys:
             if w == v:
@@ -71,51 +70,35 @@ def _naive_count(coeffs, p, box: Box2, power: int) -> int:
     return count
 
 
-def count_curve_points(f: FpPolynomial, box: Box2, *,
-                       method: str = "sqrt_scan") -> CountReport:
+def count_curve_points(f: FpPolynomial, box: Box2) -> CountReport:
     """Exact #{(x, y) in box : y^2 = f(x) mod p}.
 
-    The sqrt_scan method evaluates f on the x-side and Y^2 on the y-side
-    and counts the equal pairs, sum over v of #{x : f(x) = v} * #{y : y^2 = v},
-    with one sort-and-search join.  The naive method is the reference double
-    loop; both always agree.
+    Evaluates f on the x-side and Y^2 on the y-side and counts the equal
+    pairs, sum over v of #{x : f(x) = v} * #{y : y^2 = v}, with one
+    sort-and-search join; `naive_count` is its reference double loop.
     """
     p = f.modulus.p
     box.validate_for(p)
     if f.degree < 1:
         raise ValueError("deg f >= 1 required")
-    if method not in ("sqrt_scan", "naive"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "naive":
-        count = _naive_count(f.coeffs, p, box, 2)
-    else:
-        count = match_count(poly_values(f.coeffs, box.x_range, p),
-                            poly_values((0, 0, 1), box.y_range, p))
-    return CountReport(count=count, main_term=box.M * box.M / p,
-                       bound_value=2.0 * box.M, method=method)
+    count = match_count(poly_values(f.coeffs, box.x_range, p),
+                        poly_values((0, 0, 1), box.y_range, p))
+    return CountReport(count=count, bound_value=2.0 * box.M)
 
 
-def count_graph_points(f: FpPolynomial, box: Box2, *,
-                       method: str = "sqrt_scan") -> CountReport:
+def count_graph_points(f: FpPolynomial, box: Box2) -> CountReport:
     """Exact #{(x, y) in box : y = f(x) mod p}; at most one y per column,
-    so the fast path counts the values f(x) that fall in the y-window."""
+    so the count is the number of values f(x) that fall in the y-window."""
     p = f.modulus.p
     box.validate_for(p)
-    if method not in ("sqrt_scan", "naive"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "naive":
-        count = _naive_count(f.coeffs, p, box, 1)
-    else:
-        fx = poly_values(f.coeffs, box.x_range, p)
-        count = int(((fx > box.S) & (fx <= box.S + box.M)).sum())
-    return CountReport(count=count, main_term=box.M * box.M / p,
-                       bound_value=float(box.M), method=method)
+    fx = poly_values(f.coeffs, box.x_range, p)
+    count = int(((fx > box.S) & (fx <= box.S + box.M)).sum())
+    return CountReport(count=count, bound_value=float(box.M))
 
 
 @dataclass(frozen=True)
 class WeilReport:
     count: int
-    main_term: float
     deviation: float
     weil_budget: float  # sqrt(p) * (ln p)^2
     constant: float
@@ -133,7 +116,7 @@ def check_curve_irreducible(f: FpPolynomial):
         raise ValueError("y^2 - f(x) is reducible: f is constant")
     if discriminant(f) != 0:
         return
-    if is_square_times_unit(f):
+    if monic_square_root(f) is not None:
         raise ValueError(
             "y^2 - f(x) is reducible: f is a unit multiple of a perfect square")
 
@@ -147,7 +130,7 @@ def weil_error(f: FpPolynomial, box: Box2) -> WeilReport:
     main = box.M * box.M / p
     deviation = abs(report.count - main)
     budget = math.sqrt(p) * math.log(p) ** 2
-    return WeilReport(count=report.count, main_term=main, deviation=deviation,
+    return WeilReport(count=report.count, deviation=deviation,
                       weil_budget=budget, constant=WEIL_CONSTANT,
                       within_budget=deviation <= WEIL_CONSTANT * budget)
 

@@ -108,7 +108,7 @@ def main(argv=None) -> int:
         records, summary = harness.execute(spec)
     except ValueError as exc:
         parser.error(str(exc))
-    for line in summary(records):
+    for line in summary():
         print(line)
     out = opt("out")
     if out:

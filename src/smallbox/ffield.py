@@ -30,7 +30,7 @@ def residue_dtype(p: int):
     return np.int64 if p < INT64_P_LIMIT else object
 
 
-# Deterministic Miller-Rabin witnesses, valid for every n < 2**64.
+# Miller-Rabin witnesses, deterministic for every n < 2**64; also the trial divisors
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -38,7 +38,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 2**64."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -419,8 +419,3 @@ def monic_square_root(f: FpPolynomial) -> FpPolynomial | None:
         return hp
     return None
 
-
-def is_square_times_unit(f: FpPolynomial) -> bool:
-    """True when f = c * h(X)**2 for a scalar c, i.e. f is a square over
-    the algebraic closure (every root has even multiplicity)."""
-    return monic_square_root(f) is not None

@@ -77,9 +77,9 @@ class Row(NamedTuple):
     runtime_ms: float | None = None  # default: the whole run
 
 
-# A runner maps (params, seed) to (rows, summary); summary(records) formats
-# the printed lines from the records and the report the runner kept.
-Summary = Callable[[list[ResultRecord]], list[str]]
+# A runner maps (params, seed) to (rows, summary); summary() formats the
+# printed lines from the exact values the runner kept, on demand.
+Summary = Callable[[], list[str]]
 Runner = Callable[[dict, int], tuple[list[Row], Summary]]
 
 
@@ -154,17 +154,16 @@ def _count(kind, params, seed):
     pm = PrimeModulus(int(params["p"]))
     f = _poly(params, "f", pm)
     box = boxcount.Box2(int(params["R"]), int(params["S"]), int(params["M"]))
-    counter = (boxcount.count_curve_points if kind == "count_curve"
-               else boxcount.count_graph_points)
-    rep = counter(f, box, method=str(params.get("method", "sqrt_scan")))
+    curve = kind == "count_curve"
+    rep = (boxcount.count_curve_points if curve else boxcount.count_graph_points)(f, box)
     oracle, passed = None, rep.count <= rep.bound_value
     if params.get("oracle"):
-        oracle = counter(f, box, method="naive").count
+        oracle = boxcount.naive_count(f, box, 2 if curve else 1)
         passed = passed and rep.count == oracle
-    what = "y^2 = f(x)" if kind == "count_curve" else "y = f(x)"
-    return [Row(rep.count, rep.bound_value, oracle, passed)], lambda recs: [
+    what = "y^2 = f(x)" if curve else "y = f(x)"
+    return [Row(rep.count, rep.bound_value, oracle, passed)], lambda: [
         f"{what} points in box R={box.R},S={box.S},M={box.M} mod {pm.p}: "
-        f"{int(recs[0].value)} (trivial bound {int(recs[0].bound_value)})"]
+        f"{rep.count} (trivial bound {int(rep.bound_value)})"]
 
 
 def _box_params(opts):
@@ -174,7 +173,7 @@ def _box_params(opts):
         raise ValueError(f"--box needs three numbers R,S,M, got {len(box)}")
     opts.update(zip("RSM", box))
     if opts.pop("naive", False):
-        opts["method"] = "naive"
+        opts["oracle"] = True
     return opts
 
 
@@ -183,15 +182,10 @@ def _weil(params, seed):
     box = boxcount.Box2(int(params.get("R", 0)), int(params.get("S", 0)),
                         int(params["M"]))
     rep = boxcount.weil_error(_poly(params, "f", pm), box)
-    row = Row(rep.deviation, rep.constant * rep.weil_budget, rep.count,
-              rep.within_budget)
-
-    def summary(recs):
-        r = recs[0]
-        return [f"count deviation from M^2/p: {r.value:.2f}, budget "
-                f"{r.bound_value:.2f}, {'within' if r.passed else 'OUTSIDE'} "
-                f"budget (count {int(r.oracle_value)})"]
-    return [row], summary
+    budget = rep.constant * rep.weil_budget
+    return [Row(rep.deviation, budget, rep.count, rep.within_budget)], lambda: [
+        f"count deviation from M^2/p: {rep.deviation:.2f}, budget {budget:.2f}, "
+        f"{'within' if rep.within_budget else 'OUTSIDE'} budget (count {rep.count})"]
 
 
 def _curve_iso(params, seed):
@@ -200,7 +194,7 @@ def _curve_iso(params, seed):
     a, b = (hyperelliptic.CurveVector(g, tuple(_int_list(params[key])), pm)
             for key in ("a", "b"))
     scalars = sorted(int(x) for x in hyperelliptic.isomorphism_scalars(a, b))
-    return [Row(len(scalars), pm.p - 1)], lambda recs: (
+    return [Row(len(scalars), pm.p - 1)], lambda: (
         [f"isomorphic via {len(scalars)} scalars: {scalars}"] if scalars
         else ["not isomorphic (no scaling works)"])
 
@@ -216,7 +210,7 @@ def _census(params, seed):
                   == census.box_size)
     bound = min(pm.p ** (2 * g - 1), M ** (2 * g))
 
-    def summary(recs):
+    def summary():
         payload = {
             "class_count": census.class_count,
             "total_nonsingular": census.total_nonsingular,
@@ -241,15 +235,11 @@ def _census_params(opts):
 def _sharpness(params, seed):
     pm = PrimeModulus(int(params["p"]))
     rep = hyperelliptic.sharpness_witness(pm, int(params["M"]), int(params["g"]))
-
-    def summary(recs):
-        r = recs[0]
-        verdict = "reached" if r.passed else "NOT reached"
-        return [f"isomorphic count {int(r.value)} vs residue witness "
-                f"{int(r.bound_value)} (2 x {int(r.oracle_value)} residues): "
-                f"floor {verdict}"]
     return [Row(rep.isomorphic_count, rep.witness_count, rep.residue_count,
-                rep.attained)], summary
+                rep.attained)], lambda: [
+        f"isomorphic count {rep.isomorphic_count} vs residue witness "
+        f"{rep.witness_count} (2 x {rep.residue_count} residues): "
+        f"floor {'reached' if rep.attained else 'NOT reached'}"]
 
 
 def _dynsys(params, seed):
@@ -265,13 +255,9 @@ def _dynsys(params, seed):
     D = max(vals) - min(vals)
     rows = [Row(T, pm.p, None, T <= pm.p, "-T"),
             Row(D, bound, None, D <= pm.p - 1, "-D")]
-
-    def summary(recs):
-        d = recs[1]
-        return [f"T = {T} (tail {traj.tail_length}, cycle {traj.cycle_length}); "
-                f"D(N) = {int(d.value)}, bound {d.bound_value:.2f}, "
-                f"ratio {d.ratio:.3f}"]
-    return rows, summary
+    return rows, lambda: [
+        f"T = {T} (tail {traj.tail_length}, cycle {traj.cycle_length}); "
+        f"D(N) = {D}, bound {bound:.2f}, ratio {D / bound:.3f}"]
 
 
 def _vinogradov(params, seed):
@@ -280,8 +266,8 @@ def _vinogradov(params, seed):
     diag = H ** k
     row = Row(value, float(H) ** (2 * k - m * (m + 1) / 2), diag,
               diag <= value <= H ** (2 * k))
-    return [row], lambda recs: [
-        f"J({k},{m};{H}) = {int(recs[0].value)} (diagonal floor {diag}, "
+    return [row], lambda: [
+        f"J({k},{m};{H}) = {value} (diagonal floor {diag}, "
         f"shape H^{2 * k - m * (m + 1) // 2})"]
 
 
@@ -289,7 +275,7 @@ def _expsum(params, seed):
     pm = PrimeModulus(int(params["p"]))
     k, M = int(params["k"]), int(params["M"])
     s = analytic.exp_sum(_poly(params, "f", pm), k, M)
-    return [Row(abs(s), M, None, abs(s) <= M + 1e-9)], lambda recs: [
+    return [Row(abs(s), M, None, abs(s) <= M + 1e-9)], lambda: [
         f"S = {s.real:.6f} + {s.imag:.6f}i, |S| = {abs(s):.6f} <= M = {M}"]
 
 
@@ -302,16 +288,12 @@ def _lattice(params, seed):
     mink = lattice.minkowski_check(lat, box, cor7.minima)
     rows = [Row(cor7.product, cor7.bound, cor7.point_count, cor7.ok, "-cor7"),
             Row(mink.lhs, mink.rhs, None, mink.ok, "-mink")]
-
-    def summary(recs):
-        cor7, mink = recs
-        return [
-            f"clipped minima product {cor7.value:.6g} vs counting bound "
-            f"{cor7.bound_value:.6g} ({int(cor7.oracle_value)} points): "
-            f"{'ok' if cor7.passed else 'VIOLATED'}",
-            f"first-minimum volume bound: {mink.value:.6g} <= "
-            f"{mink.bound_value:.6g}: {'ok' if mink.passed else 'VIOLATED'}"]
-    return rows, summary
+    return rows, lambda: [
+        f"clipped minima product {cor7.product:.6g} vs counting bound "
+        f"{cor7.bound:.6g} ({cor7.point_count} points): "
+        f"{'ok' if cor7.ok else 'VIOLATED'}",
+        f"first-minimum volume bound: {mink.lhs:.6g} <= "
+        f"{mink.rhs:.6g}: {'ok' if mink.ok else 'VIOLATED'}"]
 
 
 def _lattice_params(opts):
@@ -332,7 +314,7 @@ def _thm2_lattice(params, seed):
     rep = lattice.successive_minima(setup.lattice, setup.box, upto=3)
     solutions = lattice.shifted_congruence_count(c, M, p)
     lam3 = rep.lambdas[2]
-    return [Row(lam3, 1.0, solutions)], lambda recs: [
+    return [Row(lam3, 1.0, solutions)], lambda: [
         f"lattice coeffs {setup.lattice.coeffs}, halfwidths "
         f"{tuple(int(h) for h in setup.box.halfwidths)}"
         + ("" if setup.proof_scale_ok else " (8M^3 >= p: outside proof regime)"),
@@ -348,7 +330,7 @@ def _lemma6(params, seed):
     count = lattice.lemma6_count(f, g, _int_list(params["xs"]),
                                  _int_list(params["ys"]))
     cap = f.degree * g.degree
-    return [Row(count, cap, None, count <= cap)], lambda recs: [
+    return [Row(count, cap, None, count <= cap)], lambda: [
         f"points with f(x) = g(y) on the interpolation curve: {count} "
         f"(cap deg f * deg g = {cap}): {'ok' if count <= cap else 'VIOLATED'}"]
 
@@ -358,12 +340,12 @@ def _acceptance(params, seed):
     results = acceptance.run_all(quick=bool(params.get("quick")), seed=seed)
     rows = [Row(res.value, res.bound or 1.0, None, res.passed,
                 f"-c{res.number:02d}", res.runtime_ms) for res in results]
-    return rows, lambda recs: [
-        f"{sum(r.passed for r in recs)}/{len(recs)} criteria pass"]
+    return rows, lambda: [
+        f"{sum(res.passed for res in results)}/{len(results)} criteria pass"]
 
 
 _BOX = dict(options=("p", "f", "box"), flags=("naive",), from_cli=_box_params,
-            reads=("method", "oracle"))
+            reads=("oracle",))
 
 EXPERIMENTS: dict[str, Experiment] = {
     "count_curve": Experiment(("p", "f", "R", "S", "M"), "count-curve",

@@ -458,7 +458,6 @@ def class_census(modulus: PrimeModulus, box: CubeBox) -> ClassCensus:
 
 @dataclass(frozen=True)
 class SharpnessReport:
-    curve: CurveVector
     witness_count: int  # #A, twice the number of residues used
     residue_count: int  # #Q
     isomorphic_count: int  # N(H; [1,M]^2g)
@@ -493,7 +492,7 @@ def sharpness_witness(modulus: PrimeModulus, M: int, g: int) -> SharpnessReport:
         raise RuntimeError("root pairing violated: a residue without two square roots")
     witness = sum(map(len, roots))
     n_count = _count_orbit_in_box(b, box)
-    return SharpnessReport(curve=b, witness_count=witness,
+    return SharpnessReport(witness_count=witness,
                            residue_count=len(residues), isomorphic_count=n_count,
                            attained=n_count >= witness)
 

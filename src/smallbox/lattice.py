@@ -70,6 +70,13 @@ class ConvexBox:
             v *= 2 * h
         return v
 
+    def enum_volume(self, scale: Fraction) -> float:
+        """Cells of the enumeration grid of scale*D, as the guard counts them."""
+        vol = 1.0
+        for h in self.halfwidths:
+            vol *= 2 * float(scale * h) + 1
+        return vol
+
 
 @dataclass(frozen=True)
 class PointCount:
@@ -124,14 +131,11 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     scale = Fraction(scale)
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    scaled = [scale * h for h in box.halfwidths]
-    vol = 1.0
-    for h in scaled:
-        vol *= 2 * float(h) + 1
+    vol = box.enum_volume(scale)
     if vol > ENUM_GUARD:
         raise ValueError(f"enumeration volume {vol:.3g} above guard {ENUM_GUARD}")
     p = lat.p
-    bounds = [math.floor(h) for h in scaled]
+    bounds = [math.floor(scale * h) for h in box.halfwidths]
     invertible = [j for j, c in enumerate(lat.coeffs) if c % p != 0]
     if not invertible:
         raise ValueError("all coefficients divisible by p")
@@ -267,16 +271,10 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     if n < 1:
         raise ValueError("upto must be >= 1")
 
-    def enum_volume(s: Fraction) -> float:
-        vol = 1.0
-        for h in box.halfwidths:
-            vol *= 2 * float(s * h) + 1
-        return vol
-
     # start small enough that huge bodies (whose minima sit far below 1)
     # never trip the enumeration guard on the way up
     scale = Fraction(1)
-    while enum_volume(scale) > 10 ** 6 and scale > Fraction(1, 2 ** 40):
+    while box.enum_volume(scale) > 10 ** 6 and scale > Fraction(1, 2 ** 40):
         scale /= 2
     # |x_i| / h_i = |x_i| * weight_i / den, so integer keys sort like the norms
     den = math.lcm(*(h.numerator for h in box.halfwidths))

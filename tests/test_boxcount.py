@@ -8,11 +8,13 @@ import sympy
 
 from smallbox.boxcount import (
     Box2,
+    CountReport,
     bound_I,
     bound_J,
     check_curve_irreducible,
     count_curve_points,
     count_graph_points,
+    naive_count,
     weil_error,
 )
 from smallbox.ffield import FpPolynomial, PrimeModulus
@@ -67,9 +69,10 @@ def test_sqrt_scan_equals_naive_randomized():
         M = rng.randint(1, min(25, p - 1))
         box = Box2(R=rng.randint(0, p - M - 1), S=rng.randint(0, p - M - 1), M=M)
         expect = naive_curve(f, box)
-        assert count_curve_points(f, box, method="sqrt_scan").count == expect
-        assert count_curve_points(f, box, method="naive").count == expect
+        assert count_curve_points(f, box).count == expect
+        assert naive_count(f, box, 2) == expect
         assert count_graph_points(f, box).count == naive_graph(f, box)
+        assert naive_count(f, box, 1) == naive_graph(f, box)
 
 
 def test_translation_recentering_invariance():
@@ -94,13 +97,12 @@ def test_translation_recentering_invariance():
         assert count_graph_points(f, box).count == count_graph_points(g, moved).count
 
 
-def test_count_report_main_term():
+def test_count_report_holds_count_and_trivial_bound():
     mod = PrimeModulus(1009)
     f = FpPolynomial.from_text("1,1,0,1", mod)
     box = Box2(R=0, S=0, M=500)
-    rep = count_curve_points(f, box)
-    assert rep.main_term == pytest.approx(500 * 500 / 1009)
-    assert rep.method == "sqrt_scan"
+    assert count_curve_points(f, box) == CountReport(naive_count(f, box, 2), 1000.0)
+    assert count_graph_points(f, box) == CountReport(naive_count(f, box, 1), 500.0)
 
 
 def test_weil_error_matches_direct_deviation():

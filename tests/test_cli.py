@@ -9,7 +9,8 @@ from smallbox.cli import main
 from smallbox.harness import parse_records
 
 # (argv, exit code, exact stdout) for every command but acceptance, recorded
-# before the commands were driven by the experiment registry
+# before the commands were driven by the experiment registry; the J(20,1;10)
+# line was added later
 GOLDEN = [
     (["count-curve", "--p", "101", "--f", "3,2,0,1", "--box", "0,0,50"], 0,
      "y^2 = f(x) points in box R=0,S=0,M=50 mod 101: 23 (trivial bound 100)\n"),
@@ -83,6 +84,10 @@ GOLDEN = [
      "J(2,2;10) = 190 (diagonal floor 100, shape H^1)\n"),
     (["--seed", "5", "vinogradov", "--k", "3", "--m", "2", "--H", "4"], 0,
      "J(3,2;4) = 256 (diagonal floor 64, shape H^3)\n"),
+    # far above 2^53: printed from the exact count, not from its float record
+    (["vinogradov", "--k", "20", "--m", "1", "--H", "10"], 0,
+     "J(20,1;10) = 218768894829904122626725603838896148680 "
+     "(diagonal floor 100000000000000000000, shape H^39)\n"),
     (["expsum", "--p", "101", "--f", "1,2,1", "--k", "7", "--M", "20"], 0,
      "S = -4.587726 + -3.418175i, |S| = 5.721114 <= M = 20\n"),
     (["lattice-check", "--n", "3", "--coeffs", "1,3,5", "--p", "101",
@@ -122,6 +127,18 @@ def test_naive_flag_matches_default(capsys):
           "--naive"])
     slow = capsys.readouterr().out
     assert fast.split(":")[1] == slow.split(":")[1]
+
+
+@pytest.mark.parametrize("i", [1, 3], ids=["count-curve", "count-graph"])
+def test_naive_flag_checks_the_count_against_the_loop(i, tmp_path, capsys):
+    argv, code, stdout = GOLDEN[i]
+    assert argv[-1] == "--naive"
+    out = tmp_path / "rec.json"
+    assert main(["--out", str(out), "--format", "json", *argv]) == code
+    assert capsys.readouterr().out == stdout + f"wrote 1 records to {out}\n"
+    (rec,) = parse_records(out, "json")
+    assert json.loads(rec.params)["oracle"] is True
+    assert rec.oracle_value == rec.value and rec.passed
 
 
 def test_out_writes_parseable_records(tmp_path, capsys):

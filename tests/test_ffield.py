@@ -18,7 +18,6 @@ from smallbox.ffield import (
     discriminant,
     is_prime,
     is_qr,
-    is_square_times_unit,
     monic_square_root,
     resultant,
     roots_mod,
@@ -225,7 +224,7 @@ def test_monic_square_root_inverts_squaring():
     assert monic_square_root(f) is None
 
 
-def test_is_square_times_unit_detects_squares():
+def test_monic_square_root_detects_unit_multiples_of_squares():
     mod = PrimeModulus(31)
     rng = random.Random(7)
     for _ in range(100):
@@ -233,6 +232,6 @@ def test_is_square_times_unit_detects_squares():
             [rng.randrange(31) for _ in range(2)] + [1], mod)
         c = rng.randrange(1, 31)
         sq = h * h * FpPolynomial.from_ints((c,), mod)
-        assert is_square_times_unit(sq)
+        assert monic_square_root(sq) == h
         # odd degree can never be a unit times a square
-        assert not is_square_times_unit(sq * FpPolynomial.from_ints((0, 1), mod))
+        assert monic_square_root(sq * FpPolynomial.from_ints((0, 1), mod)) is None

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from smallbox import dynsys, hyperelliptic
+from smallbox import boxcount, dynsys, hyperelliptic
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.harness import (
     CSV_COLUMNS,
@@ -54,12 +54,21 @@ def test_spec_rejects_unknown_keys():
         spec_of("dynsys", {"p": 101, "f": [1, 0, 1], "u0": 3, "n": 5})
     with pytest.raises(ValueError, match="unknown key 'box'"):  # the CLI name
         spec_of("census", {"p": 31, "g": 1, "M": 5, "box": [0, 0]})
+    # one count path: the naive loop runs only as the `oracle`
+    for kind in ("count_curve", "count_graph"):
+        with pytest.raises(ValueError, match=f"unknown key 'method' for kind '{kind}'"):
+            spec_of(kind, {**COUNT_PARAMS, "method": "naive"})
 
 
-def test_optional_params_are_read():
-    naive = run(spec_of("count_curve", {**COUNT_PARAMS, "method": "naive",
-                                        "oracle": True}))
-    assert (naive[0].value, naive[0].oracle_value, naive[0].passed) == (23.0, 23.0, True)
+def test_optional_params_are_read(monkeypatch):
+    def checked(kind):
+        (rec,) = run(spec_of(kind, {**COUNT_PARAMS, "oracle": True}))
+        return rec.value, rec.oracle_value, rec.passed
+    assert checked("count_curve") == (23.0, 23.0, True)
+    assert checked("count_graph") == (32.0, 32.0, True)
+    # a disagreeing oracle fails the record
+    monkeypatch.setattr(boxcount, "naive_count", lambda f, box, power: 22)
+    assert checked("count_curve") == (23.0, 22.0, False)
     recs = run(spec_of("dynsys", {"p": 10007, "f": [1, 0, 1], "u0": 3,
                                   "N": 50, "eps": 0.1}))
     d = recs[1]

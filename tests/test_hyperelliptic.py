@@ -478,7 +478,8 @@ def test_census_counts_singular_separately():
 
 def test_sharpness_witness_frozen_values():
     rep = sharpness_witness(PrimeModulus(11), 8, 1)
-    assert rep.curve.a == (1, 1)
+    ones = CurveVector(1, (1, 1), PrimeModulus(11))  # the witness curve
+    assert rep.isomorphic_count == count_isomorphic_in_box(ones, CubeBox(1, (0, 0), 8))
     assert rep.residue_count == 1
     assert rep.witness_count == 2 * rep.residue_count
     assert rep.isomorphic_count == 3

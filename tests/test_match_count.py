@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallbox.boxcount import Box2, count_curve_points, count_graph_points
+from smallbox.boxcount import Box2, count_curve_points, count_graph_points, naive_count
 from smallbox.ffield import FpPolynomial, PrimeModulus, match_count, poly_values
 from smallbox.hyperelliptic import CubeBox, CurveVector, reduce_to_power_congruence
 from smallbox.lattice import lemma6_count, shifted_congruence_count
@@ -64,7 +64,7 @@ def test_curve_count_is_the_double_loop(case):
     expect = sum(1 for x in box.x_range for y in range(box.S + 1, box.S + box.M + 1)
                  if (y * y - horner(coeffs, x, p)) % p == 0)
     assert count_curve_points(f, box).count == expect
-    assert count_curve_points(f, box, method="naive").count == expect
+    assert naive_count(f, box, 2) == expect
 
 
 @SETTINGS
@@ -75,7 +75,7 @@ def test_graph_count_is_the_double_loop(case):
     expect = sum(1 for x in box.x_range for y in range(box.S + 1, box.S + box.M + 1)
                  if (y - horner(coeffs, x, p)) % p == 0)
     assert count_graph_points(f, box).count == expect
-    assert count_graph_points(f, box, method="naive").count == expect
+    assert naive_count(f, box, 1) == expect
 
 
 @SETTINGS

@@ -1,10 +1,13 @@
 """Every top-level function, class and assigned name of the package and of
 the benchmark scripts, private ones included, has a reference outside its
-own definition.  Code that only tests call is deleted rather than kept:
-tests are not scanned, and the re-exports in `__init__.py` are import
-aliases, not references.  Dunders are exempt."""
+own definition, and every method, property and annotated field of their
+classes is read as an attribute outside its own definition.  Code that
+only tests call is deleted rather than kept: tests are not scanned, and
+the re-exports in `__init__.py` are import aliases, not references.
+Dunders are exempt."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -14,7 +17,15 @@ SOURCES = (sorted((ROOT / "src" / "smallbox").glob("*.py"))
 # the paper's bound evaluators; ROADMAP item 6 wires them into records
 ALLOWED = {"bound_I", "bound_J", "bound_N"}
 
+# classes and members read other than by attribute, with the reason
+MEMBERS_ALLOWED = {
+    "ResultRecord": "harness.emit writes every field through vars()",
+    "BoundReport.regime": "a bound evaluator's label; ROADMAP item 6 records it",
+    "ClassBound.branch": "a bound evaluator's label; ROADMAP item 6 records it",
+}
+
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _referenced(node: ast.AST) -> set[str]:
@@ -48,6 +59,40 @@ def test_every_definition_has_a_reference():
     orphans = sorted(f"{where} {name}" for name, where in defined
                      if name not in references and name not in ALLOWED)
     assert not orphans, "definitions without a reference:\n" + "\n".join(orphans)
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _members(cls: ast.ClassDef):
+    """(name, node) of each method, property and annotated field."""
+    for item in cls.body:
+        if isinstance(item, FUNCTIONS):
+            yield item.name, item
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id, item
+
+
+def test_every_member_is_read():
+    members: list[tuple[str, str, ast.AST, str]] = []
+    reads: Counter = Counter()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        reads += _attribute_reads(tree)
+        rel = path.relative_to(ROOT)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                members += [(cls.name, name, node, f"{rel}:{node.lineno}")
+                            for name, node in _members(cls)
+                            if not (name.startswith("__") and name.endswith("__"))]
+    orphans = sorted(
+        f"{where} {cls}.{name}" for cls, name, node, where in members
+        # a method's reads of its own name (recursion) are not readers
+        if reads[name] == _attribute_reads(node)[name]
+        and cls not in MEMBERS_ALLOWED and f"{cls}.{name}" not in MEMBERS_ALLOWED)
+    assert not orphans, "members nobody reads:\n" + "\n".join(orphans)
 
 
 def test_the_scan_sees_the_package():
