@@ -1,8 +1,8 @@
 """Acceptance suite: thirteen checks covering oracle equivalence of the
 counters, the square-root error regime, the trivial and moment identities of
 the class censuses, the residue witness construction, the power-sum system
-table, the lattice counting inequality, the interpolation cap, cycle
-detection agreement, the discrepancy and differencing inequalities, and the
+table, the lattice counting inequality, the interpolation cap, certified
+orbit walks, the discrepancy and differencing inequalities, and the
 isomorphism-relation algebra.
 
 Each check returns a CriterionResult; run_all prints one PASS/FAIL line per
@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import analytic, boxcount, dynsys, hyperelliptic, lattice
 from .ffield import FpPolynomial, PrimeModulus, poly_values
-from .harness import DEFAULT_SEED, derived_rng
 
+DEFAULT_SEED = 20260815  # every randomized trial derives its generator from it
 # calibrated once against a full census sweep and frozen; the shape bound
 # min{p, M^2} is asymptotic, so the floor is a diagnostic constant
 CLASS_COUNT_RATIO_FLOOR = 0.05
@@ -39,6 +40,11 @@ class CriterionResult:
     bound: float
     detail: str
     runtime_ms: float = 0.0
+
+
+def derived_rng(seed: int, label: str, i: int = 0) -> random.Random:
+    """Counter-derived generator: one global seed, reproducible per trial."""
+    return random.Random(f"{seed}|{label}|{i}")
 
 
 def _random_poly(rng, p: int, deg: int, modulus) -> FpPolynomial:
@@ -256,8 +262,8 @@ def criterion_9(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
 
 
 def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
-    """Cycle detection agreement, diameter identity, and the edge-count
-    duality with graph-point counting."""
+    """Certified orbit walks, diameter identity, and the edge-count duality
+    with graph-point counting."""
     per_p = 200 if quick else 1000
     checked = 0
     for p in (101, 1009, 10007):
@@ -266,7 +272,7 @@ def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
             rng = derived_rng(seed, f"c10-{p}", i)
             f = _random_poly(rng, p, rng.randint(2, 4), pm)
             u0 = rng.randrange(p)
-            traj = dynsys.trajectory_length(f, u0)  # raises on method mismatch
+            traj = dynsys.trajectory_length(f, u0)  # raises unless certified
             checked += 1
             if i < 20:
                 N = rng.randint(1, traj.total_length)
@@ -415,9 +421,7 @@ def run_all(quick: bool = False, seed: int = DEFAULT_SEED,
     for fn in CRITERIA:
         t0 = time.perf_counter()
         res = fn(seed=seed, quick=quick)
-        res = CriterionResult(res.number, res.name, res.passed, res.value,
-                              res.bound, res.detail,
-                              (time.perf_counter() - t0) * 1000.0)
+        res = replace(res, runtime_ms=(time.perf_counter() - t0) * 1000.0)
         results.append(res)
         printer(f"criterion {res.number:2d} "
                 f"{'PASS' if res.passed else 'FAIL'} "

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analytic import kappa
 from .ffield import (FpPolynomial, discriminant, match_count, monic_square_root,
                      poly_values)
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
@@ -166,7 +167,6 @@ def bound_I(M: int, p: int, deg: int, eps: float = DEFAULT_EPS) -> BoundReport:
         # trivial count, so cap it there
         v = M ** (1 + eps) * (M ** 3 / p) ** (1 / 16)
         return BoundReport(min(v, 2.0 * M), "beyond-cor3: M >= p^(1/3), trivial cap")
-    from .analytic import kappa
     k = kappa(deg)
     value = M ** (1 + eps) * (M ** 3 / p) ** (1 / (2 * k)) \
         + M ** (1 - (deg - 3) / (2 * k) + eps)

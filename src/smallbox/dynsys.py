@@ -1,14 +1,17 @@
 """Polynomial iteration u_n = f(u_(n-1)) over F_p: trajectories, the full
 trajectory length T (first repeat time, split into tail and cycle), the
 trajectory diameter over the first N terms, and the matching lower-bound
-evaluator."""
+evaluator.  Each orbit is walked once, by scalar steps, and that stored walk
+is proved by the vector kernel `ffield.poly_values`, a separate evaluator."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boxcount import Box2
-from .ffield import FpPolynomial
+from .ffield import FpPolynomial, poly_values, residue_dtype
 
 
 @dataclass(frozen=True)
@@ -36,27 +39,6 @@ def iterate(f: FpPolynomial, u0: int, N: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _brent(f: FpPolynomial, u0: int) -> tuple[int, int]:
-    """Tail and cycle length by Brent's power-of-two race."""
-    power = lam = 1
-    tortoise, hare = u0, f(u0)
-    while tortoise != hare:
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = f(hare)
-        lam += 1
-    tortoise = hare = u0
-    for _ in range(lam):
-        hare = f(hare)
-    mu = 0
-    while tortoise != hare:
-        tortoise, hare = f(tortoise), f(hare)
-        mu += 1
-    return mu, lam
-
-
 def _seen_scan(f: FpPolynomial, u0: int) -> Trajectory:
     """Walk until the first repeat, keeping each value's index; the dict's
     insertion order is the trajectory itself."""
@@ -74,14 +56,22 @@ def trajectory_length(f: FpPolynomial, u0: int) -> Trajectory:
     """Resolve T for the orbit of u0: the values up to the first repeat plus
     (tail_length, cycle_length) with T = tail + cycle.
 
-    One walk with a seen-set stores the values and finds the first repeat;
-    Brent's algorithm, in O(T) evaluations and O(1) memory, recomputes the
-    two lengths, and the two must agree exactly.
+    One walk with a seen-set stores the values and finds the first repeat,
+    in T scalar evaluations.  One `poly_values` pass then re-evaluates f on
+    every stored value: the walk starts at u0, each image is the next value,
+    the last image is the value at tail_length, and the values are pairwise
+    distinct.  Together these prove T, tail and cycle; RuntimeError otherwise.
     """
-    u0 %= f.modulus.p
+    p = f.modulus.p
+    u0 %= p
     traj = _seen_scan(f, u0)
-    if _brent(f, u0) != (traj.tail_length, traj.cycle_length):
-        raise RuntimeError("cycle detection mismatch between methods")
+    vals, tail = np.asarray(traj.values, dtype=residue_dtype(p)), traj.tail_length
+    images = poly_values(f.coeffs, vals, p)
+    ordered = np.sort(vals)
+    if not (vals[0] == u0 and 0 <= tail < len(vals) == traj.total_length
+            and (images[:-1] == vals[1:]).all() and images[-1] == vals[tail]
+            and (ordered[1:] != ordered[:-1]).all()):
+        raise RuntimeError(f"orbit of {u0} mod {p} fails its certificate")
     return traj
 
 

@@ -1,14 +1,12 @@
 """Experiment plumbing: one registry of experiment kinds (params, CLI command
 and runner), validated experiment specs, result records with bound ratios,
-CSV/JSON emission with a fixed column set, and the seeded RNG derivation
-used by every randomized suite."""
+and CSV/JSON emission with a fixed column set."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,10 +14,9 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import analytic, boxcount, dynsys, hyperelliptic, lattice
+from . import acceptance, analytic, boxcount, dynsys, hyperelliptic, lattice
+from .acceptance import DEFAULT_SEED
 from .ffield import FpPolynomial, PrimeModulus
-
-DEFAULT_SEED = 20260815
 
 CSV_COLUMNS = ("experiment_id", "kind", "params", "value", "bound_value",
                "ratio", "oracle_value", "pass", "runtime_ms")
@@ -59,19 +56,19 @@ class ResultRecord:
     experiment_id: str
     kind: str
     params: str
-    value: float
+    value: int | float  # Python ints stay exact; everything else is a float
     bound_value: float
     ratio: float
-    oracle_value: float | None
+    oracle_value: int | float | None
     passed: bool
     runtime_ms: float
 
 
 class Row(NamedTuple):
     """One result of a runner; `execute` makes it a ResultRecord."""
-    value: float
+    value: int | float
     bound: float
-    oracle: float | None = None
+    oracle: int | float | None = None
     passed: bool = True
     suffix: str = ""  # appended to the experiment id
     runtime_ms: float | None = None  # default: the whole run
@@ -103,11 +100,6 @@ class Experiment:
         return self.optional + self.flags if self.reads is None else self.reads
 
 
-def derived_rng(seed: int, label: str, i: int = 0) -> random.Random:
-    """Counter-derived generator: one global seed, reproducible per trial."""
-    return random.Random(f"{seed}|{label}|{i}")
-
-
 def _poly(params, key, modulus) -> FpPolynomial:
     value = params[key]
     if isinstance(value, str):
@@ -121,6 +113,11 @@ def _int_list(value) -> list[int]:
     return [int(x) for x in str(value).split(",")]
 
 
+def _exact(v) -> int | float:
+    """A record's value: a Python int as it is, anything else as a float."""
+    return v if type(v) is int else float(v)
+
+
 def execute(spec: ExperimentSpec) -> tuple[list[ResultRecord], Summary]:
     """Run one experiment; deterministic for fixed (spec, seed)."""
     t0 = time.perf_counter()
@@ -130,12 +127,12 @@ def execute(spec: ExperimentSpec) -> tuple[list[ResultRecord], Summary]:
     params = spec.canonical_params()
     records = []
     for row in rows:
-        value, bound = float(row.value), float(row.bound)
+        value, bound = _exact(row.value), float(row.bound)
         records.append(ResultRecord(
             experiment_id=ident + row.suffix, kind=spec.kind, params=params,
             value=value, bound_value=bound,
             ratio=value / bound if bound > 0 else 0.0,
-            oracle_value=None if row.oracle is None else float(row.oracle),
+            oracle_value=None if row.oracle is None else _exact(row.oracle),
             passed=bool(row.passed),
             runtime_ms=runtime_ms if row.runtime_ms is None else row.runtime_ms))
     return records, summary
@@ -336,7 +333,6 @@ def _lemma6(params, seed):
 
 
 def _acceptance(params, seed):
-    from . import acceptance  # acceptance imports this module
     results = acceptance.run_all(quick=bool(params.get("quick")), seed=seed)
     rows = [Row(res.value, res.bound or 1.0, None, res.passed,
                 f"-c{res.number:02d}", res.runtime_ms) for res in results]
@@ -398,6 +394,11 @@ def emit(records: list[ResultRecord], fmt: str, path) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _number(text: str) -> int | float:
+    """A CSV value cell: integer text reads back as an int, the rest as a float."""
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
 def parse_records(path, fmt: str) -> list[ResultRecord]:
     """Inverse of emit, used for round-trip checks."""
     path = Path(path)
@@ -408,8 +409,8 @@ def parse_records(path, fmt: str) -> list[ResultRecord]:
                 raise ValueError(f"bad header in {path}")
             return [ResultRecord(
                 row["experiment_id"], row["kind"], row["params"],
-                float(row["value"]), float(row["bound_value"]), float(row["ratio"]),
-                float(row["oracle_value"]) if row["oracle_value"] else None,
+                _number(row["value"]), float(row["bound_value"]), float(row["ratio"]),
+                _number(row["oracle_value"]) if row["oracle_value"] else None,
                 row["pass"] == "true", float(row["runtime_ms"])) for row in reader]
     if fmt == "json":
         return [ResultRecord(*(row[c] for c in CSV_COLUMNS))

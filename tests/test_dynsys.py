@@ -1,5 +1,6 @@
-"""Trajectory statistics of polynomial iteration: the two cycle detectors
-against each other, diameters, the pair count, and the lower-bound shape."""
+"""Trajectory statistics of polynomial iteration: the single walk and the
+vector certificate that proves it, diameters, the pair count, and the
+lower-bound shape."""
 
 import random
 
@@ -65,17 +66,45 @@ def test_trajectory_length_makes_its_own_walk(monkeypatch):
     assert (traj.tail_length, traj.cycle_length, len(traj.values)) == (3, 186, 189)
 
 
-def test_brent_checks_the_walk_at_large_p(monkeypatch):
-    # p = 10^9 + 7: T = 61,489, so the cross-check must hold above any
-    # threshold on p
-    f = FpPolynomial.from_text("1,0,1", PrimeModulus(10 ** 9 + 7))
-    traj = trajectory_length(f, 3)
-    assert traj.total_length == 61489
-    assert f(traj.values[-1]) == traj.values[traj.tail_length]
-    monkeypatch.setattr(dynsys, "_brent", lambda f, u0: (
-        traj.tail_length + 1, traj.cycle_length))
-    with pytest.raises(RuntimeError, match="mismatch"):
-        trajectory_length(f, 3)
+def test_trajectory_length_makes_T_scalar_evaluations(monkeypatch):
+    # one scalar walk: the certificate evaluates f on the vector kernel
+    calls = [0]
+    horner = FpPolynomial.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return horner(self, x)
+    monkeypatch.setattr(FpPolynomial, "__call__", counted)
+    rng = random.Random(35)
+    for p in (101, 10007, 10 ** 9 + 7):
+        f = FpPolynomial.from_ints([rng.randrange(p) for _ in range(3)] + [1],
+                                   PrimeModulus(p))
+        calls[0] = 0
+        T = trajectory_length(f, rng.randrange(p)).total_length
+        assert calls[0] == T
+
+
+def test_certificate_checks_the_walk_at_large_p(monkeypatch):
+    # T = 61,489 on int64 vectors, and above 2^31 on dtype object vectors
+    for p, u0, lengths in ((10 ** 9 + 7, 3, (33916, 27573)),
+                           (2 ** 31 + 11, 34, (3371, 12460))):
+        f = FpPolynomial.from_text("1,0,1", PrimeModulus(p))
+        traj = trajectory_length(f, u0)
+        assert (traj.tail_length, traj.cycle_length) == lengths
+        vals, s, c = traj.values, traj.tail_length, traj.cycle_length
+        corrupted = list(vals)
+        corrupted[s + c // 2] = (corrupted[s + c // 2] + 1) % p
+        bad_walks = [
+            dynsys.Trajectory(vals, s + 1, c - 1),  # wrong tail: only the closing step breaks
+            dynsys.Trajectory(tuple(corrupted), s, c),  # one value off
+            dynsys.Trajectory(vals + vals[s:], s, 2 * c),  # every step holds, values repeat
+            dynsys.Trajectory(vals[1:], s - 1, c),  # the orbit of f(u0), not of u0
+        ]
+        for bad in bad_walks:
+            with monkeypatch.context() as m:
+                m.setattr(dynsys, "_seen_scan", lambda f, u0: bad)
+                with pytest.raises(RuntimeError, match="certificate"):
+                    trajectory_length(f, u0)
 
 
 def test_diameter_is_max_minus_min():

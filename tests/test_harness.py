@@ -8,6 +8,7 @@ import json
 import pytest
 
 from smallbox import boxcount, dynsys, hyperelliptic
+from smallbox.acceptance import derived_rng
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.harness import (
     CSV_COLUMNS,
@@ -16,7 +17,6 @@ from smallbox.harness import (
     ExperimentSpec,
     ResultRecord,
     _csv_cell,
-    derived_rng,
     emit,
     parse_records,
     run,
@@ -165,6 +165,23 @@ def test_emit_parse_round_trip(tmp_path):
         path = tmp_path / f"out.{fmt}"
         emit(recs, fmt, path)
         assert parse_records(path, fmt) == recs
+
+
+def test_records_keep_exact_integers(tmp_path):
+    # J(20,1;10) and its diagonal floor 10^20 lie far above 2^53: a float
+    # record would lose their last digits
+    (rec,) = run(spec_of("vinogradov", {"k": 20, "m": 1, "H": 10}))
+    assert rec.value == 218768894829904122626725603838896148680
+    assert rec.oracle_value == 10 ** 20
+    assert type(rec.value) is int and type(rec.bound_value) is float
+    (weil,) = run(spec_of("weil", {"p": 101, "f": [3, 2, 0, 1], "M": 50}))
+    assert type(weil.value) is float and type(weil.oracle_value) is int
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"out.{fmt}"
+        emit([rec, weil], fmt, path)
+        back = parse_records(path, fmt)
+        assert back == [rec, weil]
+        assert [type(r.value) for r in back] == [int, float]
 
 
 def test_emit_writes_every_field_in_order(tmp_path):

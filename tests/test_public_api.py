@@ -4,14 +4,16 @@ own definition, and every method, property and annotated field of their
 classes is read as an attribute outside its own definition.  Code that
 only tests call is deleted rather than kept: tests are not scanned, and
 the re-exports in `__init__.py` are import aliases, not references.
-Dunders are exempt."""
+Dunders are exempt.  The package's modules import each other without a
+cycle, function-level imports included."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = (sorted((ROOT / "src" / "smallbox").glob("*.py"))
+PACKAGE = ROOT / "src" / "smallbox"
+SOURCES = (sorted(PACKAGE.glob("*.py"))
            + sorted((ROOT / "perfbench").glob("*.py")))
 
 # the paper's bound evaluators; ROADMAP item 6 wires them into records
@@ -93,6 +95,33 @@ def test_every_member_is_read():
         if reads[name] == _attribute_reads(node)[name]
         and cls not in MEMBERS_ALLOWED and f"{cls}.{name}" not in MEMBERS_ALLOWED)
     assert not orphans, "members nobody reads:\n" + "\n".join(orphans)
+
+
+def _sibling_imports(path: Path) -> set[str]:
+    """The package modules that `from . import x` and `from .x import y`
+    name anywhere in the module, function bodies included."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+    return out
+
+
+def test_imports_are_acyclic():
+    graph = {path.stem: _sibling_imports(path) for path in PACKAGE.glob("*.py")}
+    assert graph["dynsys"] >= {"boxcount", "ffield"}
+
+    def reachable(module: str) -> set[str]:
+        seen: set[str] = set()
+        todo = [module]
+        while todo:
+            for nxt in graph.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+    cyclic = sorted(m for m in graph if m in reachable(m))
+    assert not cyclic, f"modules on an import cycle: {cyclic}"
 
 
 def test_the_scan_sees_the_package():
