@@ -22,13 +22,15 @@ from .boxcount import DEFAULT_EPS
 from .ffield import (FpPolynomial, PrimeModulus, discriminant, is_qr, match_count,
                      poly_values, QrStatus, residue_dtype, roots_mod, sqrt_mod_int)
 
-CENSUS_CELL_GUARD = 10 ** 9
+# bytes the key array of one census batch may take
+CENSUS_BYTE_GUARD = 8 * 10 ** 9
 
 # bytes the arrays of one census keying or singularity-filter slice may hold
 _SLICE_BYTES = 1 << 23
 # arrays of a slice's entry count alive at once, at the tracemalloc peak of a
-# keying slice (candidates, their products and keys, the cell digits) and of
-# a `nonsingular_mask` pass (the Bezout stack and its elimination products)
+# keying slice (a free coordinate's values, its digit table and the candidate
+# sum, each of the slice's size when g = 1 and d = 2) and of a
+# `nonsingular_mask` pass (the Bezout stack and its elimination products)
 _KEY_TEMPS = 3
 _FILTER_TEMPS = 4
 
@@ -240,8 +242,10 @@ def count_isomorphic_in_box(b: CurveVector, box: CubeBox) -> int:
 @dataclass(frozen=True, eq=False)
 class ClassCensus:
     """Census of one box.  The nonsingular classes stay arrays (`keys`,
-    base-p packed canonical vectors in ascending order, and `sizes`) until
-    `class_sizes` is read; censuses compare by identity."""
+    canonical vectors packed as base-p integers, coordinate 0 most
+    significant, in ascending order, and `sizes`) until `class_sizes` is
+    read; censuses compare by identity.  The censuses of one batch hold
+    views of one shared pair of arrays."""
 
     class_count: int
     total_nonsingular: int
@@ -291,14 +295,16 @@ def nonsingular_mask(a, p: int) -> np.ndarray:
                 bez[lo + k, hi - 1 - k] += c
     bez %= p
     alive = np.ones(n, dtype=bool)
-    keys = np.arange(n)
     for c in range(m):
         nonzero = bez[c:, c] != 0
         alive &= nonzero.any(axis=0)
         piv = c + nonzero.argmax(axis=0)
-        top = bez[piv, :, keys]  # (n, m): the pivot row of every matrix
-        bez[piv, :, keys] = bez[c].T
-        bez[c] = top.T
+        moved = (piv != c).nonzero()[0]  # most pivots stay on the diagonal
+        if len(moved):
+            low = piv[moved]
+            top = bez[low, :, moved]  # (moved, m): their pivot rows
+            bez[low, :, moved] = bez[c, :, moved]
+            bez[c, :, moved] = top
         # column c below the pivot becomes zero and is never read again
         bez[c + 1:, c + 1:] = (bez[c + 1:, c + 1:] * bez[c, c]
                                - bez[c, c + 1:] * bez[c + 1:, c:c + 1]) % p
@@ -328,50 +334,79 @@ def _key_rows(keys: np.ndarray, n: int, p: int) -> np.ndarray:
 
 
 def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical key of every vector of every box, box after box, odometer
-    order within a box, packed as the base-p integer of its 2g coordinates
+    """Canonical key of every vector of every box, box after box, each box's
+    keys ascending, packed as the base-p integer of its 2g coordinates
     (coordinate 0 most significant, so integer order is lex order).
 
     Every coordinate of a box is nonzero, so a vector's key starts with the
     least member x of the coset of its first coordinate v0 modulo the d-th
-    powers (d = gcd(4g+2, p-1)), reached by the d roots of alpha^(4g+2) =
-    x/v0.  Those are found once for each distinct v0 of all the boxes (-alpha
-    acts as alpha, so half of them suffice) and broadcast over a slice of
-    vectors as a (vectors, d/2) array of packed candidates; the key is its
-    row minimum.  Keys are int64 while p^(2g) < 2^63, Python integers (dtype
-    object) above.  Slices are sized by _SLICE_BYTES from the real entry
-    size.
+    powers (d = gcd(4g+2, p-1)), reached by the d roots alpha_c of
+    alpha^(4g+2) = x/v0, found once for each distinct v0 of all the boxes
+    (-alpha acts as alpha, so half of them suffice).  The key is the
+    minimum over c of sum_j (alpha_c^(4g+2-2j) v_j mod p) p^(2g-1-j), whose
+    every term depends on (v0, c) and one coordinate v_j only: a box's keys
+    are the broadcast sum of one (M, d/2, M) digit table per coordinate,
+    then one minimum over c.  Boxes of equal side that follow each other
+    form one (boxes, M^(2g)) block, keyed in slices of rows and sorted
+    along its rows in one call.  A row is a (box, leading coordinates)
+    prefix: v0 alone, one more coordinate each time a row's candidates
+    exceed _SLICE_BYTES.  Keys are int64 while p^(2g) < 2^63, Python
+    integers (dtype object) above, and slices are sized from the real entry
+    size.  Raises ValueError, before allocating, when the keys would take
+    more than CENSUS_BYTE_GUARD bytes.
     Returns the keys and the offset of each box's first key (plus the end).
     """
     g = boxes[0].g
     n = 2 * g
+    kdtype = np.int64 if p ** n < 1 << 63 else object  # keys are below p^n
+    sizes = [b.cell_count() for b in boxes]
+    nbytes = sum(sizes) * _entry_bytes(kdtype, p ** n)
+    if nbytes > CENSUS_BYTE_GUARD:
+        raise ValueError(
+            f"census of {sum(sizes)} vectors needs {nbytes} bytes of keys, above the "
+            f"guard of {CENSUS_BYTE_GUARD} bytes; sample smaller sub-boxes instead")
     d = math.gcd(4 * g + 2, p - 1)
     v0s = sorted({v0 for b in boxes for v0 in range(b.R[0] + 1, b.R[0] + b.M + 1)})
     alphas = [al for v0, x in zip(v0s, _coset_minima(v0s, d, p))
               for al in roots_mod(x * pow(v0, -1, p) % p, 4 * g + 2, p) if 2 * al < p]
     scal = _scaled_rows(alphas, (1,) * n, p).reshape(len(v0s), d // 2, n)
-    kdtype = np.int64 if p ** n < 1 << 63 else object  # keys are below p^n
-    place = np.array([p ** (n - 1 - j) for j in range(n)], dtype=kdtype)
-    side = np.array([b.M for b in boxes], dtype=np.int64)
-    lows = np.array([b.lows() for b in boxes], dtype=np.int64)
-    first = np.searchsorted(v0s, lows[:, 0])  # row of scal for each box's first v0
-    offsets = np.concatenate(([0], np.cumsum(side ** n)))
-    keys = np.empty(offsets[-1], dtype=kdtype)
     # candidates are scal.dtype and keys kdtype: an object entry if either is
-    step = _slice_len((d // 2 + 1) * n, _entry_bytes(np.result_type(kdtype, scal.dtype), p ** n),
-                      _KEY_TEMPS)
-    for start in range(0, len(keys), step):
-        stop = min(len(keys), start + step)
-        ids = np.arange(start, stop)
-        box = np.searchsorted(offsets, ids, side="right") - 1
-        local, m = ids - offsets[box], side[box]
-        digits = np.empty((len(ids), n), dtype=np.int64)
-        for j in range(n - 1, -1, -1):
-            digits[:, j] = local % m
-            local //= m
-        vec = (digits + lows[box]).astype(scal.dtype)
-        cand = scal[first[box] + digits[:, 0]] * vec[:, None, :] % p
-        keys[start:stop] = (cand @ place).min(axis=1)
+    entry = _entry_bytes(np.result_type(kdtype, scal.dtype), p ** n)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    keys = np.empty(offsets[-1], dtype=kdtype)
+    done = 0
+    for M, group in itertools.groupby(boxes, key=lambda b: b.M):
+        lows = np.array([b.lows() for b in group], dtype=np.int64)
+        block = keys[done:done + len(lows) * M ** n]
+        done += len(block)
+        first = np.searchsorted(v0s, lows[:, 0])  # row of scal for each box's first v0
+        free = n - 1  # coordinates after a row's prefix
+        while free and (d // 2) * M ** free * entry * _KEY_TEMPS > _SLICE_BYTES:
+            free -= 1
+        lead = n - free
+        rows = len(lows) * M ** lead
+        step = _slice_len((d // 2) * M ** free, entry, _KEY_TEMPS)
+        for start in range(0, rows, step):
+            prefix = np.unravel_index(np.arange(start, min(rows, start + step)),
+                                      (len(lows),) + (M,) * lead)
+            count, lo = len(prefix[0]), lows[prefix[0]]
+            s = scal[first[prefix[0]] + prefix[1]]  # (rows, d/2, 2g)
+            cand = 0
+            for j in range(n):
+                shape = [count, d // 2] + [1] * free
+                if j < lead:
+                    v = lo[:, j, None] + prefix[j + 1][:, None]
+                else:
+                    v = lo[:, j, None] + np.arange(M)
+                    shape[2 + j - lead] = M
+                digit = s[:, :, j, None] * v[:, None, :]
+                digit %= p
+                digit = digit.astype(kdtype, copy=False)
+                digit *= p ** (n - 1 - j)
+                cand = cand + digit.reshape(shape)
+            cand.min(axis=1, out=block[start * M ** free:(start + count) * M ** free]
+                     .reshape([count] + [M] * free))
+        block.reshape(len(lows), M ** n).sort(axis=1)  # a box's equal keys become one run
     return keys, offsets
 
 
@@ -390,17 +425,21 @@ def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
     """Exhaustive census of the isomorphism classes meeting each box, for
     many boxes of one genus in one pass.
 
-    Keys every vector of every box by its packed canonical representative
-    (`_packed_keys`: one root extraction of O(log p) per distinct value of
-    the first coordinate over all the boxes, then O(g) array passes per
-    vector, never O(p)), sorts each box's keys in place and groups equal
-    runs in one pass over all the boxes, and decides singularity once per
-    distinct key of all the boxes in `nonsingular_mask` passes; each box
-    looks its verdicts up by binary search.  Per box it reports the class
-    count, the first and second moments of the class sizes, the largest
-    class and the number of singular vectors, so the box volume is fully
-    accounted for.  The per-class sizes stay arrays until `class_sizes` is
-    read.  Raises ValueError on an empty batch or mixed genera.
+    Takes the boxes in order of side (a stable sort) and keys every vector
+    of every box by its packed canonical representative (`_packed_keys`:
+    one root extraction of O(log p) per distinct value of the first
+    coordinate over all the boxes, one digit table of M^2 d/2 entries per
+    coordinate and box, then only adds and one minimum per vector, never
+    O(p)), with the keys of each side sorted box by box in one sort.  It
+    groups equal runs in one pass over all the boxes, and decides
+    singularity once per distinct key of all the boxes in
+    `nonsingular_mask` passes; each box looks its verdicts up by binary
+    search.  Per box it reports the class count, the first and second
+    moments of the class sizes, the largest class and the number of
+    singular vectors, so the box volume is fully accounted for.  The
+    per-class sizes stay arrays until `class_sizes` is read.  The censuses
+    come back in the order of the boxes.  Raises ValueError on an empty
+    batch, mixed genera, or keys above CENSUS_BYTE_GUARD bytes.
     """
     boxes = list(boxes)
     if not boxes:
@@ -411,15 +450,10 @@ def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
     p, g = modulus.p, genera[0]
     for box in boxes:
         box.validate_for(p)
-    cells = sum(box.cell_count() for box in boxes)
-    if cells > CENSUS_CELL_GUARD:
-        raise ValueError(
-            f"census of {cells} vectors, above the guard {CENSUS_CELL_GUARD}; "
-            "sample smaller sub-boxes instead")
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i].M)
+    boxes = [boxes[i] for i in order]  # boxes of one side form one block
     # each array is dropped once used: the peak sets the process's RSS
     keys, offsets = _packed_keys(boxes, p)
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        keys[a:b].sort()  # in place: a box's equal keys become one run
     first = _run_starts(keys, offsets)
     ukeys = keys[first]
     del keys
@@ -443,11 +477,13 @@ def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
     # every census holds views of one array of kept keys and one of sizes
     ukeys, counts = ukeys[keep], counts[keep]
     bounds = np.cumsum([0] + class_count).tolist()
-    return [ClassCensus(class_count=n, total_nonsingular=t, second_moment=s2,
-                        max_class_size=mx, box_size=box.cell_count(), singular_count=sg,
-                        keys=ukeys[a:b], sizes=counts[a:b], g=g, p=p)
-            for box, n, t, s2, mx, sg, a, b in zip(boxes, class_count, total, second,
-                                                   largest, singular, bounds, bounds[1:])]
+    censuses = [ClassCensus(class_count=n, total_nonsingular=t, second_moment=s2,
+                            max_class_size=mx, box_size=box.cell_count(), singular_count=sg,
+                            keys=ukeys[a:b], sizes=counts[a:b], g=g, p=p)
+                for box, n, t, s2, mx, sg, a, b in zip(boxes, class_count, total, second,
+                                                       largest, singular, bounds, bounds[1:])]
+    by_box = dict(zip(order, censuses))
+    return [by_box[i] for i in range(len(by_box))]  # input order
 
 
 def class_census(modulus: PrimeModulus, box: CubeBox) -> ClassCensus:

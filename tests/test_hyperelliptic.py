@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallbox import harness, hyperelliptic
+from smallbox.acceptance import DEFAULT_SEED, derived_rng
 from smallbox.ffield import FpPolynomial, PrimeModulus, discriminant
 from smallbox.hyperelliptic import (
     CubeBox,
@@ -322,14 +323,65 @@ def test_word_sized_census_matches_canonical_forms(p):
         assert class_census(mod, box).class_sizes == dict(expect)
 
 
-@pytest.mark.parametrize("budget", [1, 2000])
+def test_censuses_of_interleaved_sides_come_back_in_input_order():
+    # sides 3, 1, 3, 2, 1, 2: each side is keyed as one block, the side-1 box
+    # twice, and every census returns to its box's place in the batch
+    boxes = [CubeBox(2, (3, 1, 4, 1), 3), CubeBox(2, (5, 9, 2, 6), 1),
+             CubeBox(2, (2, 7, 1, 8), 3), CubeBox(2, (2, 8, 1, 8), 2),
+             CubeBox(2, (5, 9, 2, 6), 1), CubeBox(2, (0, 0, 0, 0), 2)]
+    censuses = class_censuses(MOD31, boxes)
+    assert [cen.box_size for cen in censuses] == [81, 1, 81, 16, 1, 16]
+    for box, cen in zip(boxes, censuses):
+        _assert_census_is(cen, walk_census(MOD31, box), box)
+
+
+# p = 31, g = 2: d/2 = 5 candidates of 8 bytes, _KEY_TEMPS = 3.  Budget 1
+# keys one vector per slice.  500 makes a row a (box, v0, v1, v2) prefix at
+# side 3 and a (box, v0, v1) prefix at side 2.  2000 makes it (box, v0, v1)
+# at side 3 and keeps whole (box, v0) rows, two a slice, at side 2.
+@pytest.mark.parametrize("budget", [1, 500, 2000])
 def test_census_slices_do_not_change_the_result(monkeypatch, budget):
-    # one vector and one key per slice, then a few per slice
     boxes = [CubeBox(2, (3, 1, 4, 1), 3), CubeBox(2, (5, 9, 2, 6), 2), CubeBox(2, (3, 1, 4, 1), 3)]
     expect = [walk_census(MOD31, box) for box in boxes]
     monkeypatch.setattr(hyperelliptic, "_SLICE_BYTES", budget)
     for box, cen, walked in zip(boxes, class_censuses(MOD31, boxes), expect):
         _assert_census_is(cen, walked, box)
+
+
+def test_census_guard_counts_key_bytes(monkeypatch):
+    # 90,000 cells: 720,000 bytes of int64 keys, but 52 bytes a key at
+    # p = 2^61-1 (a pointer and a Python integer below p^2)
+    monkeypatch.setattr(hyperelliptic, "CENSUS_BYTE_GUARD", 720_000)
+    assert class_census(PrimeModulus(1009), CubeBox(1, (0, 0), 300)).box_size == 90_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            class_census(PrimeModulus(BIG), CubeBox(1, (0, 0), 300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert "90000 vectors" in message and "4680000 bytes" in message and "\n" not in message
+    assert peak < 1 << 20  # refused before the 4.68 MB of keys
+
+
+def test_keying_memory_stays_below_per_cell_candidates():
+    # criterion 3's genus-2 batch: 504 cubes, 552,636 vectors at p = 31.
+    # The peak of keying it cell by cell, in slices of (vectors, d/2, 2g)
+    # candidates, was 12,949,363 bytes.
+    cubes = []
+    for M in range(1, 9):
+        for i in range(63):
+            rng = derived_rng(DEFAULT_SEED, f"c3-2-{M}", i)
+            cubes.append(CubeBox(2, tuple(rng.randrange(31 - M) for _ in range(4)), M))
+    tracemalloc.start()
+    try:
+        keys, offsets = hyperelliptic._packed_keys(cubes, 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert offsets[-1] == len(keys) == 552_636
+    assert peak < 12_949_363
 
 
 def test_censuses_reject_empty_and_mixed_batches():
@@ -451,7 +503,9 @@ def test_singularity_filter_matches_discriminants(case):
 
 @pytest.mark.parametrize("p, g", [(3, 1), (5, 2), (7, 1), (11, 1), (3, 2)])
 def test_singularity_filter_exhaustive(p, g):
-    # p = 2g+1 (f' loses its X^(2g) term) and neighbours, every vector
+    # p = 2g+1 (f' loses its X^(2g) term) and neighbours, every vector.  The
+    # Bezout entry (0, 0) is a_1^2 - 2 a_0 a_2 (a_1^2 at g = 1), so a row such
+    # as (1, 0) at p = 7, g = 1 (nonsingular) pivots column 0 on a lower row
     rows = list(itertools.product(range(p), repeat=2 * g))
     mask = nonsingular_mask(np.array(rows, dtype=np.int64), p).tolist()
     assert mask == [_scalar_nonsingular(r, p) for r in rows]
