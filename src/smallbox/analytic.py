@@ -6,17 +6,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ffield import FpPolynomial, poly_values
+from .ffield import FpPolynomial, entry_bytes, poly_values, run_starts
 
 ERDOS_TURAN_CONSTANT = 3.0
 WEYL_LOOP_GUARD = 10 ** 9
-VINOGRADOV_STATE_GUARD = 10 ** 8
+# bytes the arrays of one count_vinogradov step may take
+VINOGRADOV_BYTE_GUARD = 10 ** 9
+# values of (l_1, ..., l_(m-1)) one weyl_majorant slice holds at most
+_WEYL_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,15 @@ def weyl_majorant(theta: Fraction, m: int, M: int) -> float:
     over all |l_i| < M.  Terms whose argument lands on an integer (in
     particular every l_i = 0 term) contribute the cap M.  All norm
     comparisons are exact integer arithmetic.
+
+    With theta = a/q a term depends only on rr = min(r, q - r), where
+    r = a m! l_1...l_(m-1) mod q: ||.|| = rr/q.  The grid of leading
+    tuples (l_1, ..., l_(m-2)) and last values l_(m-1) is walked in
+    slices of at most _WEYL_BLOCK values: blocks of whole rows of 2M - 1
+    last values, or parts of one row when a row is longer.  Values are
+    int64 while q M < 2^63, Python integers above.  Each slice is sorted
+    by rr and each run of equal rr is added once, exactly, so the
+    rational sum and its float are those of the per-term sum.
     """
     if m < 2:
         raise ValueError("m >= 2 required")
@@ -91,19 +104,24 @@ def weyl_majorant(theta: Fraction, m: int, M: int) -> float:
     if not isinstance(theta, Fraction):
         raise TypeError("theta must be a Fraction")
     a, q = theta.numerator, theta.denominator
-    fact = math.factorial(m)
-    total = Fraction(0)
+    dtype = np.int64 if q * M < 2 ** 63 else object  # |r| < q M before reduction
+    lead = a * math.factorial(m) % q
     ells = range(-(M - 1), M)
-    for ls in itertools.product(ells, repeat=m - 1):
-        prod = 1
-        for l in ls:
-            prod *= l
-        r = (a * fact * prod) % q
-        if r == 0:
-            total += M
-        else:
-            rr = min(r, q - r)  # ||x|| = rr/q, so the reciprocal is q/rr
-            total += min(Fraction(M), Fraction(q, rr))
+    # a m! l_1...l_(m-2) mod q for each leading tuple
+    heads = (lead * math.prod(ls) % q for ls in itertools.product(ells, repeat=m - 2))
+    width = min(len(ells), _WEYL_BLOCK)  # last values per slice
+    total = Fraction(0)
+    while block := list(itertools.islice(heads, _WEYL_BLOCK // width)):
+        col = np.array(block, dtype=dtype)[:, None]
+        for lo in range(-(M - 1), M, width):
+            last = np.arange(lo, min(lo + width, M), dtype=np.int64).astype(dtype)
+            rr = (col * last % q).ravel()
+            rr = np.minimum(rr, q - rr)
+            rr.sort()
+            starts = run_starts(rr, [0, len(rr)])
+            mult = np.diff(starts, append=len(rr))
+            total += sum(c * (M if v == 0 else min(Fraction(M), Fraction(q, v)))
+                         for v, c in zip(rr[starts].tolist(), mult.tolist()))
     return M ** (1 - m / 2 ** (m - 1)) * float(total) ** (2 ** (1 - m))
 
 
@@ -139,24 +157,67 @@ def count_vinogradov(k: int, m: int, H: int) -> int:
 
     Builds the distribution of (s_1, ..., s_m) over k-tuples by k sparse
     convolutions with the single-variable atom set, then sums the squared
-    multiplicities.
+    multiplicities in Python integers.  A state is one mixed-radix key
+    sum_j s_j prod_(i<j) radix_i with radix_j = k H^j + 1 > s_j, so keys
+    add without carries.  Keys are int64 while prod radix_j < 2^63 and
+    counts while H^k < 2^63, Python integers (dtype object) above.  A step
+    adds every atom to every key, sorts the sums and adds the counts of
+    each run of equal keys with np.add.reduceat, exact in both dtypes.
+
+    A step from i - 1 to i variables holds H entries per state, each a key,
+    a count and a sort index.  The states are at most the multisets of
+    i - 1 values, C(H + i - 2, i - 1), and at most the product over j of
+    the (i - 1)(H^j - 1) + 1 values s_j can take.  Both grow with i, so the
+    last step is the largest; raises ValueError when its entries would take
+    more than VINOGRADOV_BYTE_GUARD bytes.  That check is made first on
+    lower bounds that need no big integer: H k entries or more, keys of
+    m(m + 1)/2 floor(log2 H) bits or more and counts of k floor(log2 H)
+    bits or more.  s_1, ..., s_k fix the multiset of k values (Newton's
+    identities), so m is cut to k first, and H = 1 gives 1.
     """
     if k < 1 or m < 1 or H < 1:
         raise ValueError("k, m, H must all be >= 1")
-    if H ** m * k > VINOGRADOV_STATE_GUARD:
-        raise ValueError("state-space guard exceeded")
-    atoms = [tuple(x ** j for j in range(1, m + 1)) for x in range(1, H + 1)]
-    dist = {(0,) * m: 1}
+    if H == 1:
+        return 1  # one k-tuple a side
+    m = min(m, k)
+    bits = H.bit_length() - 1
+    least = H * k * (max(8, m * (m + 1) // 2 * bits // 8) + max(8, k * bits // 8) + 8)
+    if least > VINOGRADOV_BYTE_GUARD:
+        raise ValueError(f"J({k},{m};{H}) needs at least {least} bytes in one step, "
+                         f"above the guard of {VINOGRADOV_BYTE_GUARD} bytes")
+    states = math.comb(H + k - 2, k - 1)
+    span = 1
+    for j in range(1, m + 1):
+        if span >= states:
+            break
+        span *= (k - 1) * (H ** j - 1) + 1
+    radix = [k * H ** j + 1 for j in range(1, m + 1)]
+    key_bound, count_bound = math.prod(radix), H ** k
+    key_dtype = np.int64 if key_bound < 2 ** 63 else object
+    count_dtype = np.int64 if count_bound < 2 ** 63 else object
+    nbytes = H * min(states, span) * (entry_bytes(key_dtype, key_bound)
+                                      + entry_bytes(count_dtype, count_bound) + 8)
+    if nbytes > VINOGRADOV_BYTE_GUARD:
+        raise ValueError(f"J({k},{m};{H}) needs up to {nbytes} bytes in one step, "
+                         f"above the guard of {VINOGRADOV_BYTE_GUARD} bytes")
+    place = np.array(list(itertools.accumulate(radix[:-1], operator.mul, initial=1)),
+                     dtype=key_dtype)
+    # atom x is sum_j x^j prod_(i<j) radix_i: every term is below key_bound
+    xs = np.arange(1, H + 1).astype(key_dtype)[:, None]
+    atoms = (xs ** np.arange(1, m + 1) * place).sum(axis=1)
+    keys = np.zeros(1, dtype=key_dtype)
+    counts = np.ones(1, dtype=count_dtype)
     for _ in range(k):
-        nxt: dict = {}
-        for s, cnt in dist.items():
-            for a in atoms:
-                key = tuple(si + ai for si, ai in zip(s, a))
-                nxt[key] = nxt.get(key, 0) + cnt
-        dist = nxt
-        if len(dist) > VINOGRADOV_STATE_GUARD:
-            raise ValueError("state-space guard exceeded")
-    return sum(c * c for c in dist.values())
+        sums = (atoms[:, None] + keys[None, :]).ravel()  # entry a n + s: atom a, state s
+        order = np.argsort(sums)
+        sums = sums[order]
+        order %= len(keys)
+        counts = counts[order]
+        del order
+        starts = run_starts(sums, [0, len(sums)])
+        keys = sums[starts]
+        counts = np.add.reduceat(counts, starts)
+    return sum(c * c for c in counts.tolist())
 
 
 def kappa(m: int) -> int:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxcount import DEFAULT_EPS
-from .ffield import (FpPolynomial, PrimeModulus, discriminant, is_qr, match_count,
-                     poly_values, QrStatus, residue_dtype, roots_mod, sqrt_mod_int)
+from .ffield import (FpPolynomial, PrimeModulus, discriminant, entry_bytes, is_qr,
+                     match_count, poly_values, QrStatus, residue_dtype, roots_mod,
+                     run_starts, sqrt_mod_int)
 
 # bytes the key array of one census batch may take
 CENSUS_BYTE_GUARD = 8 * 10 ** 9
@@ -311,17 +311,10 @@ def nonsingular_mask(a, p: int) -> np.ndarray:
     return alive
 
 
-def _entry_bytes(dtype, largest: int) -> int:
-    """Bytes one array entry costs: its itemsize, plus for dtype object the
-    Python integer it points to, at most `largest`."""
-    dtype = np.dtype(dtype)
-    return 8 + sys.getsizeof(largest) if dtype == object else dtype.itemsize
-
-
-def _slice_len(entries: int, entry_bytes: int, temps: int) -> int:
+def _slice_len(entries: int, nbytes: int, temps: int) -> int:
     """Items per slice so that `temps` arrays of `entries` entries of
-    `entry_bytes` per item fit in _SLICE_BYTES."""
-    return max(1, _SLICE_BYTES // (entries * entry_bytes * temps))
+    `nbytes` per item fit in _SLICE_BYTES."""
+    return max(1, _SLICE_BYTES // (entries * nbytes * temps))
 
 
 def _key_rows(keys: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -360,7 +353,7 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
     n = 2 * g
     kdtype = np.int64 if p ** n < 1 << 63 else object  # keys are below p^n
     sizes = [b.cell_count() for b in boxes]
-    nbytes = sum(sizes) * _entry_bytes(kdtype, p ** n)
+    nbytes = sum(sizes) * entry_bytes(kdtype, p ** n)
     if nbytes > CENSUS_BYTE_GUARD:
         raise ValueError(
             f"census of {sum(sizes)} vectors needs {nbytes} bytes of keys, above the "
@@ -371,7 +364,7 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
               for al in roots_mod(x * pow(v0, -1, p) % p, 4 * g + 2, p) if 2 * al < p]
     scal = _scaled_rows(alphas, (1,) * n, p).reshape(len(v0s), d // 2, n)
     # candidates are scal.dtype and keys kdtype: an object entry if either is
-    entry = _entry_bytes(np.result_type(kdtype, scal.dtype), p ** n)
+    entry = entry_bytes(np.result_type(kdtype, scal.dtype), p ** n)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     keys = np.empty(offsets[-1], dtype=kdtype)
     done = 0
@@ -410,17 +403,6 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, offsets
 
 
-def _run_starts(keys: np.ndarray, offsets) -> np.ndarray:
-    """Index of the first key of each run of equal keys, where every segment
-    keys[offsets[i]:offsets[i+1]] is sorted and no run crosses a segment
-    boundary.  (np.unique would import numpy.ma on its first call: 15 ms
-    and about 1 MB in every fresh interpreter.)"""
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    new[offsets[:-1]] = True
-    return np.flatnonzero(new)
-
-
 def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
     """Exhaustive census of the isomorphism classes meeting each box, for
     many boxes of one genus in one pass.
@@ -454,15 +436,15 @@ def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
     boxes = [boxes[i] for i in order]  # boxes of one side form one block
     # each array is dropped once used: the peak sets the process's RSS
     keys, offsets = _packed_keys(boxes, p)
-    first = _run_starts(keys, offsets)
+    first = run_starts(keys, offsets)
     ukeys = keys[first]
     del keys
     counts = np.diff(np.concatenate((first, offsets[-1:])))
     starts = np.searchsorted(first, offsets[:-1])  # each box's first run
     del first
     distinct = np.sort(ukeys)
-    distinct = distinct[_run_starts(distinct, [0, len(distinct)])]
-    step = _slice_len((2 * g + 1) ** 2, _entry_bytes(residue_dtype(p), p * p), _FILTER_TEMPS)
+    distinct = distinct[run_starts(distinct, [0, len(distinct)])]
+    step = _slice_len((2 * g + 1) ** 2, entry_bytes(residue_dtype(p), p * p), _FILTER_TEMPS)
     verdict = np.concatenate([nonsingular_mask(_key_rows(distinct[s:s + step], 2 * g, p), p)
                               for s in range(0, len(distinct), step)])
     keep = verdict[np.searchsorted(distinct, ukeys)]

@@ -5,12 +5,15 @@ import cmath
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from smallbox import acceptance
+from smallbox import acceptance, analytic
 from smallbox.analytic import (
     count_vinogradov,
     erdos_turan_check,
@@ -163,13 +166,66 @@ def test_weyl_majorant_m2_direct_formula():
     for l in range(-(M - 1), M):
         r = 2 * 3 * l % 17
         total += M if r == 0 else min(Fraction(M), Fraction(17, min(r, 17 - r)))
-    assert weyl_majorant(theta, 2, M) == pytest.approx(float(total) ** 0.5)
+    assert weyl_majorant(theta, 2, M) == float(total) ** 0.5
     with pytest.raises(ValueError):
         weyl_majorant(theta, 2, 10 ** 9 + 1)  # loop guard
     with pytest.raises(TypeError):
         weyl_majorant(0.3, 2, 5)  # inexact phase rejected
     with pytest.raises(TypeError):
         weyl_majorant((3, 17), 2, 5)  # only a Fraction is a phase
+
+
+def _per_term_majorant(theta, m, M):
+    """weyl_majorant summed one term at a time in Fractions."""
+    a, q = theta.numerator, theta.denominator
+    total = Fraction(0)
+    for ls in itertools.product(range(-(M - 1), M), repeat=m - 1):
+        r = a * math.factorial(m) * math.prod(ls) % q
+        total += M if r == 0 else min(Fraction(M), Fraction(q, min(r, q - r)))
+    return M ** (1 - m / 2 ** (m - 1)) * float(total) ** (2 ** (1 - m))
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 10007, 2 ** 31 - 1, 2 ** 61 - 1, 10 ** 30 + 57])
+def test_weyl_majorant_equals_per_term_sum(q):
+    # q M >= 2^63 runs on Python integers; numerators reach 3q
+    rng = random.Random(q)
+    for m, tops in ((2, (1, 2, 17, 40)), (3, (1, 2, 7, 13)), (4, (1, 3, 6))):
+        for M in tops:
+            theta = Fraction(rng.randrange(3 * q), q)
+            assert weyl_majorant(theta, m, M) == _per_term_majorant(theta, m, M)
+
+
+@pytest.mark.parametrize("block", [1, 30, 200])
+def test_weyl_majorant_slices_do_not_change_the_sum(block, monkeypatch):
+    # one value per slice, parts of one row per slice, and several rows per
+    # slice (a float running total fails here)
+    monkeypatch.setattr(analytic, "_WEYL_BLOCK", block)
+    rng = random.Random(block)
+    for q in (101, 2 ** 61 - 1):
+        for m, M in ((2, 9), (3, 8), (3, 20), (4, 4)):
+            for _ in range(4):
+                theta = Fraction(rng.randrange(1, 3 * q), q)
+                assert weyl_majorant(theta, m, M) == _per_term_majorant(theta, m, M)
+
+
+def test_weyl_majorant_memory_is_bounded_in_M():
+    # one row of 2M - 1 = 4 * 10^6 - 1 values would take 32 MB per int64
+    # array; slices of 2^16 values keep the traced peak near 3 MB
+    theta, M = Fraction(3, 17), 2 * 10 ** 6
+    tracemalloc.start()
+    try:
+        value = weyl_majorant(theta, 2, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
+    # a term depends on l mod 17 only: r = 6 l mod 17
+    total = Fraction(0)
+    for c in range(17):
+        n = len(range(-(M - 1) + (c + M - 1) % 17, M, 17))
+        r = 6 * c % 17
+        total += n * (M if r == 0 else min(Fraction(M), Fraction(17, min(r, 17 - r))))
+    assert value == float(total) ** 0.5
 
 
 def test_weyl_square_identity():
@@ -220,6 +276,91 @@ def test_count_vinogradov_guard():
     for bad in ((0, 2, 3), (2, 0, 3), (2, 2, 0)):
         with pytest.raises(ValueError, match=">= 1"):
             count_vinogradov(*bad)
+
+
+def test_count_vinogradov_byte_guard_refuses_before_allocating():
+    # H^m k = 80,000, but the last step holds up to C(28, 9) * 20 entries
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bytes"):
+        count_vinogradov(10, 3, 20)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_count_vinogradov_byte_guard_is_the_last_step(monkeypatch):
+    # J(3, 2; 5): the last step starts from at most C(6, 2) = 15 pairs of
+    # values, so it holds 5 * 15 int64 entries of a key, a count and a sort
+    # index
+    monkeypatch.setattr(analytic, "VINOGRADOV_BYTE_GUARD", 75 * 24)
+    assert count_vinogradov(3, 2, 5) == _dict_dp_reference(3, 2, 5)
+    monkeypatch.setattr(analytic, "VINOGRADOV_BYTE_GUARD", 75 * 24 - 1)
+    with pytest.raises(ValueError, match="bytes"):
+        count_vinogradov(3, 2, 5)
+
+
+def test_count_vinogradov_reaches_h18():
+    # J / H^10 = 111.1, on the plateau the main conjecture's exponent 10 predicts
+    assert count_vinogradov(8, 3, 18) == 396658595655478
+
+
+def _dict_dp_reference(k, m, H):
+    """J(k, m; H) by a dict of power-sum vectors, one k-tuple step at a time."""
+    atoms = [tuple(x ** j for j in range(1, m + 1)) for x in range(1, H + 1)]
+    dist = {(0,) * m: 1}
+    for _ in range(k):
+        nxt: dict = {}
+        for s, cnt in dist.items():
+            for a in atoms:
+                key = tuple(si + ai for si, ai in zip(s, a))
+                nxt[key] = nxt.get(key, 0) + cnt
+        dist = nxt
+    return sum(c * c for c in dist.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 8))
+# keys with radix_j = H^j + 1 collide here: sums carry into the next digit
+@example(8, 2, 10)
+def test_count_vinogradov_matches_dict_dp(k, m, H):
+    assert count_vinogradov(k, m, H) == _dict_dp_reference(k, m, H)
+
+
+@pytest.mark.parametrize("k,m,H,want", [
+    # counts past 2^63 (H^k = 10^20); the 39 digits the CLI golden line pins
+    (20, 1, 10, 218768894829904122626725603838896148680),
+    # keys past 2^63: prod radix_j = prod (5 12^j + 1) is about 4.9e19;
+    # with m >= k the solutions are the pairs of permuted 5-tuples
+    (5, 5, 12, sum(math.factorial(5) ** 2
+                   // math.prod(math.factorial(xs.count(x)) for x in set(xs)) ** 2
+                   for xs in itertools.combinations_with_replacement(range(12), 5))),
+    # both past 2^63; with values 1 and 2 the count of 2s fixes every s_j
+    (63, 7, 2, math.comb(126, 63)),
+])
+def test_count_vinogradov_python_int_paths(k, m, H, want):
+    assert (math.prod(k * H ** j + 1 for j in range(1, m + 1)) >= 2 ** 63
+            or H ** k >= 2 ** 63)
+    assert count_vinogradov(k, m, H) == want == _dict_dp_reference(k, m, H)
+
+
+def test_count_vinogradov_cuts_m_to_k():
+    # s_1, ..., s_k fix the multiset of k values, so J(k, m; H) = J(k, k; H)
+    # for m > k; J(2, m; H) = 2H^2 - H
+    for k, m, H in ((1, 9, 6), (2, 6, 10), (3, 7, 4), (2, 3000, 2)):
+        assert count_vinogradov(k, m, H) == _dict_dp_reference(k, m, H)
+    assert count_vinogradov(2, 10 ** 9, 10) == 2 * 10 ** 2 - 10
+    assert count_vinogradov(10 ** 9, 10 ** 9, 1) == 1  # one k-tuple a side
+
+
+@pytest.mark.parametrize("k,m,H", [
+    (3000, 3000, 2),  # keys of about 4.5 million bits
+    (10 ** 9, 1, 2),  # 2 * 10^9 entries, counts of 10^9 bits
+    (2, 2, 10 ** 9),  # 2 * 10^9 entries
+    (10 ** 7, 10 ** 7, 3),  # C(10^7 + 1, 2) states
+])
+def test_count_vinogradov_refuses_huge_calls_before_big_integers(k, m, H):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at least"):
+        count_vinogradov(k, m, H)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_kappa_values():

@@ -289,6 +289,10 @@ def test_lattice_check(capsys):
     # minima beyond the enumeration guard at p = 2^61 - 1
     ["lattice-check", "--p", "2305843009213693951", "--coeffs",
      "1,1152921504606846977", "--halfwidths", "3,3"],
+    # a power-sum table whose last step would take about 3.3 GB
+    ["vinogradov", "--k", "10", "--m", "3", "--H", "20"],
+    # keys of about 4.5 million bits: refused before any is built
+    ["vinogradov", "--k", "3000", "--m", "3000", "--H", "2"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
