@@ -6,7 +6,8 @@ congruence-lattice minima, and the acceptance harness tying them together.
 
 from .boxcount import (Box2, CountReport, WeilReport, bound_I, bound_J,
                        count_curve_points, count_graph_points, weil_error)
-from .dynsys import Trajectory, bound_diameter, diameter, iterate, trajectory_length
+from .dynsys import (Trajectory, bound_diameter, diameter, iterate, trajectory_length,
+                     trajectory_lengths)
 from .ffield import (FpPolynomial, PrimeModulus, discriminant, is_prime, is_qr,
                      resultant)
 from .harness import ExperimentSpec, ResultRecord, emit, run

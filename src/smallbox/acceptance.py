@@ -261,35 +261,55 @@ def criterion_9(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
         f"{passed}/{trials} instances within the cap, max count {worst}")
 
 
+def _certified_orbits(draws) -> list:
+    """The trajectories of the (rng, f, u0) draws, in draw order: one
+    lockstep walk per prime, certified as it returns."""
+    lanes: dict[int, list[int]] = {}
+    for k, (_, f, _) in enumerate(draws):
+        lanes.setdefault(f.modulus.p, []).append(k)
+    out = [None] * len(draws)
+    for ks in lanes.values():
+        trajs = dynsys.trajectory_lengths([draws[k][1] for k in ks],
+                                          [draws[k][2] for k in ks])
+        for k, traj in zip(ks, trajs):
+            out[k] = traj
+    return out
+
+
 def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
     """Certified orbit walks, diameter identity, and the edge-count duality
-    with graph-point counting."""
+    with graph-point counting.  Each trial's (f, u0) is drawn first and its
+    orbit walked in lockstep with the others at its prime; N, M and the box
+    come afterwards from the same per-trial generator."""
     per_p = 200 if quick else 1000
     checked = 0
     for p in (101, 1009, 10007):
         pm = PrimeModulus(p)
+        draws = []
         for i in range(per_p):
             rng = derived_rng(seed, f"c10-{p}", i)
             f = _random_poly(rng, p, rng.randint(2, 4), pm)
-            u0 = rng.randrange(p)
-            traj = dynsys.trajectory_length(f, u0)  # raises unless certified
-            checked += 1
-            if i < 20:
-                N = rng.randint(1, traj.total_length)
-                vals = traj.values[:N]
-                if dynsys.diameter(f, u0, N) != max(vals) - min(vals):
-                    return CriterionResult(10, "iteration suite", False,
-                                           checked, 3 * per_p,
-                                           f"diameter identity broke at p={p}")
+            draws.append((rng, f, rng.randrange(p)))
+        orbits = _certified_orbits(draws)  # raises unless certified
+        checked += per_p
+        for (rng, f, u0), traj in zip(draws[:20], orbits):
+            N = rng.randint(1, traj.total_length)
+            vals = traj.values[:N]
+            # the scalar walk of `diameter` against the lockstep values
+            if dynsys.diameter(f, u0, N) != max(vals) - min(vals):
+                return CriterionResult(10, "iteration suite", False,
+                                       checked, 3 * per_p,
+                                       f"diameter identity broke at p={p}")
     duality_trials = 20 if quick else 100
+    draws = []
     for i in range(duality_trials):
         rng = derived_rng(seed, "c10-dual", i)
         p = rng.choice((101, 1009))
-        pm = PrimeModulus(p)
-        f = _random_poly(rng, p, rng.randint(2, 4), pm)
-        u0 = rng.randrange(p)
-        T = dynsys.trajectory_length(f, u0).total_length
-        N = rng.randint(1, T)
+        f = _random_poly(rng, p, rng.randint(2, 4), PrimeModulus(p))
+        draws.append((rng, f, rng.randrange(p)))
+    for (rng, f, u0), traj in zip(draws, _certified_orbits(draws)):
+        p = f.modulus.p
+        N = rng.randint(1, traj.total_length)
         M = rng.randint(1, p - 1)
         box = boxcount.Box2(rng.randrange(p - M), rng.randrange(p - M), M)
         edges = dynsys.pairs_in_box(f, u0, N, box)

@@ -1,17 +1,34 @@
 """Polynomial iteration u_n = f(u_(n-1)) over F_p: trajectories, the full
 trajectory length T (first repeat time, split into tail and cycle), the
 trajectory diameter over the first N terms, and the matching lower-bound
-evaluator.  Each orbit is walked once, by scalar steps, and that stored walk
-is proved by the vector kernel `ffield.poly_values`, a separate evaluator."""
+evaluator.
+
+Two walkers find T.  `trajectory_length` walks one orbit by scalar Horner
+steps with a seen-set, which costs well under a millisecond for one orbit
+at p ~ 10^4; `trajectory_lengths` walks many orbits over one modulus in
+lockstep, one `ffield.poly_values` step over all live lanes at a time, which
+pays off only across many lanes (a single lane costs some twenty times the
+scalar walk).  Both walks are proved by one shared certificate that
+evaluates f by ascending powers, a formula neither walker uses.  Each walk
+is refused with ValueError before its stored values would pass
+ORBIT_BYTE_GUARD bytes."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxcount import Box2
-from .ffield import FpPolynomial, poly_values, residue_dtype
+from .ffield import FpPolynomial, entry_bytes, poly_values, residue_dtype
+
+ORBIT_BYTE_GUARD = 10 ** 9
+
+# the seen-set dict's own bytes per stored value at most (CPython 3.11: the
+# entry's hash and two pointers, plus its share of the index table and of the
+# free entries just after a resize), beside the value and index ints
+_DICT_SLOT_BYTES = 56
 
 
 @dataclass(frozen=True)
@@ -41,10 +58,17 @@ def iterate(f: FpPolynomial, u0: int, N: int) -> tuple[int, ...]:
 
 def _seen_scan(f: FpPolynomial, u0: int) -> Trajectory:
     """Walk until the first repeat, keeping each value's index; the dict's
-    insertion order is the trajectory itself."""
+    insertion order is the trajectory itself.  Each stored value costs its
+    int, its index int and a dict slot; the walk stops with ValueError
+    before those pass ORBIT_BYTE_GUARD bytes."""
+    p = f.modulus.p
+    limit = ORBIT_BYTE_GUARD // (2 * sys.getsizeof(p - 1) + _DICT_SLOT_BYTES)
     seen: dict[int, int] = {}
     u, n = u0, 0
     while u not in seen:
+        if n == limit:
+            raise ValueError(f"orbit of {u0} mod {p} has over {limit} values, "
+                             f"above the guard of {ORBIT_BYTE_GUARD} bytes")
         seen[u] = n
         u = f(u)
         n += 1
@@ -52,27 +76,141 @@ def _seen_scan(f: FpPolynomial, u0: int) -> Trajectory:
     return Trajectory(tuple(seen), s, n - s)
 
 
+def _coefficient_rows(fs: list[FpPolynomial], dtype) -> np.ndarray:
+    """Shape (deg+1, lanes): row j holds c_j of every lane, zero above a
+    lane's own degree; at least one row, so the zero polynomial is a row of 0."""
+    width = max(1, *(len(f.coeffs) for f in fs))
+    return np.array([f.coeffs + (0,) * (width - len(f.coeffs)) for f in fs],
+                    dtype=dtype).T
+
+
+def _ascending_values(coeffs: np.ndarray, lane: np.ndarray, xs: np.ndarray,
+                      p: int) -> np.ndarray:
+    """f_lane(x) mod p for each x of xs as the sum of c_j x^j, the powers
+    kept by repeated multiplication: not Horner's formula, so neither walker
+    is checked by its own evaluator."""
+    terms = coeffs[:, lane]  # row j: c_j of each x's lane
+    acc, power = terms[0], xs
+    for j in range(1, len(terms)):
+        if j > 1:
+            power = power * xs % p
+        terms[j] *= power
+        terms[j] %= p
+        acc += terms[j]  # deg+1 terms below p each: no int64 overflow
+    return acc % p
+
+
+def _certify(coeffs: np.ndarray, u0s: np.ndarray, vals: np.ndarray,
+             lengths: np.ndarray, tails: np.ndarray, p: int) -> None:
+    """Prove every lane's walk in one pass over the concatenated values:
+    lane i's T_i = lengths[i] values start at u0s[i], each image under
+    f_i is the next value, the last image is the value at tails[i], and the
+    (lane, value) keys are pairwise distinct.  Together these prove T, tail
+    and cycle of every lane; RuntimeError otherwise."""
+    failed = RuntimeError(f"orbit walks mod {p} fail their certificate")
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    if ends[-1] != len(vals) or not ((0 <= tails) & (tails < lengths)).all():
+        raise failed
+    lane = np.repeat(np.arange(len(lengths)), lengths)
+    successor = np.arange(1, len(vals) + 1)  # the index of the value each image must equal
+    successor[ends - 1] = starts + tails
+    keys = np.sort(lane.astype(vals.dtype) * p + vals)
+    if not ((vals[starts] == u0s).all()
+            and (_ascending_values(coeffs, lane, vals, p) == vals[successor]).all()
+            and (keys[1:] != keys[:-1]).all()):
+        raise failed
+
+
 def trajectory_length(f: FpPolynomial, u0: int) -> Trajectory:
     """Resolve T for the orbit of u0: the values up to the first repeat plus
     (tail_length, cycle_length) with T = tail + cycle.
 
     One walk with a seen-set stores the values and finds the first repeat,
-    in T scalar evaluations.  One `poly_values` pass then re-evaluates f on
-    every stored value: the walk starts at u0, each image is the next value,
-    the last image is the value at tail_length, and the values are pairwise
-    distinct.  Together these prove T, tail and cycle; RuntimeError otherwise.
+    in T scalar evaluations.  The shared certificate then re-evaluates f on
+    every stored value by ascending powers: the walk starts at u0, each
+    image is the next value, the last image is the value at tail_length,
+    and the values are pairwise distinct.  Together these prove T, tail and
+    cycle; RuntimeError otherwise.  ValueError when the stored walk would
+    pass ORBIT_BYTE_GUARD bytes.
     """
     p = f.modulus.p
     u0 %= p
     traj = _seen_scan(f, u0)
-    vals, tail = np.asarray(traj.values, dtype=residue_dtype(p)), traj.tail_length
-    images = poly_values(f.coeffs, vals, p)
-    ordered = np.sort(vals)
-    if not (vals[0] == u0 and 0 <= tail < len(vals) == traj.total_length
-            and (images[:-1] == vals[1:]).all() and images[-1] == vals[tail]
-            and (ordered[1:] != ordered[:-1]).all()):
-        raise RuntimeError(f"orbit of {u0} mod {p} fails its certificate")
+    dtype = residue_dtype(p)
+    _certify(_coefficient_rows([f], dtype), np.array([u0], dtype=dtype),
+             np.asarray(traj.values, dtype=dtype), np.array([traj.total_length]),
+             np.array([traj.tail_length]), p)
     return traj
+
+
+def _lockstep_scan(coeffs: np.ndarray, u0s: np.ndarray,
+                   p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk every lane at once until each has repeated, and return the
+    concatenated values u_0..u_(T-1) of every lane in input order, with the
+    lengths T and the tails.
+
+    The values go into a (lanes, K) matrix, one `poly_values` step over the
+    live lanes per column, K doubling from 64 (every lane has repeated once
+    K > p).  At each doubling one stable row-wise argsort finds each
+    lane's first repeat T and its tail, and finished lanes leave the matrix.
+    Before each matrix is allocated, its entries at their real size plus the
+    sort's three 8-byte entries beside each are held to ORBIT_BYTE_GUARD;
+    ValueError above it."""
+    dtype, lanes = u0s.dtype, len(u0s)
+    out: list = [None] * lanes
+    lengths, tails = np.zeros(lanes, np.int64), np.zeros(lanes, np.int64)
+    live, walked = np.arange(lanes), u0s[:, None]
+    K = 64
+    while live.size:
+        nbytes = live.size * K * (entry_bytes(dtype, p - 1) + 24)
+        if nbytes > ORBIT_BYTE_GUARD:
+            raise ValueError(f"{live.size} orbits of {K} values mod {p} take {nbytes} "
+                             f"bytes, above the guard of {ORBIT_BYTE_GUARD} bytes")
+        walk = np.empty((live.size, K), dtype=dtype)
+        walk[:, :walked.shape[1]] = walked
+        for j in range(walked.shape[1], K):
+            walk[:, j] = poly_values(coeffs, walk[:, j - 1], p)
+        order = np.argsort(walk, axis=1, kind="stable")
+        ordered = np.take_along_axis(walk, order, axis=1)
+        # in a stable order the later copies of a value follow its first one,
+        # so a lane's first repeat T is its least index that follows an equal
+        later = np.where(ordered[:, 1:] == ordered[:, :-1], order[:, 1:], K)
+        first = later.argmin(axis=1)
+        T = later[np.arange(live.size), first]
+        for r in np.flatnonzero(T < K):
+            lane = live[r]
+            out[lane] = walk[r, :T[r]]
+            lengths[lane], tails[lane] = T[r], order[r, first[r]]
+        keep = T == K
+        walked, coeffs, live = walk[keep], coeffs[:, keep], live[keep]
+        K *= 2
+    return np.concatenate(out), lengths, tails
+
+
+def trajectory_lengths(fs, u0s) -> list[Trajectory]:
+    """`trajectory_length` of (fs[i], u0s[i]) for every i, in input order,
+    for many polynomials over one modulus: one lockstep walk of all lanes
+    (`_lockstep_scan`), then one shared certificate over all their values.
+    ValueError on empty input, unequal lengths, mixed moduli, or a walk
+    matrix above ORBIT_BYTE_GUARD bytes; RuntimeError if the certificate
+    fails."""
+    fs, u0s = list(fs), list(u0s)
+    if not fs or len(fs) != len(u0s):
+        raise ValueError("trajectory_lengths needs one u0 per polynomial, "
+                         "and at least one of each")
+    modulus = fs[0].modulus
+    if any(f.modulus != modulus for f in fs):
+        raise ValueError("mixed moduli")
+    p = modulus.p
+    dtype = residue_dtype(p)
+    coeffs = _coefficient_rows(fs, dtype)
+    starts = np.array([int(u) % p for u in u0s], dtype=dtype)
+    vals, lengths, tails = _lockstep_scan(coeffs, starts, p)
+    _certify(coeffs, starts, vals, lengths, tails, p)
+    flat, ends = vals.tolist(), np.cumsum(lengths).tolist()
+    return [Trajectory(tuple(flat[e - n:e]), s, n - s)
+            for e, n, s in zip(ends, lengths.tolist(), tails.tolist())]
 
 
 def diameter(f: FpPolynomial, u0: int, N: int) -> int:

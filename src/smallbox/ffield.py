@@ -323,8 +323,11 @@ def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
     """f(x) mod p for every integer x of xs, by Horner over the whole vector.
 
     coeffs are ascending; xs is a range or an integer array, negative
-    values included.  The result holds residues in [0, p-1] of
-    residue_dtype(p), exact either way.
+    values included.  coeffs may also be per-lane rows, an array of
+    residue_dtype(p) and shape (deg+1, len(xs)) whose row j holds c_j for
+    each x (zero above that x's own degree): each row then broadcasts
+    against xs, so every x gets its own polynomial.  The result holds
+    residues in [0, p-1] of residue_dtype(p), exact either way.
     """
     dtype = residue_dtype(p)
     if isinstance(xs, range):

@@ -1,12 +1,17 @@
-"""Trajectory statistics of polynomial iteration: the single walk and the
-vector certificate that proves it, diameters, the pair count, and the
-lower-bound shape."""
+"""Trajectory statistics of polynomial iteration: the scalar walk, the
+lockstep walk of many orbits (checked lane by lane against the scalar one),
+the shared certificate that proves both, the byte guard of each walk,
+diameters, the pair count, and the lower-bound shape."""
 
 import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smallbox import dynsys
+from smallbox import cli, dynsys
 from smallbox.boxcount import Box2, count_graph_points
 from smallbox.dynsys import (
     bound_diameter,
@@ -14,8 +19,9 @@ from smallbox.dynsys import (
     iterate,
     pairs_in_box,
     trajectory_length,
+    trajectory_lengths,
 )
-from smallbox.ffield import FpPolynomial, PrimeModulus
+from smallbox.ffield import FpPolynomial, PrimeModulus, residue_dtype
 
 
 def test_iterate_prefix_and_values():
@@ -84,27 +90,170 @@ def test_trajectory_length_makes_T_scalar_evaluations(monkeypatch):
         assert calls[0] == T
 
 
+def _bad_walks(traj: dynsys.Trajectory, p: int) -> list[dynsys.Trajectory]:
+    """Four walks that break one clause of the certificate each."""
+    vals, s, c = traj.values, traj.tail_length, traj.cycle_length
+    corrupted = list(vals)
+    corrupted[s + c // 2] = (corrupted[s + c // 2] + 1) % p
+    return [
+        dynsys.Trajectory(vals, s + 1, c - 1),  # wrong tail: only the closing step breaks
+        dynsys.Trajectory(tuple(corrupted), s, c),  # one value off
+        dynsys.Trajectory(vals + vals[s:], s, 2 * c),  # every step holds, values repeat
+        dynsys.Trajectory(vals[1:], s - 1, c),  # the orbit of f(u0), not of u0
+    ]
+
+
+def _as_scan(trajs, p):
+    """The (values, lengths, tails) arrays `_lockstep_scan` returns."""
+    vals = np.array([v for t in trajs for v in t.values], dtype=residue_dtype(p))
+    return (vals, np.array([len(t.values) for t in trajs]),
+            np.array([t.tail_length for t in trajs]))
+
+
 def test_certificate_checks_the_walk_at_large_p(monkeypatch):
     # T = 61,489 on int64 vectors, and above 2^31 on dtype object vectors
     for p, u0, lengths in ((10 ** 9 + 7, 3, (33916, 27573)),
                            (2 ** 31 + 11, 34, (3371, 12460))):
-        f = FpPolynomial.from_text("1,0,1", PrimeModulus(p))
+        mod = PrimeModulus(p)
+        f = FpPolynomial.from_text("1,0,1", mod)
         traj = trajectory_length(f, u0)
         assert (traj.tail_length, traj.cycle_length) == lengths
-        vals, s, c = traj.values, traj.tail_length, traj.cycle_length
-        corrupted = list(vals)
-        corrupted[s + c // 2] = (corrupted[s + c // 2] + 1) % p
-        bad_walks = [
-            dynsys.Trajectory(vals, s + 1, c - 1),  # wrong tail: only the closing step breaks
-            dynsys.Trajectory(tuple(corrupted), s, c),  # one value off
-            dynsys.Trajectory(vals + vals[s:], s, 2 * c),  # every step holds, values repeat
-            dynsys.Trajectory(vals[1:], s - 1, c),  # the orbit of f(u0), not of u0
-        ]
-        for bad in bad_walks:
+        # the lockstep walk finds the same orbit beside two short ones
+        fs = [FpPolynomial.from_text("5", mod), f, FpPolynomial.from_text("0,1", mod)]
+        u0s = [7, u0 + p, -1]
+        trajs = trajectory_lengths(fs, u0s)
+        assert trajs == [trajectory_length(g, v) for g, v in zip(fs, u0s)]
+        assert trajs[1] == traj
+        for bad in _bad_walks(traj, p):
             with monkeypatch.context() as m:
                 m.setattr(dynsys, "_seen_scan", lambda f, u0: bad)
                 with pytest.raises(RuntimeError, match="certificate"):
                     trajectory_length(f, u0)
+            scan = _as_scan([trajs[0], bad, trajs[2]], p)
+            with monkeypatch.context() as m:
+                m.setattr(dynsys, "_lockstep_scan", lambda coeffs, u0s, p: scan)
+                with pytest.raises(RuntimeError, match="certificate"):
+                    trajectory_lengths(fs, u0s)
+
+
+def test_certificate_catches_a_corrupted_lockstep_step(monkeypatch):
+    # the walk steps by Horner (poly_values), the certificate by ascending
+    # powers: a step that is off in one lane once is caught
+    mod = PrimeModulus(1009)
+    rng = random.Random(36)
+    fs = [FpPolynomial.from_ints([rng.randrange(1009) for _ in range(4)], mod)
+          for _ in range(6)]
+    u0s = [rng.randrange(1009) for _ in fs]
+    assert trajectory_lengths(fs, u0s) == [trajectory_length(f, u) for f, u in zip(fs, u0s)]
+    steps = [0]
+    horner = dynsys.poly_values
+
+    def off_once(coeffs, xs, p):
+        out = horner(coeffs, xs, p)
+        steps[0] += 1
+        if steps[0] == 5:
+            out[len(out) // 2] = (out[len(out) // 2] + 1) % p
+        return out
+    monkeypatch.setattr(dynsys, "poly_values", off_once)
+    with pytest.raises(RuntimeError, match="certificate"):
+        trajectory_lengths(fs, u0s)
+
+
+def _mixed_lanes(rng, p, n):
+    """n lanes at p: degrees 1 to 4 with a zero and a constant polynomial
+    among them, starts below 0 and at or above p."""
+    mod = PrimeModulus(p)
+    fs = [FpPolynomial.from_ints([], mod), FpPolynomial.from_ints([rng.randrange(1, p)], mod)]
+    fs += [FpPolynomial.from_ints([rng.randrange(p) for _ in range(rng.randint(2, 5))], mod)
+           for _ in range(n - 2)]
+    rng.shuffle(fs)
+    return fs, [rng.randrange(-2 * p, 3 * p) for _ in fs]
+
+
+def test_lockstep_matches_the_scalar_walk_lane_by_lane():
+    rng = random.Random(37)
+    for p, n in ((101, 200), (1009, 120), (10007, 60)):
+        fs, u0s = _mixed_lanes(rng, p, n)
+        assert min(u0s) < 0 and max(u0s) >= p
+        assert len({f.degree for f in fs}) >= 4
+        assert trajectory_lengths(fs, u0s) == [trajectory_length(f, u) for f, u in zip(fs, u0s)]
+        # a single lane, and the same lanes from an iterator
+        assert trajectory_lengths(fs[:1], u0s[:1]) == [trajectory_length(fs[0], u0s[0])]
+        assert trajectory_lengths(iter(fs), iter(u0s)) == trajectory_lengths(fs, u0s)
+
+
+def test_lockstep_on_python_integers_above_2_31():
+    p = 2 ** 31 + 11
+    mod = PrimeModulus(p)
+    c = pow(3, (p - 1) // 6, p)  # of multiplicative order dividing 6
+    fs = [FpPolynomial.from_ints(cs, mod)
+          for cs in ([], [8], [0, 1], [0, p - 1], [0, c], [0, 0, 1], [0, 0, 0, 1])]
+    u0s = [5, -3, 2 * p + 9, 12, 10 ** 12, p - 1, c]
+    trajs = trajectory_lengths(fs, u0s)
+    assert trajs == [trajectory_length(f, u) for f, u in zip(fs, u0s)]
+    assert [t.total_length for t in trajs] == [2, 2, 1, 2, 6, 2, 2]
+    assert all(type(v) is int for t in trajs for v in t.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 5, 31, 101, 1009)),
+       st.lists(st.tuples(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=5),
+                          st.integers(-10 ** 6, 10 ** 6)), min_size=1, max_size=8))
+def test_lockstep_is_the_scalar_walk(p, lanes):
+    mod = PrimeModulus(p)
+    fs = [FpPolynomial.from_ints(cs, mod) for cs, _ in lanes]
+    u0s = [u for _, u in lanes]
+    assert trajectory_lengths(fs, u0s) == [trajectory_length(f, u) for f, u in zip(fs, u0s)]
+
+
+def test_lockstep_rejects_bad_input():
+    f = FpPolynomial.from_text("1,0,1", PrimeModulus(101))
+    g = FpPolynomial.from_text("1,0,1", PrimeModulus(103))
+    with pytest.raises(ValueError, match="mixed moduli"):
+        trajectory_lengths([f, g], [1, 2])
+    with pytest.raises(ValueError):
+        trajectory_lengths([], [])
+    with pytest.raises(ValueError):
+        trajectory_lengths([f, f], [1])
+
+
+def test_lockstep_byte_guard_counts_the_matrix(monkeypatch):
+    # x^2 + 1 from 3 mod 10007 has T = 189: matrices of 64, 128 and 256
+    # columns, each entry 8 bytes plus the sort's three 8-byte entries
+    f = FpPolynomial.from_text("1,0,1", PrimeModulus(10007))
+    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 256 * 32)
+    assert trajectory_lengths([f], [3])[0].total_length == 189
+    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 256 * 32 - 1)
+    with pytest.raises(ValueError, match="guard"):
+        trajectory_lengths([f], [3])
+    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 2 * 64 * 32 - 1)
+    with pytest.raises(ValueError, match="guard"):
+        trajectory_lengths([f, f], [3, 4])
+
+
+def test_single_walk_byte_guard_counts_each_value(monkeypatch):
+    # each stored value costs its int, its index int and a dict slot
+    f = FpPolynomial.from_text("1,0,1", PrimeModulus(10007))
+    per_value = 2 * sys.getsizeof(10006) + dynsys._DICT_SLOT_BYTES
+    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 189 * per_value)
+    assert trajectory_length(f, 3).total_length == 189
+    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 189 * per_value - 1)
+    with pytest.raises(ValueError, match="guard"):
+        trajectory_length(f, 3)
+
+
+def test_huge_orbit_is_a_usage_error(monkeypatch, capsys):
+    # at p = 2^61 - 1 an orbit has about 2*10^9 values; the walk stops at the
+    # guard (small here) instead of growing its dict until the process dies
+    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 10 ** 5)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dynsys", "--p", str(2 ** 61 - 1), "--f", "1,0,1", "--u0", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and out == ""
+    assert err.strip().splitlines()[-1] == (
+        f"smallbox: error: orbit of 3 mod {2 ** 61 - 1} has over 781 values, "
+        "above the guard of 100000 bytes")
 
 
 def test_diameter_is_max_minus_min():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallbox.boxcount import Box2, count_curve_points, count_graph_points, naive_count
-from smallbox.ffield import FpPolynomial, PrimeModulus, match_count, poly_values
+from smallbox.ffield import (FpPolynomial, PrimeModulus, match_count, poly_values,
+                             residue_dtype)
 from smallbox.hyperelliptic import CubeBox, CurveVector, reduce_to_power_congruence
 from smallbox.lattice import lemma6_count, shifted_congruence_count
 
@@ -54,6 +55,25 @@ def test_poly_values_is_horner(p, coeffs, xs):
     xs = [x % p - (p if i % 2 else 0) for i, x in enumerate(xs)]  # some negative
     got = poly_values(coeffs, np.array(xs, dtype=np.int64), p)
     assert [int(v) for v in got] == [horner(coeffs, x, p) for x in xs]
+
+
+@SETTINGS
+@given(st.sampled_from(PRIMES),
+       st.lists(st.lists(st.integers(0, BIG), max_size=6), min_size=1, max_size=8),
+       st.data())
+def test_poly_values_per_lane_rows_are_per_column_calls(p, lanes, data):
+    # row j of the (deg+1, lanes) array holds c_j of every lane, zero-padded
+    # above each lane's degree; lane i must see only its own polynomial
+    dtype = residue_dtype(p)
+    width = max(len(c) for c in lanes)
+    rows = np.array([[c % p for c in cs] + [0] * (width - len(cs)) for cs in lanes],
+                    dtype=dtype).reshape(len(lanes), width).T
+    xs = data.draw(st.lists(st.integers(-p, 2 * p), min_size=len(lanes),
+                            max_size=len(lanes)))
+    got = poly_values(rows, np.array(xs, dtype=dtype), p)
+    assert got.dtype == dtype
+    assert [int(v) for v in got] == [int(poly_values(cs, np.array([x]), p)[0])
+                                     for cs, x in zip(lanes, xs)]
 
 
 @SETTINGS

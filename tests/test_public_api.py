@@ -5,7 +5,8 @@ classes is read as an attribute outside its own definition.  Code that
 only tests call is deleted rather than kept: tests are not scanned, and
 the re-exports in `__init__.py` are import aliases, not references.
 Dunders are exempt.  The package's modules import each other without a
-cycle, function-level imports included."""
+cycle, function-level imports included, and hold no `assert` statement:
+checks on results raise, since `python -O` strips every `assert`."""
 
 import ast
 from collections import Counter
@@ -122,6 +123,14 @@ def test_imports_are_acyclic():
         return seen
     cyclic = sorted(m for m in graph if m in reachable(m))
     assert not cyclic, f"modules on an import cycle: {cyclic}"
+
+
+def test_no_assert_in_the_package():
+    asserts = sorted(f"{path.relative_to(ROOT)}:{node.lineno}"
+                     for path in PACKAGE.rglob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                     if isinstance(node, ast.Assert))
+    assert not asserts, "assert statements, which python -O strips:\n" + "\n".join(asserts)
 
 
 def test_the_scan_sees_the_package():
