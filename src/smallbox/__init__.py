@@ -4,8 +4,8 @@ curves, polynomial iteration statistics, exponential-sum diagnostics,
 congruence-lattice minima, and the acceptance harness tying them together.
 """
 
-from .boxcount import (Box2, CountReport, WeilReport, bound_I, bound_J,
-                       count_curve_points, count_graph_points, weil_error)
+from .boxcount import (Box2, WeilReport, bound_I, bound_J, count_curve_points,
+                       count_graph_points, count_matches, weil_error)
 from .dynsys import (Trajectory, bound_diameter, diameter, iterate, trajectory_length,
                      trajectory_lengths)
 from .ffield import (FpPolynomial, PrimeModulus, discriminant, is_prime, is_qr,

@@ -63,10 +63,10 @@ def criterion_1(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
         f = _random_poly(rng, p, rng.randint(3, 5), pm)
         M = rng.randint(1, min(25, p - 1))
         box = boxcount.Box2(rng.randrange(p - M), rng.randrange(p - M), M)
-        curve_fast = boxcount.count_curve_points(f, box).count
-        curve_naive = boxcount.naive_count(f, box, 2)
-        graph_fast = boxcount.count_graph_points(f, box).count
-        graph_naive = boxcount.naive_count(f, box, 1)
+        curve_fast = boxcount.count_curve_points(f, box)
+        curve_naive = boxcount.naive_count(f.coeffs, (0, 0, 1), box.x_range, box.y_range, p)
+        graph_fast = boxcount.count_graph_points(f, box)
+        graph_naive = boxcount.naive_count(f.coeffs, (0, 1), box.x_range, box.y_range, p)
         if curve_fast == curve_naive and graph_fast == graph_naive:
             agreements += 1
     return CriterionResult(
@@ -313,7 +313,7 @@ def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         M = rng.randint(1, p - 1)
         box = boxcount.Box2(rng.randrange(p - M), rng.randrange(p - M), M)
         edges = dynsys.pairs_in_box(f, u0, N, box)
-        cap = boxcount.count_graph_points(f, box).count
+        cap = boxcount.count_graph_points(f, box)
         if edges > cap:
             return CriterionResult(10, "iteration suite", False, edges, cap,
                                    f"duality violated: {edges} > {cap}")

@@ -13,12 +13,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ffield import FpPolynomial, entry_bytes, poly_values, run_starts
+from . import ffield
+from .ffield import FpPolynomial, entry_bytes, int_dtype, poly_values, run_starts
 
 ERDOS_TURAN_CONSTANT = 3.0
 WEYL_LOOP_GUARD = 10 ** 9
-# bytes the arrays of one count_vinogradov step may take
-VINOGRADOV_BYTE_GUARD = 10 ** 9
 # values of (l_1, ..., l_(m-1)) one weyl_majorant slice holds at most
 _WEYL_BLOCK = 2 ** 16
 
@@ -104,7 +103,7 @@ def weyl_majorant(theta: Fraction, m: int, M: int) -> float:
     if not isinstance(theta, Fraction):
         raise TypeError("theta must be a Fraction")
     a, q = theta.numerator, theta.denominator
-    dtype = np.int64 if q * M < 2 ** 63 else object  # |r| < q M before reduction
+    dtype = int_dtype(q * M)  # |r| < q M before reduction
     lead = a * math.factorial(m) % q
     ells = range(-(M - 1), M)
     # a m! l_1...l_(m-2) mod q for each leading tuple
@@ -169,7 +168,7 @@ def count_vinogradov(k: int, m: int, H: int) -> int:
     i - 1 values, C(H + i - 2, i - 1), and at most the product over j of
     the (i - 1)(H^j - 1) + 1 values s_j can take.  Both grow with i, so the
     last step is the largest; raises ValueError when its entries would take
-    more than VINOGRADOV_BYTE_GUARD bytes.  That check is made first on
+    more than ffield.BYTE_GUARD bytes.  That check is made first on
     lower bounds that need no big integer: H k entries or more, keys of
     m(m + 1)/2 floor(log2 H) bits or more and counts of k floor(log2 H)
     bits or more.  s_1, ..., s_k fix the multiset of k values (Newton's
@@ -182,9 +181,9 @@ def count_vinogradov(k: int, m: int, H: int) -> int:
     m = min(m, k)
     bits = H.bit_length() - 1
     least = H * k * (max(8, m * (m + 1) // 2 * bits // 8) + max(8, k * bits // 8) + 8)
-    if least > VINOGRADOV_BYTE_GUARD:
+    if least > ffield.BYTE_GUARD:
         raise ValueError(f"J({k},{m};{H}) needs at least {least} bytes in one step, "
-                         f"above the guard of {VINOGRADOV_BYTE_GUARD} bytes")
+                         f"above the guard of {ffield.BYTE_GUARD} bytes")
     states = math.comb(H + k - 2, k - 1)
     span = 1
     for j in range(1, m + 1):
@@ -193,13 +192,12 @@ def count_vinogradov(k: int, m: int, H: int) -> int:
         span *= (k - 1) * (H ** j - 1) + 1
     radix = [k * H ** j + 1 for j in range(1, m + 1)]
     key_bound, count_bound = math.prod(radix), H ** k
-    key_dtype = np.int64 if key_bound < 2 ** 63 else object
-    count_dtype = np.int64 if count_bound < 2 ** 63 else object
+    key_dtype, count_dtype = int_dtype(key_bound), int_dtype(count_bound)
     nbytes = H * min(states, span) * (entry_bytes(key_dtype, key_bound)
                                       + entry_bytes(count_dtype, count_bound) + 8)
-    if nbytes > VINOGRADOV_BYTE_GUARD:
+    if nbytes > ffield.BYTE_GUARD:
         raise ValueError(f"J({k},{m};{H}) needs up to {nbytes} bytes in one step, "
-                         f"above the guard of {VINOGRADOV_BYTE_GUARD} bytes")
+                         f"above the guard of {ffield.BYTE_GUARD} bytes")
     place = np.array(list(itertools.accumulate(radix[:-1], operator.mul, initial=1)),
                      dtype=key_dtype)
     # atom x is sum_j x^j prod_(i<j) radix_i: every term is below key_bound

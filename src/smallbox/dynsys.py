@@ -11,7 +11,7 @@ pays off only across many lanes (a single lane costs some twenty times the
 scalar walk).  Both walks are proved by one shared certificate that
 evaluates f by ascending powers, a formula neither walker uses.  Each walk
 is refused with ValueError before its stored values would pass
-ORBIT_BYTE_GUARD bytes."""
+ffield.BYTE_GUARD bytes."""
 
 from __future__ import annotations
 
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ffield
 from .boxcount import Box2
 from .ffield import FpPolynomial, entry_bytes, poly_values, residue_dtype
-
-ORBIT_BYTE_GUARD = 10 ** 9
 
 # the seen-set dict's own bytes per stored value at most (CPython 3.11: the
 # entry's hash and two pointers, plus its share of the index table and of the
@@ -60,15 +59,15 @@ def _seen_scan(f: FpPolynomial, u0: int) -> Trajectory:
     """Walk until the first repeat, keeping each value's index; the dict's
     insertion order is the trajectory itself.  Each stored value costs its
     int, its index int and a dict slot; the walk stops with ValueError
-    before those pass ORBIT_BYTE_GUARD bytes."""
+    before those pass ffield.BYTE_GUARD bytes."""
     p = f.modulus.p
-    limit = ORBIT_BYTE_GUARD // (2 * sys.getsizeof(p - 1) + _DICT_SLOT_BYTES)
+    limit = ffield.BYTE_GUARD // (2 * sys.getsizeof(p - 1) + _DICT_SLOT_BYTES)
     seen: dict[int, int] = {}
     u, n = u0, 0
     while u not in seen:
         if n == limit:
             raise ValueError(f"orbit of {u0} mod {p} has over {limit} values, "
-                             f"above the guard of {ORBIT_BYTE_GUARD} bytes")
+                             f"above the guard of {ffield.BYTE_GUARD} bytes")
         seen[u] = n
         u = f(u)
         n += 1
@@ -132,7 +131,7 @@ def trajectory_length(f: FpPolynomial, u0: int) -> Trajectory:
     image is the next value, the last image is the value at tail_length,
     and the values are pairwise distinct.  Together these prove T, tail and
     cycle; RuntimeError otherwise.  ValueError when the stored walk would
-    pass ORBIT_BYTE_GUARD bytes.
+    pass ffield.BYTE_GUARD bytes.
     """
     p = f.modulus.p
     u0 %= p
@@ -155,7 +154,7 @@ def _lockstep_scan(coeffs: np.ndarray, u0s: np.ndarray,
     K > p).  At each doubling one stable row-wise argsort finds each
     lane's first repeat T and its tail, and finished lanes leave the matrix.
     Before each matrix is allocated, its entries at their real size plus the
-    sort's three 8-byte entries beside each are held to ORBIT_BYTE_GUARD;
+    sort's three 8-byte entries beside each are held to ffield.BYTE_GUARD;
     ValueError above it."""
     dtype, lanes = u0s.dtype, len(u0s)
     out: list = [None] * lanes
@@ -164,9 +163,9 @@ def _lockstep_scan(coeffs: np.ndarray, u0s: np.ndarray,
     K = 64
     while live.size:
         nbytes = live.size * K * (entry_bytes(dtype, p - 1) + 24)
-        if nbytes > ORBIT_BYTE_GUARD:
+        if nbytes > ffield.BYTE_GUARD:
             raise ValueError(f"{live.size} orbits of {K} values mod {p} take {nbytes} "
-                             f"bytes, above the guard of {ORBIT_BYTE_GUARD} bytes")
+                             f"bytes, above the guard of {ffield.BYTE_GUARD} bytes")
         walk = np.empty((live.size, K), dtype=dtype)
         walk[:, :walked.shape[1]] = walked
         for j in range(walked.shape[1], K):
@@ -193,7 +192,7 @@ def trajectory_lengths(fs, u0s) -> list[Trajectory]:
     for many polynomials over one modulus: one lockstep walk of all lanes
     (`_lockstep_scan`), then one shared certificate over all their values.
     ValueError on empty input, unequal lengths, mixed moduli, or a walk
-    matrix above ORBIT_BYTE_GUARD bytes; RuntimeError if the certificate
+    matrix above ffield.BYTE_GUARD bytes; RuntimeError if the certificate
     fails."""
     fs, u0s = list(fs), list(u0s)
     if not fs or len(fs) != len(u0s):

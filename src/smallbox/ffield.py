@@ -1,6 +1,7 @@
 """Arithmetic over prime fields F_p: polynomials, square and k-th roots,
-discriminants, and the two vector kernels every box count is built on
-(Horner over a vector, and the pair count of a value join).
+discriminants, and the vector kernel every count is built on (Horner over
+a vector), with the rules that choose its array dtypes and bound its
+allocations.
 
 Residues are stored in least nonnegative form, values in [0, p-1].  The
 modulus is capped below 2**62 so that products of two residues stay inside
@@ -20,6 +21,10 @@ import numpy as np
 
 MAX_MODULUS = 1 << 62
 
+# bytes the arrays of one guarded call may take (a census batch, a stored
+# orbit, a power-sum step), read as ffield.BYTE_GUARD at call time
+BYTE_GUARD = 10 ** 9
+
 # below this modulus a product of two residues stays under 2**62, so vector
 # arithmetic runs in int64; above it the same code runs on Python integers
 INT64_P_LIMIT = 1 << 31
@@ -29,6 +34,12 @@ def residue_dtype(p: int):
     """The numpy dtype of residue vectors mod p: int64 while p < INT64_P_LIMIT,
     Python integers (dtype object) above."""
     return np.int64 if p < INT64_P_LIMIT else object
+
+
+def int_dtype(bound):
+    """The numpy dtype of integers below bound in absolute value: int64
+    while bound < 2**63, Python integers (dtype object) above."""
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def entry_bytes(dtype, largest: int) -> int:
@@ -339,19 +350,6 @@ def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
         acc += c % p
         acc %= p
     return acc
-
-
-def match_count(u: np.ndarray, v: np.ndarray) -> int:
-    """#{(i, j) : u[i] == v[j]}, i.e. sum over values w of
-    #{i : u[i] = w} * #{j : v[j] = w}.
-
-    Both sides are sorted and every u[i] is located in v by binary search,
-    so memory is O(len(u) + len(v)) whatever the size of the values.
-    """
-    u, v = np.sort(u), np.sort(v)  # sorted queries keep the search cache-friendly
-    n = np.searchsorted(v, u, side="right")
-    n -= np.searchsorted(v, u, side="left")
-    return int(n.sum())
 
 
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:

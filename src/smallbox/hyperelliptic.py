@@ -17,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxcount import DEFAULT_EPS
-from .ffield import (FpPolynomial, PrimeModulus, discriminant, entry_bytes, is_qr,
-                     match_count, poly_values, QrStatus, residue_dtype, roots_mod,
-                     run_starts, sqrt_mod_int)
-
-# bytes the key array of one census batch may take
-CENSUS_BYTE_GUARD = 8 * 10 ** 9
+from . import ffield
+from .boxcount import DEFAULT_EPS, count_matches
+from .ffield import (FpPolynomial, PrimeModulus, discriminant, entry_bytes, int_dtype,
+                     is_qr, QrStatus, residue_dtype, roots_mod, run_starts, sqrt_mod_int)
 
 # bytes the arrays of one census keying or singularity-filter slice may hold
 _SLICE_BYTES = 1 << 23
@@ -343,21 +340,23 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
     form one (boxes, M^(2g)) block, keyed in slices of rows and sorted
     along its rows in one call.  A row is a (box, leading coordinates)
     prefix: v0 alone, one more coordinate each time a row's candidates
-    exceed _SLICE_BYTES.  Keys are int64 while p^(2g) < 2^63, Python
-    integers (dtype object) above, and slices are sized from the real entry
-    size.  Raises ValueError, before allocating, when the keys would take
-    more than CENSUS_BYTE_GUARD bytes.
+    exceed _SLICE_BYTES.  Keys are `int_dtype(p^(2g))`, and slices are sized
+    from the real entry size.  Raises ValueError, before allocating, when
+    the census of the batch would peak above ffield.BYTE_GUARD bytes.
     Returns the keys and the offset of each box's first key (plus the end).
     """
     g = boxes[0].g
     n = 2 * g
-    kdtype = np.int64 if p ** n < 1 << 63 else object  # keys are below p^n
+    kdtype = int_dtype(p ** n)  # keys are below p^n
     sizes = [b.cell_count() for b in boxes]
-    nbytes = sum(sizes) * entry_bytes(kdtype, p ** n)
-    if nbytes > CENSUS_BYTE_GUARD:
+    # class_censuses holds at most five arrays of the batch's length at once
+    # (the keys and two copies, sharing one Python integer a key at dtype
+    # object; two int64 arrays; a bool mask) beside one slice's arrays
+    nbytes = sum(sizes) * (entry_bytes(kdtype, p ** n) + 4 * 8 + 1) + _SLICE_BYTES
+    if nbytes > ffield.BYTE_GUARD:
         raise ValueError(
-            f"census of {sum(sizes)} vectors needs {nbytes} bytes of keys, above the "
-            f"guard of {CENSUS_BYTE_GUARD} bytes; sample smaller sub-boxes instead")
+            f"census of {sum(sizes)} vectors needs {nbytes} bytes, above the "
+            f"guard of {ffield.BYTE_GUARD} bytes; sample smaller sub-boxes instead")
     d = math.gcd(4 * g + 2, p - 1)
     v0s = sorted({v0 for b in boxes for v0 in range(b.R[0] + 1, b.R[0] + b.M + 1)})
     alphas = [al for v0, x in zip(v0s, _coset_minima(v0s, d, p))
@@ -421,7 +420,8 @@ def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
     singular vectors, so the box volume is fully accounted for.  The
     per-class sizes stay arrays until `class_sizes` is read.  The censuses
     come back in the order of the boxes.  Raises ValueError on an empty
-    batch, mixed genera, or keys above CENSUS_BYTE_GUARD bytes.
+    batch, mixed genera, or a batch whose arrays would pass
+    ffield.BYTE_GUARD bytes.
     """
     boxes = list(boxes)
     if not boxes:
@@ -551,9 +551,8 @@ def reduce_to_power_congruence(b: CurveVector, h: int, box: CubeBox) -> PowerCon
     lam = pow(b_hi, h, p) * pow(b_lo * b_lo % p, -1, p) % p
     R, S, M = box.R[i_low], box.R[2 * g - 1], box.M
     # X^2 = lambda^-1 Y^h, joined over the two coordinate windows
-    inv_lam = pow(lam, -1, p)
-    count = match_count(poly_values((0, 0, 1), range(R + 1, R + M + 1), p),
-                        poly_values((0,) * h + (inv_lam,), range(S + 1, S + M + 1), p))
+    count = count_matches((0, 0, 1), (0,) * h + (pow(lam, -1, p),),
+                          range(R + 1, R + M + 1), range(S + 1, S + M + 1), p)
     return PowerCongruence(multiplier=lam, x_offset=R, y_offset=S, side=M,
                            solution_count=count, reduced_index=i_low)
 

@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import CheckResult
-from .ffield import FpPolynomial, is_prime, match_count, poly_values, residue_dtype
+from .boxcount import count_matches
+from .ffield import FpPolynomial, int_dtype, is_prime, poly_values, residue_dtype
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
 ENUM_GUARD = 10 ** 9
@@ -283,7 +284,7 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
         pts = lattice_points_in_box(lat, box, scale=scale, collect=True).points
         pts = pts[pts.any(axis=1)]
         # |x_i| <= scale * h_i, so no key exceeds scale * den
-        dtype = np.int64 if max(*weights, scale * den) < 2 ** 63 else object
+        dtype = int_dtype(max(*weights, scale * den))
         keys = (np.abs(pts).astype(dtype, copy=False)
                 * np.array(weights, dtype=dtype)).max(axis=1)
         # the order of sorted((key, v)): by key, then by the vector
@@ -394,8 +395,7 @@ def shifted_congruence_count(c: Sequence[int], M: int, p: int) -> int:
     c0, c1, c2, c3 = c
     window = range(-M, M + 1)
     # residues repeat when M >= p; the join counts every (x, y) pair anyway
-    return match_count(poly_values((0, c1, c2, c3), window, p),
-                       poly_values((0, -c0, 1), window, p))
+    return count_matches((0, c1, c2, c3), (0, -c0, 1), window, window, p)
 
 
 def lemma6_count(f: FpPolynomial, g: FpPolynomial,

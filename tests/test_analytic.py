@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smallbox import acceptance, analytic
+from smallbox import acceptance, analytic, ffield
 from smallbox.analytic import (
     count_vinogradov,
     erdos_turan_check,
@@ -290,9 +290,9 @@ def test_count_vinogradov_byte_guard_is_the_last_step(monkeypatch):
     # J(3, 2; 5): the last step starts from at most C(6, 2) = 15 pairs of
     # values, so it holds 5 * 15 int64 entries of a key, a count and a sort
     # index
-    monkeypatch.setattr(analytic, "VINOGRADOV_BYTE_GUARD", 75 * 24)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 75 * 24)
     assert count_vinogradov(3, 2, 5) == _dict_dp_reference(3, 2, 5)
-    monkeypatch.setattr(analytic, "VINOGRADOV_BYTE_GUARD", 75 * 24 - 1)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 75 * 24 - 1)
     with pytest.raises(ValueError, match="bytes"):
         count_vinogradov(3, 2, 5)
 

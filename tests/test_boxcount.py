@@ -8,7 +8,6 @@ import sympy
 
 from smallbox.boxcount import (
     Box2,
-    CountReport,
     bound_I,
     bound_J,
     check_curve_irreducible,
@@ -51,11 +50,11 @@ def test_frozen_full_box_counts():
     mod = PrimeModulus(101)
     f = FpPolynomial.from_text("3,2,0,1", mod)
     box = Box2(R=0, S=0, M=100)
-    assert count_curve_points(f, box).count == 94
-    assert count_graph_points(f, box).count == 99
+    assert count_curve_points(f, box) == 94
+    assert count_graph_points(f, box) == 99
     sub = Box2(R=10, S=20, M=30)
-    assert count_curve_points(f, sub).count == 5
-    assert count_graph_points(f, sub).count == 11
+    assert count_curve_points(f, sub) == 5
+    assert count_graph_points(f, sub) == 11
 
 
 def test_sqrt_scan_equals_naive_randomized():
@@ -69,10 +68,10 @@ def test_sqrt_scan_equals_naive_randomized():
         M = rng.randint(1, min(25, p - 1))
         box = Box2(R=rng.randint(0, p - M - 1), S=rng.randint(0, p - M - 1), M=M)
         expect = naive_curve(f, box)
-        assert count_curve_points(f, box).count == expect
-        assert naive_count(f, box, 2) == expect
-        assert count_graph_points(f, box).count == naive_graph(f, box)
-        assert naive_count(f, box, 1) == naive_graph(f, box)
+        assert count_curve_points(f, box) == expect
+        assert naive_count(coeffs, (0, 0, 1), box.x_range, box.y_range, p) == expect
+        assert count_graph_points(f, box) == naive_graph(f, box)
+        assert naive_count(coeffs, (0, 1), box.x_range, box.y_range, p) == naive_graph(f, box)
 
 
 def test_translation_recentering_invariance():
@@ -93,16 +92,18 @@ def test_translation_recentering_invariance():
         moved = Box2(R=R - t, S=S, M=M)
         shifted = sympy.Poly(f.coeffs[::-1], x).shift(t)  # f(X + t)
         g = FpPolynomial.from_ints([int(c) for c in shifted.all_coeffs()[::-1]], mod)
-        assert count_curve_points(f, box).count == count_curve_points(g, moved).count
-        assert count_graph_points(f, box).count == count_graph_points(g, moved).count
+        assert count_curve_points(f, box) == count_curve_points(g, moved)
+        assert count_graph_points(f, box) == count_graph_points(g, moved)
 
 
-def test_count_report_holds_count_and_trivial_bound():
+def test_box_counts_are_plain_integers():
     mod = PrimeModulus(1009)
     f = FpPolynomial.from_text("1,1,0,1", mod)
     box = Box2(R=0, S=0, M=500)
-    assert count_curve_points(f, box) == CountReport(naive_count(f, box, 2), 1000.0)
-    assert count_graph_points(f, box) == CountReport(naive_count(f, box, 1), 500.0)
+    curve, graph = count_curve_points(f, box), count_graph_points(f, box)
+    assert type(curve) is int and type(graph) is int
+    assert curve == naive_count(f.coeffs, (0, 0, 1), box.x_range, box.y_range, 1009)
+    assert graph == naive_count(f.coeffs, (0, 1), box.x_range, box.y_range, 1009)
 
 
 def test_weil_error_matches_direct_deviation():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallbox import cli, dynsys
+from smallbox import cli, dynsys, ffield
 from smallbox.boxcount import Box2, count_graph_points
 from smallbox.dynsys import (
     bound_diameter,
@@ -221,12 +221,12 @@ def test_lockstep_byte_guard_counts_the_matrix(monkeypatch):
     # x^2 + 1 from 3 mod 10007 has T = 189: matrices of 64, 128 and 256
     # columns, each entry 8 bytes plus the sort's three 8-byte entries
     f = FpPolynomial.from_text("1,0,1", PrimeModulus(10007))
-    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 256 * 32)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 256 * 32)
     assert trajectory_lengths([f], [3])[0].total_length == 189
-    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 256 * 32 - 1)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 256 * 32 - 1)
     with pytest.raises(ValueError, match="guard"):
         trajectory_lengths([f], [3])
-    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 2 * 64 * 32 - 1)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 2 * 64 * 32 - 1)
     with pytest.raises(ValueError, match="guard"):
         trajectory_lengths([f, f], [3, 4])
 
@@ -235,9 +235,9 @@ def test_single_walk_byte_guard_counts_each_value(monkeypatch):
     # each stored value costs its int, its index int and a dict slot
     f = FpPolynomial.from_text("1,0,1", PrimeModulus(10007))
     per_value = 2 * sys.getsizeof(10006) + dynsys._DICT_SLOT_BYTES
-    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 189 * per_value)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 189 * per_value)
     assert trajectory_length(f, 3).total_length == 189
-    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 189 * per_value - 1)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 189 * per_value - 1)
     with pytest.raises(ValueError, match="guard"):
         trajectory_length(f, 3)
 
@@ -245,7 +245,7 @@ def test_single_walk_byte_guard_counts_each_value(monkeypatch):
 def test_huge_orbit_is_a_usage_error(monkeypatch, capsys):
     # at p = 2^61 - 1 an orbit has about 2*10^9 values; the walk stops at the
     # guard (small here) instead of growing its dict until the process dies
-    monkeypatch.setattr(dynsys, "ORBIT_BYTE_GUARD", 10 ** 5)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 10 ** 5)
     with pytest.raises(SystemExit) as exc:
         cli.main(["dynsys", "--p", str(2 ** 61 - 1), "--f", "1,0,1", "--u0", "3"])
     assert exc.value.code == 2
@@ -311,4 +311,4 @@ def test_pairs_bounded_by_graph_count_before_repeat():
         N = rng.randint(1, T)
         M = rng.randint(50, 500)
         box = Box2(R=rng.randint(0, 1008 - M), S=rng.randint(0, 1008 - M), M=M)
-        assert pairs_in_box(f, u0, N, box) <= count_graph_points(f, box).count
+        assert pairs_in_box(f, u0, N, box) <= count_graph_points(f, box)

@@ -66,8 +66,12 @@ def test_optional_params_are_read(monkeypatch):
         return rec.value, rec.oracle_value, rec.passed
     assert checked("count_curve") == (23.0, 23.0, True)
     assert checked("count_graph") == (32.0, 32.0, True)
+    # the trivial bounds the harness writes: two values of y a column, or one
+    bounds = [run(spec_of(kind, COUNT_PARAMS))[0].bound_value
+              for kind in ("count_curve", "count_graph")]
+    assert bounds == [100.0, 50.0] and all(type(b) is float for b in bounds)
     # a disagreeing oracle fails the record
-    monkeypatch.setattr(boxcount, "naive_count", lambda f, box, power: 22)
+    monkeypatch.setattr(boxcount, "naive_count", lambda f, g, xs, ys, p: 22)
     assert checked("count_curve") == (23.0, 22.0, False)
     recs = run(spec_of("dynsys", {"p": 10007, "f": [1, 0, 1], "u0": 3,
                                   "N": 50, "eps": 0.1}))

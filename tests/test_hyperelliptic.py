@@ -7,6 +7,7 @@ import functools
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -16,7 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallbox import harness, hyperelliptic
+from smallbox import cli, ffield, harness, hyperelliptic
 from smallbox.acceptance import DEFAULT_SEED, derived_rng
 from smallbox.ffield import FpPolynomial, PrimeModulus, discriminant
 from smallbox.hyperelliptic import (
@@ -348,21 +349,76 @@ def test_census_slices_do_not_change_the_result(monkeypatch, budget):
         _assert_census_is(cen, walked, box)
 
 
+def _census_estimate(p, boxes):
+    """The bytes the census guard reckons for a batch: its refusal message
+    at a guard of 0."""
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError) as err:
+        mp.setattr(ffield, "BYTE_GUARD", 0)
+        class_censuses(PrimeModulus(p), boxes)
+    return int(re.search(r"needs (\d+) bytes", str(err.value)).group(1))
+
+
 def test_census_guard_counts_key_bytes(monkeypatch):
-    # 90,000 cells: 720,000 bytes of int64 keys, but 52 bytes a key at
-    # p = 2^61-1 (a pointer and a Python integer below p^2)
-    monkeypatch.setattr(hyperelliptic, "CENSUS_BYTE_GUARD", 720_000)
-    assert class_census(PrimeModulus(1009), CubeBox(1, (0, 0), 300)).box_size == 90_000
+    # 90,000 cells, 41 bytes each at int64 (three key arrays, two int64
+    # arrays, a bool mask) plus one slice; 8 + 44 bytes a key at
+    # p = 2^61 - 1 (a pointer and a Python integer below p^2, shared by the
+    # two copies)
+    slab = hyperelliptic._SLICE_BYTES
+    box = CubeBox(1, (0, 0), 300)
+    assert _census_estimate(1009, [box]) == 90_000 * 41 + slab
+    assert _census_estimate(BIG, [box]) == 90_000 * (52 + 33) + slab
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 90_000 * 41 + slab)
+    assert class_census(PrimeModulus(1009), box).box_size == 90_000
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 90_000 * 41 + slab - 1)
+    with pytest.raises(ValueError, match="guard"):
+        class_census(PrimeModulus(1009), box)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 90_000 * 85 + slab - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
-            class_census(PrimeModulus(BIG), CubeBox(1, (0, 0), 300))
+            class_census(PrimeModulus(BIG), box)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     message = str(err.value)
-    assert "90000 vectors" in message and "4680000 bytes" in message and "\n" not in message
-    assert peak < 1 << 20  # refused before the 4.68 MB of keys
+    assert "90000 vectors" in message and f"{90_000 * 85 + slab} bytes" in message
+    assert "\n" not in message
+    assert peak < 1 << 20  # refused before anything is allocated
+
+
+@pytest.mark.parametrize("p, g, M, boxes", [
+    (1000003, 1, 300, 1),  # nearly every vector its own class: the dedupe peak
+    (BIG, 1, 50, 1),  # Python-integer keys
+    (1009, 2, 12, 3),  # a batch of equal boxes
+])
+def test_census_peak_stays_below_the_guard_estimate(monkeypatch, p, g, M, boxes):
+    # small slices, so that the arrays of the batch's length set the peak
+    monkeypatch.setattr(hyperelliptic, "_SLICE_BYTES", 1 << 16)
+    batch = [CubeBox(g, tuple(range(1, 2 * g + 1)), M)] * boxes
+    estimate = _census_estimate(p, batch)
+    class_censuses(PrimeModulus(p), batch)  # warm every cache first
+    tracemalloc.start()
+    try:
+        censuses = class_censuses(PrimeModulus(p), batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(c.box_size for c in censuses) == boxes * M ** (2 * g)
+    assert peak < estimate
+
+
+def test_census_above_the_guard_is_a_usage_error(capsys):
+    # 1.44*10^8 vectors: their int64 keys alone take 1.15 GB, and the census
+    # would hold about five such arrays at once
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curve-classes", "--p", "1000003", "--g", "1", "--M", "12000"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.strip().splitlines()[-1] == (
+        f"smallbox: error: census of {12000 ** 2} vectors needs "
+        f"{12000 ** 2 * 41 + hyperelliptic._SLICE_BYTES} bytes, above the guard of "
+        f"{10 ** 9} bytes; sample smaller sub-boxes instead")
 
 
 def test_keying_memory_stays_below_per_cell_candidates():

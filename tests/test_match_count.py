@@ -1,15 +1,15 @@
 """The vectorized counting kernels (Horner over a vector, the sort-and-search
-match count) and every box count built on them, against brute-force double
-loops, at small primes (int64 path) and at p = 2^61 - 1 (Python-integer
-path)."""
+pair count `count_matches`) and every count built on them, against
+brute-force double loops and the reference loop `naive_count`, at small
+primes (int64 path) and at p = 2^61 - 1 (Python-integer path)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallbox.boxcount import Box2, count_curve_points, count_graph_points, naive_count
-from smallbox.ffield import (FpPolynomial, PrimeModulus, match_count, poly_values,
-                             residue_dtype)
+from smallbox.boxcount import (Box2, count_curve_points, count_graph_points,
+                               count_matches, naive_count)
+from smallbox.ffield import FpPolynomial, PrimeModulus, poly_values, residue_dtype
 from smallbox.hyperelliptic import CubeBox, CurveVector, reduce_to_power_congruence
 from smallbox.lattice import lemma6_count, shifted_congruence_count
 
@@ -41,11 +41,34 @@ def poly_in_box(draw, max_side=30):
 @SETTINGS
 @given(st.lists(st.integers(-3, 3), max_size=25),
        st.lists(st.integers(-3, 3), max_size=25),
-       st.booleans())
-def test_match_count_is_the_pair_count(u, v, as_objects):
-    dtype = object if as_objects else np.int64
+       st.sampled_from(PRIMES))
+def test_count_matches_is_the_pair_count(u, v, p):
+    # f = g = x: the pairs of equal values, which stay distinct mod p > 6
     expect = sum(1 for a in u for b in v if a == b)
-    assert match_count(np.array(u, dtype=dtype), np.array(v, dtype=dtype)) == expect
+    assert count_matches((0, 1), (0, 1), np.array(u, dtype=np.int64),
+                         np.array(v, dtype=np.int64), p) == expect
+
+
+@st.composite
+def window(draw, p):
+    """A range with a negative start and at times longer than p (residues
+    then wrap), or an integer array of such values."""
+    start = draw(st.integers(-2 * p, p))
+    side = draw(st.integers(0, 70 if p < 100 else 25))
+    if draw(st.booleans()):
+        return range(start, start + side)
+    return np.array(draw(st.lists(st.integers(-2 * p, 2 * p), max_size=side)),
+                    dtype=np.int64)
+
+
+@SETTINGS
+@given(st.data())
+def test_count_matches_is_the_reference_loop(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    f, g = (data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=6))
+            for _ in range(2))
+    xs, ys = data.draw(window(p)), data.draw(window(p))
+    assert count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
 
 
 @SETTINGS
@@ -83,8 +106,8 @@ def test_curve_count_is_the_double_loop(case):
     f = FpPolynomial.from_ints(coeffs, PrimeModulus(p))
     expect = sum(1 for x in box.x_range for y in range(box.S + 1, box.S + box.M + 1)
                  if (y * y - horner(coeffs, x, p)) % p == 0)
-    assert count_curve_points(f, box).count == expect
-    assert naive_count(f, box, 2) == expect
+    assert count_curve_points(f, box) == expect
+    assert naive_count(coeffs, (0, 0, 1), box.x_range, box.y_range, p) == expect
 
 
 @SETTINGS
@@ -94,8 +117,8 @@ def test_graph_count_is_the_double_loop(case):
     f = FpPolynomial.from_ints(coeffs, PrimeModulus(p))
     expect = sum(1 for x in box.x_range for y in range(box.S + 1, box.S + box.M + 1)
                  if (y - horner(coeffs, x, p)) % p == 0)
-    assert count_graph_points(f, box).count == expect
-    assert naive_count(f, box, 1) == expect
+    assert count_graph_points(f, box) == expect
+    assert naive_count(coeffs, (0, 1), box.x_range, box.y_range, p) == expect
 
 
 @SETTINGS
@@ -109,6 +132,8 @@ def test_shifted_count_is_the_double_loop(data):
     expect = sum(1 for x in range(-M, M + 1) for y in range(-M, M + 1)
                  if (y * y - c0 * y - c3 * x ** 3 - c2 * x * x - c1 * x) % p == 0)
     assert shifted_congruence_count(c, M, p) == expect
+    window = range(-M, M + 1)
+    assert naive_count((0, c1, c2, c3), (0, -c0, 1), window, window, p) == expect
 
 
 @SETTINGS
@@ -127,6 +152,8 @@ def test_power_congruence_is_the_double_loop(data):
                  for y in range(rep.y_offset + 1, rep.y_offset + M + 1)
                  if (pow(y, h, p) - lam * x * x) % p == 0)
     assert rep.solution_count == expect
+    xs, ys = (range(r + 1, r + M + 1) for r in (rep.x_offset, rep.y_offset))
+    assert naive_count((0, 0, lam), (0,) * h + (1,), xs, ys, p) == expect
 
 
 @SETTINGS
