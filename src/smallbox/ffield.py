@@ -368,6 +368,55 @@ def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return r
 
 
+def count_roots(coeffs: Sequence[int], p: int) -> int:
+    """Number of distinct roots in F_p of the nonzero polynomial F with
+    ascending coeffs, as deg gcd(F, X^p - X).
+
+    X^p - X is the product of X - a over every a in F_p, so the gcd is the
+    product of X - a over the roots a of F.  X^p mod F comes from
+    square-and-multiply on remainders mod F, and Euclid with `_poly_mod`
+    finishes: O(D^2 log p) operations for D = deg F, so no residue of F_p
+    is ever evaluated and p may be as large as the modulus cap.  A
+    remainder is held as one integer with a w-bit slot per coefficient
+    (Kronecker substitution), so a square is one integer product; w fits
+    the 2D p^2 a slot can reach before its reduction mod F and mod p.
+    """
+    f = list(_normalize(coeffs, p))
+    if not f:
+        raise ValueError("the zero polynomial vanishes on all of F_p")
+    d = len(f) - 1
+    if d < 2:
+        return d  # a nonzero constant has no root, a linear F exactly one
+    inv_lead = pow(f[-1], -1, p)
+    low = [-c * inv_lead % p for c in f[:-1]]  # X^d = low (mod F)
+    rows = [low]  # X^(d+k) mod F for k < d - 1
+    for _ in range(d - 2):
+        top = rows[-1][-1]
+        rows.append([(a + top * b) % p for a, b in zip([0] + rows[-1][:-1], low)])
+    w = (2 * d * p * p).bit_length()
+    mask, low_mask = (1 << w) - 1, (1 << w * d) - 1
+    shifts = [w * j for j in range(2 * d - 1)]
+    packed_rows = [sum(c << sh for c, sh in zip(row, shifts)) for row in rows]
+
+    def reduce(s: int) -> int:
+        acc = s & low_mask
+        for sh, row in zip(shifts[d:], packed_rows):
+            acc += (s >> sh & mask) % p * row
+        return sum((acc >> sh & mask) % p << sh for sh in shifts[:d])
+
+    r = 1 << w  # X, then X^p mod F left to right over the bits of p
+    for bit in bin(p)[3:]:
+        r = reduce(r * r)
+        if bit == "1":
+            r = reduce(r << w)
+    rem = [r >> sh & mask for sh in shifts[:d]]
+    rem[1] -= 1
+    a, b = f, list(_normalize(rem, p))  # X^p - X = rem (mod F)
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    return len(a) - 1
+
+
 def resultant(f: FpPolynomial, g: FpPolynomial) -> int:
     """Res(f, g) mod p via the Euclidean scheme.
 

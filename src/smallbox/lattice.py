@@ -15,11 +15,10 @@ import numpy as np
 
 from .analytic import CheckResult
 from .boxcount import count_matches
-from .ffield import FpPolynomial, int_dtype, is_prime, poly_values, residue_dtype
+from .ffield import FpPolynomial, count_roots, int_dtype, is_prime, residue_dtype
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
 ENUM_GUARD = 10 ** 9
-_LEMMA6_SLICE = 1 << 16  # residues of F_p evaluated per numpy pass
 
 
 @dataclass(frozen=True)
@@ -191,26 +190,29 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, exact; the independent check of the
-    minima witnesses, sharing no code with `_Echelon`."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
+    """Rank over the rationals of the integer rows W, exact: the rank of
+    their Gram matrix G = W W^T, so the rows are independent exactly when
+    det G != 0.  G is reduced by fraction-free (Bareiss) elimination in
+    integers; `_Echelon` reduces the rows of W themselves, so this check of
+    the minima witnesses shares no formula with the scan that found them.
+    G is positive semidefinite, so pivots are taken on the diagonal: a zero
+    diagonal entry of what is left forces its row to vanish, and once every
+    remaining diagonal entry is zero the rank is complete."""
+    g = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    k, prev = len(g), 1
+    for rank in range(k):
+        piv = next((i for i in range(rank, k) if g[i][i]), None)
         if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+            return rank
+        g[rank], g[piv] = g[piv], g[rank]
+        for row in g:
+            row[rank], row[piv] = row[piv], row[rank]
+        d = g[rank][rank]
+        for i in range(rank + 1, k):
+            for j in range(rank + 1, k):
+                g[i][j] = (d * g[i][j] - g[i][rank] * g[rank][j]) // prev
+        prev = d
+    return k
 
 
 class _Echelon:
@@ -246,22 +248,29 @@ class MinimaReport:
     witnesses: tuple[tuple[int, ...], ...]
 
 
-def _shell_norm(v: Sequence[int], box: ConvexBox) -> Fraction:
-    """Smallest lambda with v in lambda*D."""
-    return max(Fraction(abs(x)) / h for x, h in zip(v, box.halfwidths))
-
-
 def successive_minima(lat: CongruenceLattice, box: ConvexBox,
                       upto: int | None = None) -> MinimaReport:
     """Exact successive minima of D with respect to Gamma, with witnesses.
 
-    Doubles the enumeration scale until the collected vectors span R^n.  At
-    each scale the nonzero points are sorted once by their exact box norm,
-    ties broken on the vector, and scanned once: each vector that grows the
-    span is kept, and the i-th kept norm is lambda_i.  Spans are tested on
-    an incremental integer echelon basis, so each candidate costs O(n^2)
-    integer operations; the norms are exact fractions, so the minima are
-    attained values, not approximations.
+    A lattice point v has the integer key max_i |v_i| * weight_i, with
+    |v_i| / h_i = |v_i| * weight_i / den, so keys sort like box norms.  The
+    minima come from one greedy scan of the nonzero points in (key, vector)
+    order: each vector that grows the span is kept, and the i-th kept norm
+    is lambda_i.  The points of s*D are exactly those with key <= s * den,
+    a prefix of that order, so the enumeration doubles its scale until the
+    kept vectors span, and at scale 2s scans only the keys above
+    floor(s * den): each point is scanned at most once, and the span, the
+    minima and the witnesses carry over from scale to scale.  Of each pair
+    +-v only the row whose first nonzero coordinate is negative is scanned;
+    the order meets it first, and -v never grows the span.  Spans are
+    tested on an incremental integer echelon basis, O(n^2) integer
+    operations per candidate, and the norms are exact fractions.
+
+    When every minimum is asked for, the doubling starts at the first
+    scale s of its grid with s^n >= 2^n det(Gamma) / (n! vol D), a lower
+    bound on lambda_n^n by Minkowski's second theorem.  Scales below it
+    cannot span, and the scale that ends the doubling, which alone decides
+    the enumeration guard, is not below it.
 
     upto requests only the first few minima; bodies whose later minima sit
     beyond the enumeration guard can still report their early ones exactly.
@@ -277,30 +286,37 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     scale = Fraction(1)
     while box.enum_volume(scale) > 10 ** 6 and scale > Fraction(1, 2 ** 40):
         scale /= 2
+    if n == lat.n:
+        # lambda_1 ... lambda_n vol(D) >= 2^n det / n!, and lambda_n is the largest
+        least = Fraction(2 ** n * lat.determinant(), math.factorial(n)) / box.volume()
+        while scale ** n < least:
+            scale *= 2
     # |x_i| / h_i = |x_i| * weight_i / den, so integer keys sort like the norms
     den = math.lcm(*(h.numerator for h in box.halfwidths))
     weights = [h.denominator * (den // h.numerator) for h in box.halfwidths]
-    while True:
+    lambdas: list[Fraction] = []
+    witnesses: list[tuple[int, ...]] = []
+    span = _Echelon()
+    scanned = -1  # every key up to this one has been scanned
+    while len(witnesses) < n:
         pts = lattice_points_in_box(lat, box, scale=scale, collect=True).points
-        pts = pts[pts.any(axis=1)]
+        # the rows whose first nonzero coordinate is negative: one of each +-v
+        pts = pts[pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)] < 0]
         # |x_i| <= scale * h_i, so no key exceeds scale * den
         dtype = int_dtype(max(*weights, scale * den))
         keys = (np.abs(pts).astype(dtype, copy=False)
                 * np.array(weights, dtype=dtype)).max(axis=1)
+        fresh = keys > scanned
+        pts, keys = pts[fresh], keys[fresh]
         # the order of sorted((key, v)): by key, then by the vector
         order = np.lexsort(tuple(pts[:, j] for j in reversed(range(lat.n))) + (keys,))
-        lambdas: list[Fraction] = []
-        witnesses: list[tuple[int, ...]] = []
-        span = _Echelon()
-        for r in order:
-            v = tuple(pts[r].tolist())
+        for key, v in zip(keys[order].tolist(), pts[order].tolist()):
             if span.add(v):
-                lambdas.append(Fraction(int(keys[r]), den))
-                witnesses.append(v)
+                lambdas.append(Fraction(key, den))
+                witnesses.append(tuple(v))
                 if len(witnesses) == n:
                     break
-        if len(witnesses) == n:
-            break
+        scanned = math.floor(scale * den)
         scale *= 2
     report = MinimaReport(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
     _validate_minima(lat, box, report, n)
@@ -313,13 +329,19 @@ def _validate_minima(lat: CongruenceLattice, box: ConvexBox,
     if not len(lams) == len(wits) == n:
         raise RuntimeError(
             f"expected {n} minima, got {len(lams)} with {len(wits)} witnesses")
+    if lams[0] <= 0:
+        raise RuntimeError(f"first minimum {lams[0]} is not positive")
     if any(a > b for a, b in zip(lams, lams[1:])):
         raise RuntimeError(f"minima out of order: {lams}")
     for lam, w in zip(lams, wits):
         if not lat.contains(w):
             raise RuntimeError(f"witness {w} is not a lattice vector")
-        if _shell_norm(w, box) > lam:
-            raise RuntimeError(f"witness {w} lies outside {lam} * D")
+        # |w_i| / h_i against lam, cross-multiplied: no ratio exceeds lam
+        # and one equals it
+        sides = [(abs(x) * h.denominator * lam.denominator, lam.numerator * h.numerator)
+                 for x, h in zip(w, box.halfwidths)]
+        if any(a > b for a, b in sides) or all(a < b for a, b in sides):
+            raise RuntimeError(f"witness {w} does not have box norm {lam}")
     if _rank(wits) != n:
         raise RuntimeError("minima witnesses are linearly dependent")
 
@@ -406,9 +428,14 @@ def lemma6_count(f: FpPolynomial, g: FpPolynomial,
 
     With the x_i distinct and nonzero the dependency forces y = h(x) for
     the unique degree-<=n polynomial h with zero constant term through the
-    n data points, so the count reduces to a single-variable congruence of
-    degree at most mn.  The mn cap is checked, and at p <= 211 the count is
-    replayed on the determinant itself, expanded once along its free row.
+    n data points, so the count is the number of distinct roots in F_p of
+    F = f - g(h(X)), counted as deg gcd(F, X^p - X) by
+    `ffield.count_roots` in O(mn^2 log p) operations.  F is never zero:
+    g(h(X)) is the constant g(0) when h = 0 and has degree m deg h
+    otherwise, and m does not divide n, so that degree is not n and F has
+    the larger of the two degrees, between 1 and mn.  The mn cap is
+    checked, and at p <= 211 the count is replayed on the determinant
+    itself, expanded once along its free row.
     """
     p = f.modulus.p
     if g.modulus.p != p:
@@ -429,12 +456,17 @@ def lemma6_count(f: FpPolynomial, g: FpPolynomial,
     # solve for h(X) = a_n X^n + ... + a_1 X with h(x_i) = y_i
     mat = [[pow(x, e, p) for e in range(n, 0, -1)] + [y] for x, y in zip(xs, ys)]
     h = _solve_mod(mat, p)
-    hpoly = FpPolynomial(tuple([0] + h[::-1]), f.modulus)
-    count = 0
-    for start in range(0, p, _LEMMA6_SLICE):
-        x = range(start, min(start + _LEMMA6_SLICE, p))
-        gh = poly_values(g.coeffs, poly_values(hpoly.coeffs, x, p), p)
-        count += int((poly_values(f.coeffs, x, p) == gh).sum())
+    hc = [0] + h[::-1]
+    gh: list[int] = []  # g(h(X)) by Horner over polynomials
+    for c in reversed(g.coeffs):
+        prod = [0] * (len(gh) + n)
+        for i, a in enumerate(gh):
+            for j, b in enumerate(hc, i):
+                prod[j] += a * b
+        prod[0] += c
+        gh = [x % p for x in prod]
+    F = [a - b for a, b in itertools.zip_longest(f.coeffs, gh, fillvalue=0)]
+    count = count_roots(F, p)
     if count > m * n:
         raise RuntimeError(f"count {count} exceeds cap {m * n}")
     if p <= 211:  # small enough to replay the determinant definition directly

@@ -333,6 +333,16 @@ def test_lattice_check_computes_the_minima_once(monkeypatch, capsys):
     assert len(minima) == 2
 
 
+def test_criterion_8_work_is_pinned(monkeypatch):
+    # the work of criterion 8 at the default seed, counted rather than timed:
+    # 200 point counts and 320 minima enumerations, and one echelon step per
+    # scanned point, each point scanned once and only one of each pair +-v
+    enumerations = _count_calls(monkeypatch, lattice, "lattice_points_in_box")
+    steps = _count_calls(monkeypatch, lattice._Echelon, "add")
+    assert acceptance.criterion_8().passed
+    assert (len(enumerations), len(steps)) == (520, 2920)
+
+
 def test_seed_reaches_the_acceptance_suite(monkeypatch, capsys):
     seeds = []
 
@@ -344,6 +354,17 @@ def test_seed_reaches_the_acceptance_suite(monkeypatch, capsys):
     assert main(["acceptance"]) == 0
     assert seeds == [(True, 5), (False, harness.DEFAULT_SEED)]
     assert capsys.readouterr().out == "0/0 criteria pass\n" * 2
+
+
+def test_lemma6_at_the_largest_prime_returns(capsys):
+    # a scan of F_p never ends at p = 2^61 - 1; the root count takes log p
+    # steps.  F = X - (4 + X^2 / 4) has disc 1 - 4 = -3, a square mod p, so
+    # 1 + (disc / p) = 2 (test_lattice checks the formula on more cases)
+    assert main(["lemma6", "--p", str(2 ** 61 - 1), "--f", "0,1", "--g", "4,0,1",
+                 "--xs", "2", "--ys", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "points with f(x) = g(y) on the interpolation curve: 2 "
+        "(cap deg f * deg g = 2): ok\n")
 
 
 def test_lemma6_command(capsys):

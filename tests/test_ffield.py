@@ -15,10 +15,12 @@ from smallbox.ffield import (
     FpPolynomial,
     PrimeModulus,
     QrStatus,
+    count_roots,
     discriminant,
     is_prime,
     is_qr,
     monic_square_root,
+    poly_values,
     resultant,
     roots_mod,
     sqrt_mod_int,
@@ -186,6 +188,42 @@ def test_resultant_vanishes_iff_common_root():
             [rng.randrange(31) for _ in range(2)] + [1], mod)
         common = sympy.gcd(over_f31(f), over_f31(g))
         assert (resultant(f, g) == 0) == (common.degree() >= 1)
+
+
+@st.composite
+def root_count_cases(draw, primes=(3, 5, 7, 31, 101, 1009, 10007)):
+    """Nonzero polynomials of degree 0..12, some with planted (repeated)
+    roots times a random cofactor, at primes up to 10007."""
+    p = draw(st.sampled_from(primes))
+    coeff = st.integers(0, p - 1)
+    poly = [draw(coeff) for _ in range(draw(st.integers(0, 6)))] + [draw(st.integers(1, p - 1))]
+    for a in draw(st.lists(coeff, max_size=6)):
+        poly = [(lo - a * hi) % p for lo, hi in zip([0] + poly, poly + [0])]  # times X - a
+    return poly, p
+
+
+def _scan_roots(coeffs, p):
+    """Roots of the polynomial counted by evaluating it at every residue."""
+    return int((poly_values(coeffs, range(p), p) == 0).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_count_cases())
+def test_count_roots_matches_the_residue_scan(case):
+    coeffs, p = case
+    assert count_roots(coeffs, p) == _scan_roots(coeffs, p)
+
+
+@settings(max_examples=5, deadline=None)
+@given(root_count_cases(primes=(1000003,)))
+def test_count_roots_matches_the_residue_scan_at_a_larger_prime(case):
+    coeffs, p = case
+    assert count_roots(coeffs, p) == _scan_roots(coeffs, p)
+
+
+def test_count_roots_rejects_the_zero_polynomial():
+    with pytest.raises(ValueError):
+        count_roots([0, 0], 101)
 
 
 def test_resultant_root_product():

@@ -15,14 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smallbox import lattice
-from smallbox.ffield import FpPolynomial, PrimeModulus
+from smallbox.ffield import FpPolynomial, PrimeModulus, QrStatus, is_qr, poly_values
 from smallbox.lattice import (
     ENUM_GUARD,
     CongruenceLattice,
     ConvexBox,
     _Echelon,
     _rank,
-    _shell_norm,
     build_thm2_lattice,
     cor7_check,
     double_factorial,
@@ -249,25 +248,31 @@ def test_echelon_rank_matches_fraction_rank_and_sympy(rows):
         assert grew == (rank > before)
 
 
-def _fraction_minima(lat, box, upto=None):
-    """The minima as computed before the echelon: full Fraction ranks of the
-    enumerated points at each doubling scale and of every witness prefix."""
+def _shell_norm(v, box):
+    """Smallest lambda with v in lambda*D."""
+    return max(Fraction(abs(x)) / h for x, h in zip(v, box.halfwidths))
+
+
+def _fraction_minima(lat, box, upto=None, budget=None):
+    """The minima by their definition: at each doubling scale from 2^-40,
+    every enumerated nonzero point sorted by its Fraction box norm, then by
+    the vector, each kept when a Fraction rank says it grows the span of
+    those kept before it; no integer key, no echelon, no Minkowski start
+    and no point skipped.  None once a scale holds more than budget points."""
     n = lat.n if upto is None else min(upto, lat.n)
-    scale = Fraction(1)
+    scale = Fraction(1, 2 ** 40)
     while True:
         points = lattice_points_in_box(lat, box, scale, collect=True).points.tolist()
-        nonzero = [tuple(v) for v in points if any(v)]
-        if len(nonzero) >= n and _rank(nonzero) >= n:
-            break
+        if budget is not None and len(points) > budget:
+            return None
+        lambdas, witnesses = [], []
+        for norm, v in sorted((_shell_norm(v, box), tuple(v)) for v in points if any(v)):
+            if _rank_of(witnesses + [v]) > len(witnesses):
+                lambdas.append(norm)
+                witnesses.append(v)
+                if len(witnesses) == n:
+                    return MinimaReport(tuple(lambdas), tuple(witnesses))
         scale *= 2
-    lambdas, witnesses = [], []
-    for norm, v in sorted((_shell_norm(v, box), v) for v in nonzero):
-        if _rank(witnesses + [v]) > len(witnesses):
-            lambdas.append(norm)
-            witnesses.append(v)
-            if len(witnesses) == n:
-                break
-    return MinimaReport(tuple(lambdas), tuple(witnesses))
 
 
 def test_minima_equal_the_fraction_rank_path():
@@ -279,6 +284,34 @@ def test_minima_equal_the_fraction_rank_path():
         box = ConvexBox(tuple(rng.randint(1, 8) for _ in range(n)))
         upto = rng.choice((None, 1, 2, 3))
         assert successive_minima(lat, box, upto=upto) == _fraction_minima(lat, box, upto)
+
+
+ORACLE_POINTS = 2000  # points the Fraction path may sort and rank per example
+
+
+@st.composite
+def minima_cases(draw):
+    """Lattices of dimension 2..6 with Fraction halfwidths, some of them
+    huge enough that the minima sit far below 1, and every upto."""
+    n = draw(st.integers(2, 6))
+    p = draw(st.sampled_from((3, 31, 101, 211, 409)))
+    coeffs = tuple(draw(st.integers(0, p - 1)) for _ in range(n))
+    assume(any(coeffs))
+    huge = draw(st.booleans())
+    top = 10 ** 6 if huge else 6 if n < 5 else 3
+    halfwidths = tuple(Fraction(draw(st.integers(1, top)), draw(st.integers(1, 3)))
+                       for _ in range(n))
+    upto = draw(st.sampled_from((None,) + tuple(range(1, 7))))
+    return CongruenceLattice(coeffs, p), ConvexBox(halfwidths), upto
+
+
+@settings(max_examples=50, deadline=None)
+@given(minima_cases())
+def test_minima_equal_the_fraction_rank_path_on_drawn_bodies(case):
+    lat, box, upto = case
+    expect = _fraction_minima(lat, box, upto, budget=ORACLE_POINTS)
+    assume(expect is not None)
+    assert successive_minima(lat, box, upto=upto) == expect
 
 
 @pytest.mark.parametrize("lat, box, upto, lambdas, witnesses", [
@@ -323,6 +356,25 @@ def test_minima_frozen_example():
                    for x, h in zip(w, box.halfwidths)) == lam
 
 
+def test_minima_start_at_the_minkowski_scale(monkeypatch):
+    # lambda_3^3 >= 2^3 * 1009 / (3! * vol D) = 1009 / 24 puts the first
+    # scale at 8: scales 1, 2 and 4 cannot span and are never enumerated
+    lat = CongruenceLattice((2, 509, 740), 1009)
+    box = ConvexBox((1, 1, 2))
+    scales = []
+    enumerate_points = lattice.lattice_points_in_box
+
+    def recorded(lat, box, scale=1, collect=False):
+        scales.append(scale)
+        return enumerate_points(lat, box, scale, collect)
+    monkeypatch.setattr(lattice, "lattice_points_in_box", recorded)
+    rep = successive_minima(lat, box)
+    assert scales == [8]
+    assert rep == MinimaReport((Fraction(13, 2), Fraction(7), Fraction(15, 2)),
+                               ((-6, -5, 13), (-1, -7, -2), (-4, 2, -15)))
+    assert rep == _fraction_minima(lat, box)
+
+
 def test_minima_against_naive_oracle():
     rng = random.Random(52)
     for _ in range(25):
@@ -347,7 +399,10 @@ def test_minima_validation_raises_on_bad_reports():
                 MinimaReport(lams[::-1], wits[::-1]),
                 MinimaReport(lams, ((1, 0, 0),) + wits[1:]),
                 MinimaReport((Fraction(0),) + lams[1:], wits),
-                MinimaReport(lams, (wits[0],) * 3)):
+                MinimaReport(lams, (wits[0],) * 3),
+                # inflated minima on the true witnesses
+                MinimaReport((Fraction(1, 3), Fraction(1), Fraction(14, 9)), wits),
+                MinimaReport((Fraction(14, 9),) * 3, wits)):
         with pytest.raises(RuntimeError):
             _validate_minima(lat, box, bad, 3)
 
@@ -461,6 +516,71 @@ def test_lemma6_counts_planted_composition():
         count = lemma6_count(f, g, xs, ys)
         expect = sum(1 for x in range(p) if f(x) == g(h(x)))
         assert count == expect <= 3 * 2
+
+
+def _scan_count(f, g, xs, ys):
+    """#{x in F_p : f(x) = g(h(x))} by evaluating both sides at every
+    residue, with h(x) = x * L(x) and L the Lagrange interpolant through
+    the points (x_i, y_i / x_i)."""
+    p = f.modulus.p
+    x = np.arange(p, dtype=np.int64)
+    lag = np.zeros(p, dtype=np.int64)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = np.full(p, yi * pow(xi, -1, p) % p, dtype=np.int64)
+        for j, xj in enumerate(xs):
+            if j != i:
+                term = term * ((x - xj) % p) % p * pow(xi - xj, -1, p) % p
+        lag = (lag + term) % p
+    hx = x * lag % p
+    return int((poly_values(f.coeffs, x, p) == poly_values(g.coeffs, hx, p)).sum())
+
+
+@st.composite
+def lemma6_cases(draw):
+    """Degrees with m not dividing n, at primes past the determinant replay,
+    with planted compositions and random data."""
+    p = draw(st.sampled_from((223, 1009, 10007, 100003)))
+    n, m = draw(st.sampled_from(((1, 2), (2, 3), (3, 2), (4, 3), (5, 2), (5, 3))))
+    mod = PrimeModulus(p)
+    f = FpPolynomial.from_ints([draw(st.integers(0, p - 1)) for _ in range(n)]
+                               + [draw(st.integers(1, p - 1))], mod)
+    g = FpPolynomial.from_ints([draw(st.integers(0, p - 1)) for _ in range(m)]
+                               + [draw(st.integers(1, p - 1))], mod)
+    xs = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):  # y_i = h(x_i) on a planted h with g(h) = f at some x
+        h = FpPolynomial.from_ints([0] + [draw(st.integers(0, p - 1)) for _ in range(n)], mod)
+        ys = [h(x) for x in xs]
+    else:
+        ys = [draw(st.integers(0, p - 1)) for _ in range(n)]
+    return f, g, xs, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(lemma6_cases())
+def test_lemma6_root_count_matches_the_residue_scan(case):
+    f, g, xs, ys = case
+    count = lemma6_count(f, g, xs, ys)
+    assert count == _scan_count(f, g, xs, ys) <= f.degree * g.degree
+
+
+@pytest.mark.parametrize("f, g, x1, y1, status", [
+    ((5, 7), (1, 2, 3), 11, 13, QrStatus.NONRESIDUE),
+    ((0, 1), (4, 0, 1), 2, 1, QrStatus.RESIDUE),
+    ((0, 6), (9, 0, 1), 1, 1, QrStatus.ZERO),  # F = -(X - 3)^2
+    ((3, 2 ** 40), (2 ** 50, 9, 2 ** 60), 7, 2 ** 59, QrStatus.RESIDUE),
+])
+def test_lemma6_at_the_largest_prime_by_the_discriminant(f, g, x1, y1, status):
+    # deg f = 1, deg g = 2: h(X) = aX with a = y1 / x1, and F = f - g(aX) is
+    # the quadratic -g2 a^2 X^2 + (f1 - g1 a) X + (f0 - g0), whose distinct
+    # roots number 1 + (disc / p)
+    p = 2 ** 61 - 1
+    mod = PrimeModulus(p)
+    a = y1 * pow(x1, -1, p) % p
+    A, B, C = -g[2] * a * a, f[1] - g[1] * a, f[0] - g[0]
+    assert is_qr(B * B - 4 * A * C, mod) == status
+    expect = {QrStatus.RESIDUE: 2, QrStatus.ZERO: 1, QrStatus.NONRESIDUE: 0}[status]
+    assert lemma6_count(FpPolynomial.from_ints(f, mod), FpPolynomial.from_ints(g, mod),
+                        [x1], [y1]) == expect
 
 
 def _leibniz_det(rows, p):

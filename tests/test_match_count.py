@@ -180,8 +180,8 @@ def test_lemma6_count_is_the_direct_scan(data):
        st.lists(st.integers(0, BIG - 1), min_size=1, max_size=4),
        st.lists(st.integers(0, BIG - 1), min_size=1, max_size=4))
 def test_composed_values_at_the_object_path(xs, fc, hc):
-    # the lemma6 main count compares f(x) with g(h(x)); at p = 2^61 - 1 F_p
-    # cannot be scanned, so the composed evaluation is checked pointwise
+    # a composed evaluation f(h(x)) on the object path: at p = 2^61 - 1 F_p
+    # cannot be scanned, so it is checked pointwise
     composed = poly_values(fc, poly_values(hc, np.array(xs, dtype=np.int64), BIG), BIG)
     assert composed.dtype == object
     assert list(composed) == [horner(fc, horner(hc, x, BIG), BIG) for x in xs]
