@@ -381,7 +381,8 @@ def criterion_12(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
 
 def criterion_13(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
     """Isomorphism relation is an equivalence, canonical keys respect it,
-    and the root-based orbit count equals a raw box scan."""
+    and the orbit count through the power congruence equals a raw box
+    scan."""
     trials = 200 if quick else 1000
     p = 101
     pm = PrimeModulus(p)

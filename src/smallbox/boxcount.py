@@ -65,6 +65,27 @@ def count_matches(f: Sequence[int], g: Sequence[int], xs, ys, p: int) -> int:
     return int(n.sum())
 
 
+def list_matches(f: Sequence[int], g: Sequence[int], xs, ys,
+                 p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair that `count_matches` counts, as two arrays (x, y) of equal
+    length, in the order of the double loop over xs, then ys.  The g(y)
+    are argsorted once (stably, so equal values keep the order of ys); the
+    run of each f(x) among them is found by binary search on both sides
+    and expanded, in O(len(xs) + len(ys) + pairs) memory."""
+    xs, ys = (np.arange(t.start, t.stop, t.step, dtype=np.int64) if isinstance(t, range)
+              else np.asarray(t) for t in (xs, ys))
+    u = poly_values(f, xs, p)
+    v = poly_values(g, ys, p)
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    first = np.searchsorted(v, u, side="left")
+    n = np.searchsorted(v, u, side="right") - first
+    ix = np.repeat(np.arange(len(u)), n)
+    # the k-th pair is entry k - start of its x's run, starting at v[first]
+    iy = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(len(ix))
+    return xs[ix], ys[order[iy]]
+
+
 def naive_count(f: Sequence[int], g: Sequence[int], xs, ys, p: int) -> int:
     """Reference double loop of `count_matches`: scalar Horner in Python
     integers on both sides, then every x's value compared with every y's."""

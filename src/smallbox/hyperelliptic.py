@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ffield
-from .boxcount import DEFAULT_EPS, count_matches
+from .boxcount import DEFAULT_EPS, count_matches, list_matches
 from .ffield import (FpPolynomial, PrimeModulus, discriminant, entry_bytes, int_dtype,
                      is_qr, QrStatus, residue_dtype, roots_mod, run_starts, sqrt_mod_int)
 
@@ -199,35 +199,57 @@ def canonical_representative(a: CurveVector) -> CurveVector:
 
 
 def _count_orbit_in_box(b: CurveVector, box: CubeBox) -> int:
-    """Distinct orbit members of b inside box.  For each of the M values v0
-    of coordinate 0's window the scalars with alpha^(4g+2) b_0 = v0 are the
-    k-th roots of v0/b_0; each candidate vector is tested against the box.
-    Every vector in the box is hit by exactly one stabilizer coset of
-    scalars, which is checked.  Cost O(M*g*log p)."""
-    p, g = b.modulus.p, b.g
+    """Distinct orbit members of b inside box, counted through the h = 3
+    power congruence on the last two coordinates.
+
+    With beta = alpha^2, coordinates 2g-2 and 2g-1 scale by beta^3 and
+    beta^2, so every orbit member in the box gives a solution (X, Y) of
+    Y^3 b_(2g-2)^2 = X^2 b_(2g-1)^3 in their two windows, listed by one
+    sorted join (`list_matches`; at most 3 Y per X).  A solution fixes
+    beta = X b_(2g-1) / (Y b_(2g-2)) and with it the whole vector
+    beta^(2g+1-i) b_i, an orbit member in the box exactly when beta is a
+    square (Euler's criterion) and every other coordinate lies in its
+    window; so each member is met once.  Each counted vector is rebuilt
+    from alpha, a square root of beta, as alpha^(4g+2-2i) b_i, a formula
+    the join never uses; a mismatch raises RuntimeError.  Cost O(M log M)
+    for the join, one inverse and one power per solution (about M^2/p of
+    them, at most 3M) and one square root per counted vector."""
+    p, n = b.modulus.p, 2 * b.g
     if 0 in b.a:  # the orbit keeps zero coordinates; the box has none
         return 0
     lo, hi = box.lows(), box.highs()
-    inv_b0 = pow(b.a[0], -1, p)
-    alphas = [al for v0 in range(lo[0], hi[0] + 1)
-              for al in roots_mod(v0 * inv_b0 % p, 4 * g + 2, p)]
-    rows = _scaled_rows(alphas, b.a, p)
-    inside = ((rows >= np.asarray(lo)) & (rows <= np.asarray(hi))).all(axis=1)
-    hits = int(inside.sum())
-    distinct = len(set(map(tuple, rows[inside].tolist())))
-    # alpha fixes b exactly when alpha^gcd(p-1, exponents) = 1
-    stab = math.gcd(p - 1, *scaling_exponents(g))
-    if hits != distinct * stab:
-        raise RuntimeError(f"orbit of {b.a} in the box: {hits} scalars for "
-                           f"{distinct} vectors, stabilizer order {stab}")
-    return distinct
+    b_x, b_y = b.a[n - 2], b.a[n - 1]
+    xs, ys = list_matches((0, 0, pow(b_y, 3, p)), (0, 0, 0, b_x * b_x % p),
+                          range(lo[n - 2], hi[n - 2] + 1), range(lo[n - 1], hi[n - 1] + 1), p)
+    exps = scaling_exponents(b.g)
+    half = (p - 1) // 2
+    others = [(b.a[i], lo[i], hi[i]) for i in range(n - 3, -1, -1)]
+    count = 0
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        beta = x * b_y * pow(y * b_x, -1, p) % p
+        if pow(beta, half, p) != 1:  # Euler: beta is no alpha^2
+            continue
+        v, w = [y, x], beta * beta * beta % p  # coordinates 2g-1 down to 0
+        for c, low, high in others:  # coordinate i scales by beta^(2g+1-i)
+            w = w * beta % p
+            if not low <= (a := w * c % p) <= high:
+                break
+            v.append(a)
+        else:
+            al = roots_mod(beta, 2, p)
+            if not al or [pow(al[0], e, p) * c % p for e, c in zip(exps, b.a)] != v[::-1]:
+                raise RuntimeError(f"orbit of {b.a} in the box: {v[::-1]} is not a "
+                                   f"square root's scaling of b, beta = {beta}")
+            count += 1
+    return count
 
 
 def count_isomorphic_in_box(b: CurveVector, box: CubeBox) -> int:
-    """Exact number of vectors in the box isomorphic to b, cost O(M*g*log p):
-    one k-th root extraction per value of the first coordinate's window,
-    independent of the rest of the box volume and of p's size beyond log p.
-    Agrees with the brute-force box scan."""
+    """Exact number of vectors in the box isomorphic to b: one sorted join
+    of the last two coordinates' windows, O(M log M), then O(g log p) per
+    solution of their power congruence (about M^2/p) and one square root
+    per counted vector, independent of the rest of the box volume and of
+    p's size beyond log p.  Agrees with the brute-force box scan."""
     if box.g != b.g:
         raise ValueError("genus mismatch between vector and box")
     box.validate_for(b.modulus.p)
@@ -535,7 +557,11 @@ def reduce_to_power_congruence(b: CurveVector, h: int, box: CubeBox) -> PowerCon
     lambda = b_(2g-1)^h / b_(2g+1-h)^2.  Every vector of the box isomorphic
     to b therefore yields a solution (X, Y) = (a_(2g+1-h), a_(2g-1)) of the
     congruence inside the corresponding coordinate windows, and the exact
-    solution count bounds the isomorphic count from above.
+    solution count bounds the isomorphic count from above.  For odd h the
+    map is one-to-one, since X = beta^h b_(2g+1-h) and Y = beta^2 b_(2g-1)
+    fix beta = alpha^2 and with it the vector; at h = 3 it is the kernel
+    of `count_isomorphic_in_box`, which lists the solutions and keeps those
+    that are orbit members inside the box.
     """
     g = b.g
     if box.g != g:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,15 +50,23 @@ class CongruenceLattice:
 
 @dataclass(frozen=True)
 class ConvexBox:
-    """D = {x : |x_i| <= halfwidth_i}, a symmetric box body."""
+    """D = {x : |x_i| <= halfwidth_i}, a symmetric box body.  The halfwidths
+    are also kept as integer numerators `nums` over one denominator `den`,
+    h_i = nums_i / den, so scales and volumes need no Fraction arithmetic."""
 
     halfwidths: tuple
+    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hw = tuple(Fraction(h) for h in self.halfwidths)
         if not hw or any(h <= 0 for h in hw):
             raise ValueError("halfwidths must be positive")
         object.__setattr__(self, "halfwidths", hw)
+        den = math.lcm(*(h.denominator for h in hw))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(h.numerator * (den // h.denominator)
+                                               for h in hw))
 
     @property
     def n(self) -> int:
@@ -70,11 +78,14 @@ class ConvexBox:
             v *= 2 * h
         return v
 
-    def enum_volume(self, scale: Fraction) -> float:
-        """Cells of the enumeration grid of scale*D, as the guard counts them."""
+    def enum_volume(self, scale) -> float:
+        """Cells of the enumeration grid of scale*D, as the guard counts them;
+        scale is an int or a Fraction.  Each scale*h_i is one int/int true
+        division, rounded as float(Fraction) rounds it."""
+        a, b = scale.numerator, scale.denominator * self.den
         vol = 1.0
-        for h in self.halfwidths:
-            vol *= 2 * float(scale * h) + 1
+        for h in self.nums:
+            vol *= 2 * (a * h / b) + 1
         return vol
 
 
@@ -135,7 +146,8 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     if vol > ENUM_GUARD:
         raise ValueError(f"enumeration volume {vol:.3g} above guard {ENUM_GUARD}")
     p = lat.p
-    bounds = [math.floor(scale * h) for h in box.halfwidths]
+    num, den = scale.numerator, scale.denominator * box.den
+    bounds = [num * h // den for h in box.nums]  # floor(scale * h_i)
     invertible = [j for j, c in enumerate(lat.coeffs) if c % p != 0]
     if not invertible:
         raise ValueError("all coefficients divisible by p")
@@ -187,6 +199,11 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     _fill_cells(pts, qi, query, bounds)
     _fill_cells(pts, order[tj], table, bounds)
     return PointCount(count=count, points=pts)
+
+
+def _power_of_two(e: int):
+    """2^e exactly: an int for e >= 0, a Fraction below."""
+    return 1 << e if e >= 0 else Fraction(1, 1 << -e)
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
@@ -281,16 +298,17 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     if n < 1:
         raise ValueError("upto must be >= 1")
 
-    # start small enough that huge bodies (whose minima sit far below 1)
-    # never trip the enumeration guard on the way up
-    scale = Fraction(1)
-    while box.enum_volume(scale) > 10 ** 6 and scale > Fraction(1, 2 ** 40):
-        scale /= 2
+    # the scales are 2^e; start small enough that huge bodies (whose minima
+    # sit far below 1) never trip the enumeration guard on the way up
+    e = 0
+    while e > -40 and box.enum_volume(_power_of_two(e)) > 10 ** 6:
+        e -= 1
     if n == lat.n:
-        # lambda_1 ... lambda_n vol(D) >= 2^n det / n!, and lambda_n is the largest
-        least = Fraction(2 ** n * lat.determinant(), math.factorial(n)) / box.volume()
-        while scale ** n < least:
-            scale *= 2
+        # lambda_1 ... lambda_n vol(D) >= 2^n det / n!, and lambda_n is the
+        # largest: 2^(en) >= 2^n det / (n! vol D) = det den^n / (n! prod nums)
+        lhs, rhs = math.factorial(n) * math.prod(box.nums), lat.determinant() * box.den ** n
+        while lhs << max(n * e, 0) < rhs << max(-n * e, 0):  # 2^(en) lhs < rhs
+            e += 1
     # |x_i| / h_i = |x_i| * weight_i / den, so integer keys sort like the norms
     den = math.lcm(*(h.numerator for h in box.halfwidths))
     weights = [h.denominator * (den // h.numerator) for h in box.halfwidths]
@@ -299,11 +317,12 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     span = _Echelon()
     scanned = -1  # every key up to this one has been scanned
     while len(witnesses) < n:
-        pts = lattice_points_in_box(lat, box, scale=scale, collect=True).points
+        pts = lattice_points_in_box(lat, box, scale=_power_of_two(e), collect=True).points
         # the rows whose first nonzero coordinate is negative: one of each +-v
         pts = pts[pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)] < 0]
-        # |x_i| <= scale * h_i, so no key exceeds scale * den
-        dtype = int_dtype(max(*weights, scale * den))
+        # |x_i| <= 2^e * h_i, so no key exceeds top = floor(2^e * den)
+        top = den << max(e, 0) >> max(-e, 0)
+        dtype = int_dtype(max(*weights, top))
         keys = (np.abs(pts).astype(dtype, copy=False)
                 * np.array(weights, dtype=dtype)).max(axis=1)
         fresh = keys > scanned
@@ -316,8 +335,8 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
                 witnesses.append(tuple(v))
                 if len(witnesses) == n:
                     break
-        scanned = math.floor(scale * den)
-        scale *= 2
+        scanned = top
+        e += 1
     report = MinimaReport(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
     _validate_minima(lat, box, report, n)
     return report

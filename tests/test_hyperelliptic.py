@@ -1,11 +1,12 @@
 """Scaling isomorphisms of odd-degree hyperelliptic curve vectors: scalars,
 canonical forms, box counts, the box census, and the power-congruence
-reduction, cross-checked against a plain orbit walk over every alpha and
-brute-force box scans."""
+reduction, cross-checked against a plain orbit walk over every alpha, the
+earlier root-per-window-value orbit count, and brute-force box scans."""
 
 import functools
 import hashlib
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -76,6 +77,34 @@ def walk_count(b, box):
     rows = walk(b)
     inside = ((rows >= box.lows()) & (rows <= box.highs())).all(axis=1)
     return len(set(map(tuple, rows[inside].tolist())))
+
+
+def root_walk_count(b, box):
+    """The earlier orbit count, kept as the oracle of the power-congruence
+    join: for each value v0 of coordinate 0's window the scalars with
+    alpha^(4g+2) b_0 = v0 are the (4g+2)-th roots of v0/b_0, and each
+    candidate vector is tested against the box.  Every vector in the box is
+    hit by exactly one stabilizer coset of scalars, which is checked.  One
+    root extraction per value of v0, at any p."""
+    p, g = b.modulus.p, b.g
+    if 0 in b.a:
+        return 0
+    lo, hi = box.lows(), box.highs()
+    inv_b0 = pow(b.a[0], -1, p)
+    alphas = [al for v0 in range(lo[0], hi[0] + 1)
+              for al in ffield.roots_mod(v0 * inv_b0 % p, 4 * g + 2, p)]
+    rows = hyperelliptic._scaled_rows(alphas, b.a, p)
+    inside = ((rows >= np.asarray(lo)) & (rows <= np.asarray(hi))).all(axis=1)
+    distinct = len(set(map(tuple, rows[inside].tolist())))
+    # alpha fixes b exactly when alpha^gcd(p-1, exponents) = 1
+    assert int(inside.sum()) == distinct * math.gcd(p - 1, *scaling_exponents(g))
+    return distinct
+
+
+def box_around(rng, v, M, p):
+    """A side-M box that holds the vector v."""
+    return CubeBox(len(v) // 2, tuple(max(0, min(p - M - 1, c - rng.randint(1, M)))
+                                      for c in v), M)
 
 
 def walk_census(mod, box):
@@ -258,6 +287,87 @@ def test_orbit_routines_match_the_walk(p):
         assert n == walk_count(a, box)
         counted += n > 0
     assert p < 7 or counted > 0
+
+
+@pytest.mark.parametrize("p, g", [(1000003, 1), (1000003, 2), (1000033, 1), (1000033, 2),
+                                  (BIG, 3)])
+def test_orbit_count_matches_the_root_walk_at_large_p(p, g):
+    # the benchmark's large-p shape: M = 2000, a box around an orbit member
+    rng = random.Random(p + g)
+    mod, M = PrimeModulus(p), 2000
+    for _ in range(3):
+        b = random_vector(rng, mod, g)
+        if 0 in b.a or not b.is_nonsingular():
+            continue
+        box = box_around(rng, apply_scaling(b, rng.randrange(1, p)).a, M, p)
+        assert count_isomorphic_in_box(b, box) == root_walk_count(b, box) >= 1
+    ones = CurveVector(g, (1,) * (2 * g), mod)  # many members near the origin
+    box = CubeBox(g, (0,) * (2 * g), M)
+    assert count_isomorphic_in_box(ones, box) == root_walk_count(ones, box) > 1
+
+
+SMALL_PRIMES = [q for q in range(3, 102) if sympy.isprime(q)]
+
+
+@st.composite
+def orbit_boxes(draw):
+    """A vector at p <= 101 (zero coordinates included) and a box, random or
+    around one of its orbit members."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    g = draw(st.integers(1, 3))
+    b = CurveVector(g, tuple(draw(st.integers(0, p - 1)) for _ in range(2 * g)),
+                    PrimeModulus(p))
+    M = draw(st.integers(1, p - 2))
+    if draw(st.booleans()):
+        v = apply_scaling(b, draw(st.integers(1, p - 1))).a
+        R = tuple(max(0, min(p - M - 1, c - draw(st.integers(1, M)))) for c in v)
+    else:
+        R = tuple(draw(st.integers(0, p - M - 1)) for _ in range(2 * g))
+    return b, CubeBox(g, R, M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_boxes())
+def test_orbit_count_matches_the_walk(case):
+    b, box = case
+    n = hyperelliptic._count_orbit_in_box(b, box)
+    assert n == walk_count(b, box)
+    if b.is_nonsingular():
+        assert count_isomorphic_in_box(b, box) == n
+
+
+def test_orbit_count_certificate_catches_a_wrong_root(monkeypatch):
+    mod = PrimeModulus(1000003)
+    b = CurveVector(2, (1000, 2000, 3000, 4000), mod)
+    box = CubeBox(2, tuple(c - 10 for c in b.a), 20)  # holds b itself
+    assert b.is_nonsingular() and count_isomorphic_in_box(b, box) >= 1
+    roots = ffield.roots_mod
+    for wrong in (lambda c, k, p: tuple(2 * r % p for r in roots(c, k, p)),
+                  lambda c, k, p: ()):
+        monkeypatch.setattr(hyperelliptic, "roots_mod", wrong)
+        with pytest.raises(RuntimeError, match="not a square root's scaling"):
+            count_isomorphic_in_box(b, box)
+
+
+def test_orbit_count_takes_one_root_per_counted_vector(monkeypatch):
+    # the root walk took one (4g+2)-th root per value of coordinate 0's
+    # window, 2,000 here; the join takes one square root per counted vector
+    p, M = 1000003, 2000
+    mod, rng = PrimeModulus(p), random.Random(21)
+    calls, roots = [], hyperelliptic.roots_mod
+
+    def counted(*args):
+        calls.append(args)
+        return roots(*args)
+    monkeypatch.setattr(hyperelliptic, "roots_mod", counted)
+    for g in (1, 2):
+        b = CurveVector(g, tuple(rng.randrange(1, p) for _ in range(2 * g)), mod)
+        cases = [(b, box_around(rng, b.a, M, p)),
+                 (CurveVector(g, (1,) * (2 * g), mod), CubeBox(g, (0,) * (2 * g), M))]
+        for b, box in cases:
+            calls.clear()
+            n = count_isomorphic_in_box(b, box)
+            assert n >= 1 and len(calls) == n
 
 
 @pytest.mark.parametrize("p, g, M", [(7, 1, 5), (13, 3, 2), (31, 1, 9), (31, 3, 2),

@@ -1,5 +1,6 @@
 """The vectorized counting kernels (Horner over a vector, the sort-and-search
-pair count `count_matches`) and every count built on them, against
+pair count `count_matches` and its pair listing `list_matches`) and every
+count built on them, against
 brute-force double loops and the reference loop `naive_count`, at small
 primes (int64 path) and at p = 2^61 - 1 (Python-integer path)."""
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallbox.boxcount import (Box2, count_curve_points, count_graph_points,
-                               count_matches, naive_count)
+                               count_matches, list_matches, naive_count)
 from smallbox.ffield import FpPolynomial, PrimeModulus, poly_values, residue_dtype
 from smallbox.hyperelliptic import CubeBox, CurveVector, reduce_to_power_congruence
 from smallbox.lattice import lemma6_count, shifted_congruence_count
@@ -69,6 +70,21 @@ def test_count_matches_is_the_reference_loop(data):
             for _ in range(2))
     xs, ys = data.draw(window(p)), data.draw(window(p))
     assert count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
+
+
+@SETTINGS
+@given(st.data())
+def test_list_matches_lists_the_counted_pairs(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    f, g = (data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=6))
+            for _ in range(2))
+    xs, ys = data.draw(window(p)), data.draw(window(p))
+    x, y = list_matches(f, g, xs, ys, p)
+    pairs = list(zip(x.tolist(), y.tolist()))
+    xl, yl = (list(t) if isinstance(t, range) else t.tolist() for t in (xs, ys))
+    # the double loop's own order: equal values of g keep the order of ys
+    assert pairs == [(a, b) for a in xl for b in yl if horner(f, a, p) == horner(g, b, p)]
+    assert len(pairs) == count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
 
 
 @SETTINGS
