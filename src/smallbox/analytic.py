@@ -34,7 +34,7 @@ def _residues(g: FpPolynomial, k: int, M: int) -> np.ndarray:
     if M < 1:
         raise ValueError("M >= 1 required")
     p = g.modulus.p
-    return poly_values(g.coeffs, range(1, M + 1), p) * (k % p) % p
+    return poly_values([k * c % p for c in g.coeffs], range(1, M + 1), p)
 
 
 def _phase_sum(r: np.ndarray, p: int) -> complex:

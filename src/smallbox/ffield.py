@@ -36,6 +36,13 @@ def residue_dtype(p: int):
     return np.int64 if p < INT64_P_LIMIT else object
 
 
+def key_dtype(p: int):
+    """The numpy dtype of tagged keys 2r + b, r a residue mod p and b a bit:
+    uint32 exactly while residues are int64 (p < INT64_P_LIMIT keeps every
+    key at most 2**32 - 3), Python integers (dtype object) above."""
+    return np.uint32 if residue_dtype(p) is np.int64 else object
+
+
 def int_dtype(bound):
     """The numpy dtype of integers below bound in absolute value: int64
     while bound < 2**63, Python integers (dtype object) above."""
@@ -337,17 +344,22 @@ def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
     values included.  coeffs may also be per-lane rows, an array of
     residue_dtype(p) and shape (deg+1, len(xs)) whose row j holds c_j for
     each x (zero above that x's own degree): each row then broadcasts
-    against xs, so every x gets its own polynomial.  The result holds
-    residues in [0, p-1] of residue_dtype(p), exact either way.
+    against xs, so every x gets its own polynomial.  The accumulator
+    starts at the leading coefficient, so degree d costs d passes of
+    multiply, add and reduce, and a zero coefficient skips its add.  The
+    result holds residues in [0, p-1] of residue_dtype(p), exact either
+    way.
     """
     dtype = residue_dtype(p)
     if isinstance(xs, range):
         xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
-    xs = np.asarray(xs).astype(dtype) % p
-    acc = np.zeros(len(xs), dtype=dtype)
-    for c in reversed(coeffs):
+    xs = np.asarray(xs, dtype=dtype) % p
+    acc = np.full(len(xs), coeffs[-1] % p if len(coeffs) else 0, dtype=dtype)
+    for c in reversed(coeffs[:-1]):
         acc *= xs
-        acc += c % p
+        c = c % p
+        if isinstance(c, np.ndarray) or c:  # a row is added even when zero
+            acc += c
         acc %= p
     return acc
 

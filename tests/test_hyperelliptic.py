@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from smallbox import cli, ffield, harness, hyperelliptic
 from smallbox.acceptance import DEFAULT_SEED, derived_rng
+from smallbox.boxcount import Box2, count_curve_points
 from smallbox.ffield import FpPolynomial, PrimeModulus, discriminant
 from smallbox.hyperelliptic import (
     CubeBox,
@@ -515,6 +516,23 @@ def test_census_peak_stays_below_the_guard_estimate(monkeypatch, p, g, M, boxes)
         tracemalloc.stop()
     assert sum(c.box_size for c in censuses) == boxes * M ** (2 * g)
     assert peak < estimate
+
+
+def test_curve_count_peak_stays_below_three_and_a_half_int64_windows():
+    # the join keeps one 4-byte key per x and per y, and beside them only
+    # the two int64 vectors of one Horner pass: 3 x 8M bytes, against the
+    # 4 x 8M of two sorted int64 value vectors
+    p, M = 1000003, 200_000
+    f = FpPolynomial.from_ints((3, 7, 0, 1), PrimeModulus(p))
+    box = Box2(1000, 5000, M)
+    expect = count_curve_points(f, box)
+    tracemalloc.start()
+    try:
+        assert count_curve_points(f, box) == expect
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * M
 
 
 def test_census_above_the_guard_is_a_usage_error(capsys):

@@ -1,16 +1,18 @@
-"""The vectorized counting kernels (Horner over a vector, the sort-and-search
+"""The vectorized counting kernels (Horner over a vector, the tagged-key
 pair count `count_matches` and its pair listing `list_matches`) and every
-count built on them, against
-brute-force double loops and the reference loop `naive_count`, at small
-primes (int64 path) and at p = 2^61 - 1 (Python-integer path)."""
+count built on them, against brute-force double loops and the reference
+loop `naive_count`, at small primes (int64 path), at p = 2^61 - 1
+(Python-integer path), and on both sides of the uint32 key limit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallbox.boxcount import (Box2, count_curve_points, count_graph_points,
                                count_matches, list_matches, naive_count)
-from smallbox.ffield import FpPolynomial, PrimeModulus, poly_values, residue_dtype
+from smallbox.ffield import (FpPolynomial, PrimeModulus, key_dtype, poly_values,
+                             residue_dtype)
 from smallbox.hyperelliptic import CubeBox, CurveVector, reduce_to_power_congruence
 from smallbox.lattice import lemma6_count, shifted_congruence_count
 
@@ -48,6 +50,34 @@ def test_count_matches_is_the_pair_count(u, v, p):
     expect = sum(1 for a in u for b in v if a == b)
     assert count_matches((0, 1), (0, 1), np.array(u, dtype=np.int64),
                          np.array(v, dtype=np.int64), p) == expect
+
+
+# the largest prime with uint32 keys (2 (p - 1) + 1 = 2^32 - 3), and the
+# first prime with Python-integer keys
+KEY_EDGE = {(1 << 31) - 1: np.uint32, (1 << 31) + 11: object}
+
+
+@pytest.mark.parametrize("p", KEY_EDGE)
+def test_count_matches_at_the_key_limit(p):
+    assert key_dtype(p) is KEY_EDGE[p]
+    # f = x lands on p - 1 and on 0 three times each, next to p - 2 and 1
+    ends = np.array([-1, p - 1, 2 * p - 1, 0, p, -p, 1, p - 2], dtype=np.int64)
+    wrap = range(p - 3, p + 3)  # p - 3, p - 2, p - 1, then 0, 1, 2
+    cases = [((0, 1), (-1,), ends, range(4)),  # runs of 3 and 4 on the top key
+             ((0, 1), (0,), ends, range(5)),  # and on the bottom key
+             ((0, 1), (-1,), wrap, ends),  # a constant on the y side too
+             ((0, 1), (0, 1), ends, ends[::-1]),
+             ((0, 1), (0, 1), wrap, ends),
+             ((0, 0, 1), (1,), wrap, ends),  # x^2 = 1 at p - 1 and 1
+             ((0, 1), (-1,), range(0), ends),  # empty and one-element windows
+             ((0, 1), (-1,), ends, range(0)),
+             ((0, 1), (-1,), range(0), range(0)),
+             ((0, 1), (-1,), np.array([-1]), range(1)),
+             ((0, 1), (0, 1), np.array([p - 1]), np.array([-1]))]
+    for f, g, xs, ys in cases:
+        assert count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
+    assert count_matches((0, 1), (-1,), ends, range(4), p) == 3 * 4
+    assert count_matches((0, 1), (0, 1), np.array([p - 1]), np.array([0]), p) == 0
 
 
 @st.composite

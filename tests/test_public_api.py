@@ -7,8 +7,9 @@ the re-exports in `__init__.py` are import aliases, not references.
 Dunders are exempt.  The package's modules import each other without a
 cycle, function-level imports included, and hold no `assert` statement:
 checks on results raise, since `python -O` strips every `assert`.  Only
-`ffield.py` writes the int64 limit 2**63 or defines a byte guard, so that
-the int64-or-object rule and the byte budget each live in one place."""
+`ffield.py` writes the int64 limit 2**63 or the uint32 limit 2**32, or
+defines a byte guard, so that the dtype rules and the byte budget each
+live in one place."""
 
 import ast
 from collections import Counter
@@ -139,11 +140,11 @@ def test_the_scan_sees_the_package():
     assert {p.name for p in SOURCES} >= {"ffield.py", "lattice.py", "run.py"}
 
 
-def _is_int64_limit(node: ast.AST) -> bool:
-    """`2 ** 63` or `1 << 63`."""
+def _is_dtype_limit(node: ast.AST) -> bool:
+    """`2 ** 63` or `1 << 63` (int64), `2 ** 32` or `1 << 32` (uint32 keys)."""
     return isinstance(node, ast.BinOp) and (
         type(node.op), getattr(node.left, "value", None), getattr(node.right, "value", None)
-    ) in {(ast.Pow, 2, 63), (ast.LShift, 1, 63)}
+    ) in {(ast.Pow, 2, 63), (ast.LShift, 1, 63), (ast.Pow, 2, 32), (ast.LShift, 1, 32)}
 
 
 def test_dtype_and_byte_rules_live_in_ffield():
@@ -153,8 +154,8 @@ def test_dtype_and_byte_rules_live_in_ffield():
             continue
         tree = ast.parse(path.read_text(), str(path))
         where = path.relative_to(ROOT)
-        stray += [f"{where}:{node.lineno} 2**63 literal"
-                  for node in ast.walk(tree) if _is_int64_limit(node)]
+        stray += [f"{where}:{node.lineno} {ast.unparse(node)} literal"
+                  for node in ast.walk(tree) if _is_dtype_limit(node)]
         stray += [f"{where}:{node.lineno} {name}" for node in tree.body
                   for name in _bound_names(node) if name.endswith("BYTE_GUARD")]
     assert not stray, "outside ffield.py:\n" + "\n".join(stray)
