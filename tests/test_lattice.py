@@ -253,20 +253,46 @@ def _shell_norm(v, box):
     return max(Fraction(abs(x)) / h for x, h in zip(v, box.halfwidths))
 
 
+ORACLE_CELLS = 200_000  # free cells _solved_points may scan per oracle scale
+
+
+def _solved_points(lat, box, scale):
+    """Every point of Gamma in scale*D by a product over all coordinates but
+    one pivot of invertible coefficient and largest range, the pivot solved
+    as x = -inv * sum c_j x_j (mod p) and stepped by p through its range;
+    None when the free coordinates hold more than ORACLE_CELLS cells."""
+    p = lat.p
+    bounds = [math.floor(scale * h) for h in box.halfwidths]
+    pivot = max((j for j, c in enumerate(lat.coeffs) if c % p), key=lambda j: bounds[j])
+    free = [j for j in range(lat.n) if j != pivot]
+    if math.prod(2 * bounds[j] + 1 for j in free) > ORACLE_CELLS:
+        return None
+    inv, b = pow(lat.coeffs[pivot], -1, p), bounds[pivot]
+    points = []
+    for xs in itertools.product(*(range(-bounds[j], bounds[j] + 1) for j in free)):
+        r = -inv * sum(lat.coeffs[j] * x for j, x in zip(free, xs)) % p
+        for x in range(-b + (r + b) % p, b + 1, p):
+            v = list(xs)
+            v.insert(pivot, x)
+            points.append(tuple(v))
+    return points
+
+
 def _fraction_minima(lat, box, upto=None, budget=None):
     """The minima by their definition: at each doubling scale from 2^-40,
-    every enumerated nonzero point sorted by its Fraction box norm, then by
-    the vector, each kept when a Fraction rank says it grows the span of
-    those kept before it; no integer key, no echelon, no Minkowski start
-    and no point skipped.  None once a scale holds more than budget points."""
+    every nonzero point of `_solved_points` sorted by its Fraction box norm,
+    then by the vector, each kept when a Fraction rank says it grows the
+    span of those kept before it; no package enumeration, no integer key,
+    no echelon, no Minkowski start and no point skipped.  None once a scale
+    holds more than budget points or more than ORACLE_CELLS free cells."""
     n = lat.n if upto is None else min(upto, lat.n)
     scale = Fraction(1, 2 ** 40)
     while True:
-        points = lattice_points_in_box(lat, box, scale, collect=True).points.tolist()
-        if budget is not None and len(points) > budget:
+        points = _solved_points(lat, box, scale)
+        if points is None or budget is not None and len(points) > budget:
             return None
         lambdas, witnesses = [], []
-        for norm, v in sorted((_shell_norm(v, box), tuple(v)) for v in points if any(v)):
+        for norm, v in sorted((_shell_norm(v, box), v) for v in points if any(v)):
             if _rank_of(witnesses + [v]) > len(witnesses):
                 lambdas.append(norm)
                 witnesses.append(v)
