@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -23,7 +24,8 @@ ENUM_GUARD = 10 ** 9
 
 @dataclass(frozen=True)
 class CongruenceLattice:
-    """Gamma = {X in Z^n : sum c_i X_i = 0 (mod p)}, 2 <= n <= 6."""
+    """Gamma = {X in Z^n : sum c_i X_i = 0 (mod p)}, 2 <= n <= 6, with some
+    c_i nonzero mod p: the vacuous congruence is refused."""
 
     coeffs: tuple[int, ...]
     p: int
@@ -35,17 +37,19 @@ class CongruenceLattice:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
         object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
+        if not any(self.coeffs):
+            raise ValueError(f"all coefficients divisible by p = {self.p}")
 
     @property
     def n(self) -> int:
         return len(self.coeffs)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return sum(c * x for c, x in zip(self.coeffs, v)) % self.p == 0
+        return sum(map(operator.mul, self.coeffs, v)) % self.p == 0
 
     def determinant(self) -> int:
-        """Index of Gamma in Z^n: p unless the congruence is vacuous."""
-        return 1 if all(c == 0 for c in self.coeffs) else self.p
+        """Index of Gamma in Z^n."""
+        return self.p
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,9 @@ class ConvexBox:
     nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        hw = tuple(Fraction(h) for h in self.halfwidths)
-        if not hw or any(h <= 0 for h in hw):
+        hw = tuple(map(Fraction, self.halfwidths))
+        # denominators are positive, so the sign is the numerator's
+        if not hw or min(h.numerator for h in hw) <= 0:
             raise ValueError("halfwidths must be positive")
         object.__setattr__(self, "halfwidths", hw)
         den = math.lcm(*(h.denominator for h in hw))
@@ -95,24 +100,24 @@ class PointCount:
     points: np.ndarray | None  # (count, n) int64 when collected
 
 
-def _half_sums(coords: Sequence[int], d: Sequence[int], bounds: Sequence[int],
-               p: int) -> np.ndarray:
-    """sum of d_j x_j mod p over every cell of the coordinates coords, in C
-    order (last coordinate fastest), of residue_dtype(p)."""
-    dtype = residue_dtype(p)
-    acc = np.zeros(1, dtype=dtype)
-    for j in coords:
-        vals = np.arange(-bounds[j], bounds[j] + 1, dtype=dtype) % p
-        acc = (acc[:, None] + d[j] * vals % p).reshape(-1)  # below 5p
-    return acc % p
+def _half_sums(coords: Sequence[int], terms: np.ndarray, bounds: Sequence[int],
+               mid: int) -> np.ndarray:
+    """sum of (d_j x_j mod p) over every cell of the coordinates coords, in C
+    order (last coordinate fastest): congruent to the half-sum, and below
+    len(coords) * p.  Row j of terms holds d_j x mod p for x = -mid..mid."""
+    rows = [terms[j, mid - bounds[j]:mid + bounds[j] + 1] for j in coords]
+    acc = rows[0] if rows else np.zeros(1, dtype=terms.dtype)
+    for row in rows[1:]:
+        acc = (acc[:, None] + row).ravel()
+    return acc
 
 
 def _fill_cells(pts: np.ndarray, cells: np.ndarray, coords: Sequence[int],
                 bounds: Sequence[int]):
-    """Write the coordinates coords of C-order cell indices into pts."""
+    """Write the digits x_j + bounds[j] of C-order cell indices into the
+    columns coords of pts."""
     for j in reversed(coords):
         cells, pts[:, j] = np.divmod(cells, 2 * bounds[j] + 1)
-        pts[:, j] -= bounds[j]
 
 
 def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
@@ -122,9 +127,10 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     The pivot is the invertible coordinate of largest range [-b, b].  With
     inv the inverse of its coefficient, the points are every choice of the
     other coordinates with a pivot value x = -inv * sum c_j x_j (mod p).
-    The other coordinates split into a query half and a table half whose
-    cell counts are as close as possible; each cell is reduced to its
-    half-sum inv * sum c_j x_j mod p, and the table is sorted.  Write
+    The other coordinates split into a query half and a table half: taken
+    largest range first, each joins the half with fewer cells so far.  Each
+    cell is reduced to its half-sum inv * sum c_j x_j mod p, and the table
+    is sorted.  Write
     2b+1 = q*p + w: every residue has q representatives in [-b, b] and the
     w residues -b, ..., -b+w-1 one more.  A query u therefore meets q*|T|
     points plus the table values t with (b - u - t) mod p < w, one cyclic
@@ -132,15 +138,19 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
 
         count = q*|Q|*|T| + sum over queries of the window hits.
 
-    collect expands the same windows into a (count, n) int64 array.  A
-    balanced split leaves each half at most sqrt(F * f_max) cells, with F
-    the free cell count and f_max its largest range; the pivot range is at
-    least f_max, so a count needs O(sqrt(enumeration volume)) memory.
+    collect expands the same windows into a (count, n) int64 array.  The
+    split leaves each half at most sqrt(F * f_max) cells, with F the free
+    cell count and f_max its largest range: when the last range c joined
+    the larger half, that half held no more cells than the other, so it
+    ends at most c times the other and its square at most F * c.  The pivot
+    range is at least f_max, so a count needs O(sqrt(enumeration volume))
+    memory.  One call is one enumeration; `successive_minima` makes one per
+    doubling scale it needs, and a `cor7_check` record usually just one.
     """
     if lat.n != box.n:
         raise ValueError("dimension mismatch between lattice and box")
     scale = Fraction(scale)
-    if scale < 0:
+    if scale.numerator < 0:
         raise ValueError("scale must be nonnegative")
     vol = box.enum_volume(scale)
     if vol > ENUM_GUARD:
@@ -148,34 +158,38 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     p = lat.p
     num, den = scale.numerator, scale.denominator * box.den
     bounds = [num * h // den for h in box.nums]  # floor(scale * h_i)
-    invertible = [j for j, c in enumerate(lat.coeffs) if c % p != 0]
-    if not invertible:
-        raise ValueError("all coefficients divisible by p")
-    pivot = max(invertible, key=lambda j: bounds[j])
+    # the coefficients are reduced mod p and not all zero
+    pivot = max((j for j, c in enumerate(lat.coeffs) if c), key=bounds.__getitem__)
     inv = pow(lat.coeffs[pivot], -1, p)
     d = [inv * c % p for c in lat.coeffs]
     b = bounds[pivot]
-    free = [j for j in range(lat.n) if j != pivot]
-    cells = {j: 2 * bounds[j] + 1 for j in free}
-    total = math.prod(cells.values())
-    # the split whose larger half is smallest, over every subset (at most 2^5)
-    query = min((s for k in range(len(free) + 1)
-                 for s in itertools.combinations(free, k)),
-                key=lambda s: max(math.prod(cells[j] for j in s),
-                                  total // math.prod(cells[j] for j in s)))
-    table = [j for j in free if j not in query]
+    query, table, nq, nt = [], [], 1, 1
+    for j in sorted((j for j in range(lat.n) if j != pivot),
+                    key=bounds.__getitem__, reverse=True):
+        if nt <= nq:
+            table.append(j)
+            nt *= 2 * bounds[j] + 1
+        else:
+            query.append(j)
+            nq *= 2 * bounds[j] + 1
 
-    u = _half_sums(query, d, bounds, p)
-    t = _half_sums(table, d, bounds, p)
-    order = np.argsort(t)
+    # d_j x mod p for every free coordinate j and |x| <= mid, the largest
+    # free bound; |x| < ENUM_GUARD and d_j < p keep d_j x below 2^61 in
+    # int64 (p < INT64_P_LIMIT).  mid is at most sqrt(enumeration volume)
+    mid = max((bounds[j] for j in query + table), default=0)
+    dtype = residue_dtype(p)
+    terms = (np.array(d, dtype=dtype)[:, None] * np.arange(-mid, mid + 1, dtype=dtype)) % p
+    u = _half_sums(query, terms, bounds, mid)
+    t = _half_sums(table, terms, bounds, mid) % p
+    order = t.argsort()
     t = t[order]
     q, w = divmod(2 * b + 1, p)
     # the window of a query u is the t with (a - t) mod p < w, a = (b - u)
     # mod p: the values in [a + p - w + 1, a + p] of the sorted t, t + p
     top = (b - u) % p + p
     t2 = np.concatenate((t, t + p))
-    hi = np.searchsorted(t2, top, side="right")
-    hits = hi - np.searchsorted(t2, top - (w - 1), side="left")
+    hi = t2.searchsorted(top, side="right")
+    hits = hi - t2.searchsorted(top - (w - 1), side="left")
     count = q * len(u) * len(t) + int(hits.sum())
     if not collect:
         return PointCount(count=count, points=None)
@@ -183,21 +197,23 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     # walk each query's table cyclically down from its largest t <= a, at
     # index hi - 1 - |T|: step i meets the pivot x = -b + ((a - t) mod p) +
     # (i // |T|) * p, which increases, and the first q*|T| + hits steps are
-    # the x in [-b, b]
+    # the x in [-b, b].  k = hi - 1 - i is the walk's index into t, t + p;
+    # every coordinate is written as its digit x + bound, then shifted
     per = q * len(t) + hits
-    qi = np.repeat(np.arange(len(u)), per)
-    i = np.arange(count) - np.repeat(np.cumsum(per) - per, per)
-    tj = (hi[qi] - 1 - i) % len(t)
-    x = (top[qi] - t[tj]) % p - b
+    qi = np.arange(len(u)).repeat(per)
+    k = (hi - 1 + per.cumsum() - per).repeat(per) - np.arange(count)
+    tj = k % len(t)
+    digit = (top[qi] - t[tj]) % p
     if q:
-        x += i // len(t) * p
-    inside = int(np.count_nonzero(x <= b))
+        digit += (hi[qi] - 1 - k) // len(t) * p
+    inside = int(np.count_nonzero(digit <= 2 * b))
     if inside != count:
         raise RuntimeError(f"window count {count} but {inside} expanded points in the box")
     pts = np.empty((count, lat.n), dtype=np.int64)
-    pts[:, pivot] = x
+    pts[:, pivot] = digit
     _fill_cells(pts, qi, query, bounds)
     _fill_cells(pts, order[tj], table, bounds)
+    pts -= np.array(bounds, dtype=np.int64)
     return PointCount(count=count, points=pts)
 
 
@@ -215,7 +231,7 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
     G is positive semidefinite, so pivots are taken on the diagonal: a zero
     diagonal entry of what is left forces its row to vanish, and once every
     remaining diagonal entry is zero the rank is complete."""
-    g = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    g = [[sum(map(operator.mul, u, v)) for v in rows] for u in rows]
     k, prev = len(g), 1
     for rank in range(k):
         piv = next((i for i in range(rank, k) if g[i][i]), None)
@@ -259,6 +275,16 @@ class _Echelon:
         return True
 
 
+def _key_order(keys: np.ndarray, pts: np.ndarray):
+    """The rows (key, v) in the order of sorted((key, v)): sorted by key in
+    numpy, and each run of equal keys by the vector only once the scan
+    reaches it."""
+    order = keys.argsort()
+    rows = zip(keys[order].tolist(), pts[order].tolist())
+    for _, run in itertools.groupby(rows, key=operator.itemgetter(0)):
+        yield from sorted(run)
+
+
 @dataclass(frozen=True)
 class MinimaReport:
     lambdas: tuple[Fraction, ...]
@@ -277,11 +303,13 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     a prefix of that order, so the enumeration doubles its scale until the
     kept vectors span, and at scale 2s scans only the keys above
     floor(s * den): each point is scanned at most once, and the span, the
-    minima and the witnesses carry over from scale to scale.  Of each pair
-    +-v only the row whose first nonzero coordinate is negative is scanned;
-    the order meets it first, and -v never grows the span.  Spans are
-    tested on an incremental integer echelon basis, O(n^2) integer
-    operations per candidate, and the norms are exact fractions.
+    minima and the witnesses carry over from scale to scale.  Each scale is
+    one `lattice_points_in_box` call, so a call makes one enumeration per
+    scale it reaches, usually one or two.  Of each pair +-v only the row
+    whose first nonzero coordinate is negative is scanned; the order meets
+    it first, and -v never grows the span.  Spans are tested on an
+    incremental integer echelon basis, O(n^2) integer operations per
+    candidate, and the norms are exact fractions.
 
     When every minimum is asked for, the doubling starts at the first
     scale s of its grid with s^n >= 2^n det(Gamma) / (n! vol D), a lower
@@ -297,7 +325,14 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     n = lat.n if upto is None else min(upto, lat.n)
     if n < 1:
         raise ValueError("upto must be >= 1")
+    return _minima_scan(lat, box, n)[0]
 
+
+def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
+                 n: int) -> tuple[MinimaReport, int | None]:
+    """The first n minima of `successive_minima`, validated, and
+    #(D cap Gamma), read off the first enumeration that holds D (scale >= 1)
+    as 2 #{its rows with key <= den} + 1; None when the scan ends below 1."""
     # the scales are 2^e; start small enough that huge bodies (whose minima
     # sit far below 1) never trip the enumeration guard on the way up
     e = 0
@@ -314,22 +349,24 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     weights = [h.denominator * (den // h.numerator) for h in box.halfwidths]
     lambdas: list[Fraction] = []
     witnesses: list[tuple[int, ...]] = []
+    # the sign of sum_j sign(v_j) 3^(n-1-j) is that of v's first nonzero entry
+    first_sign = 3 ** np.arange(lat.n - 1, -1, -1)
     span = _Echelon()
     scanned = -1  # every key up to this one has been scanned
+    inside = None
     while len(witnesses) < n:
         pts = lattice_points_in_box(lat, box, scale=_power_of_two(e), collect=True).points
         # the rows whose first nonzero coordinate is negative: one of each +-v
-        pts = pts[pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)] < 0]
+        pts = pts[np.sign(pts) @ first_sign < 0]
         # |x_i| <= 2^e * h_i, so no key exceeds top = floor(2^e * den)
         top = den << max(e, 0) >> max(-e, 0)
-        dtype = int_dtype(max(*weights, top))
-        keys = (np.abs(pts).astype(dtype, copy=False)
-                * np.array(weights, dtype=dtype)).max(axis=1)
-        fresh = keys > scanned
-        pts, keys = pts[fresh], keys[fresh]
-        # the order of sorted((key, v)): by key, then by the vector
-        order = np.lexsort(tuple(pts[:, j] for j in reversed(range(lat.n))) + (keys,))
-        for key, v in zip(keys[order].tolist(), pts[order].tolist()):
+        keys = (np.abs(pts) * np.array(weights, dtype=int_dtype(max(*weights, top)))).max(axis=1)
+        if inside is None and e >= 0:  # 2^e D holds D, whose keys are <= den
+            inside = 2 * int(np.count_nonzero(keys <= den)) + 1
+        if scanned >= 0:
+            fresh = keys > scanned
+            pts, keys = pts[fresh], keys[fresh]
+        for key, v in _key_order(keys, pts):
             if span.add(v):
                 lambdas.append(Fraction(key, den))
                 witnesses.append(tuple(v))
@@ -339,7 +376,7 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
         e += 1
     report = MinimaReport(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
     _validate_minima(lat, box, report, n)
-    return report
+    return report, inside
 
 
 def _validate_minima(lat: CongruenceLattice, box: ConvexBox,
@@ -348,18 +385,17 @@ def _validate_minima(lat: CongruenceLattice, box: ConvexBox,
     if not len(lams) == len(wits) == n:
         raise RuntimeError(
             f"expected {n} minima, got {len(lams)} with {len(wits)} witnesses")
-    if lams[0] <= 0:
+    ratios = [(lam.numerator, lam.denominator) for lam in lams]  # lambda = a / b
+    if ratios[0][0] <= 0:
         raise RuntimeError(f"first minimum {lams[0]} is not positive")
-    if any(a > b for a, b in zip(lams, lams[1:])):
+    if any(a * d > c * b for (a, b), (c, d) in zip(ratios, ratios[1:])):
         raise RuntimeError(f"minima out of order: {lams}")
-    for lam, w in zip(lams, wits):
+    for lam, (a, b), w in zip(lams, ratios, wits):
         if not lat.contains(w):
             raise RuntimeError(f"witness {w} is not a lattice vector")
-        # |w_i| / h_i against lam, cross-multiplied: no ratio exceeds lam
-        # and one equals it
-        sides = [(abs(x) * h.denominator * lam.denominator, lam.numerator * h.numerator)
-                 for x, h in zip(w, box.halfwidths)]
-        if any(a > b for a, b in sides) or all(a < b for a, b in sides):
+        # |w_i| / h_i = |w_i| den / nums_i against a / b, cross-multiplied:
+        # no ratio exceeds lambda and one equals it
+        if max(abs(x) * box.den * b - a * h for x, h in zip(w, box.nums)):
             raise RuntimeError(f"witness {w} does not have box norm {lam}")
     if _rank(wits) != n:
         raise RuntimeError("minima witnesses are linearly dependent")
@@ -384,15 +420,21 @@ class Cor7Report:
 
 def cor7_check(lat: CongruenceLattice, box: ConvexBox) -> Cor7Report:
     """Product of min{lambda_i, 1} against (2n+1)!! / #(D cap Gamma),
-    compared exactly in rational arithmetic."""
-    rep = successive_minima(lat, box)
-    pc = lattice_points_in_box(lat, box)
+    compared exactly in rational arithmetic.  #(D cap Gamma) comes from the
+    minima scan's own enumeration of a scale >= 1, so a record costs the
+    minima's enumerations alone; only when every minimum sits below 1, and
+    the scan never reaches D, is D counted by a call of its own."""
+    if lat.n != box.n:
+        raise ValueError("dimension mismatch between lattice and box")
+    rep, count = _minima_scan(lat, box, lat.n)
+    if count is None:
+        count = lattice_points_in_box(lat, box).count
     prod = Fraction(1)
     for lam in rep.lambdas:
         prod *= min(lam, Fraction(1))
-    bound = Fraction(double_factorial(2 * lat.n + 1), pc.count)
+    bound = Fraction(double_factorial(2 * lat.n + 1), count)
     return Cor7Report(product=float(prod), bound=float(bound),
-                      ok=prod <= bound, point_count=pc.count, minima=rep)
+                      ok=prod <= bound, point_count=count, minima=rep)
 
 
 def minkowski_check(lat: CongruenceLattice, box: ConvexBox,

@@ -289,6 +289,8 @@ def test_lattice_check(capsys):
     # minima beyond the enumeration guard at p = 2^61 - 1
     ["lattice-check", "--p", "2305843009213693951", "--coeffs",
      "1,1152921504606846977", "--halfwidths", "3,3"],
+    # the vacuous congruence: every coefficient divisible by p
+    ["lattice-check", "--p", "31", "--coeffs", "31,62", "--halfwidths", "2,2"],
     # a power-sum table whose last step would take about 3.3 GB
     ["vinogradov", "--k", "10", "--m", "3", "--H", "20"],
     # keys of about 4.5 million bits: refused before any is built
@@ -324,7 +326,9 @@ def test_each_command_runs_its_kernel_once(monkeypatch, capsys):
 
 
 def test_lattice_check_computes_the_minima_once(monkeypatch, capsys):
-    minima = _count_calls(monkeypatch, lattice, "successive_minima")
+    # cor7_check reaches the minima scan through the helper under
+    # successive_minima, which also hands it the point count of D
+    minima = _count_calls(monkeypatch, lattice, "_minima_scan")
     assert main(["lattice-check", "--coeffs", "1,3,5", "--p", "101",
                  "--halfwidths", "4,6,9"]) == 0
     assert len(minima) == 1
@@ -335,12 +339,31 @@ def test_lattice_check_computes_the_minima_once(monkeypatch, capsys):
 
 def test_criterion_8_work_is_pinned(monkeypatch):
     # the work of criterion 8 at the default seed, counted rather than timed:
-    # 200 point counts and 320 minima enumerations, and one echelon step per
-    # scanned point, each point scanned once and only one of each pair +-v
+    # 320 minima enumerations and no separate point counts, since every body
+    # is counted off the minima scan's own enumeration of D, and one echelon
+    # step per scanned point, each point scanned once and only one of each
+    # pair +-v
     enumerations = _count_calls(monkeypatch, lattice, "lattice_points_in_box")
     steps = _count_calls(monkeypatch, lattice._Echelon, "add")
     assert acceptance.criterion_8().passed
-    assert (len(enumerations), len(steps)) == (520, 2920)
+    assert (len(enumerations), len(steps)) == (320, 2920)
+
+
+@pytest.mark.parametrize("argv, spec, work", [
+    # a batch-shaped proof body: one enumeration at scale 1/2 holds l1..l3
+    (["thm2-lattice", "--p", "1009", "--c", "1,2,3,4", "--M", "1"], None, (1, 3)),
+    # a 2-D record: scales 1 and 2 for the minima, the count of D read off
+    # the first of them
+    (None, {"p": 31, "coeffs": [1, 7], "halfwidths": [3, 2]}, (2, 2)),
+])
+def test_lattice_kinds_work_is_pinned(monkeypatch, capsys, argv, spec, work):
+    enumerations = _count_calls(monkeypatch, lattice, "lattice_points_in_box")
+    steps = _count_calls(monkeypatch, lattice._Echelon, "add")
+    if argv is not None:
+        assert main(argv) == 0
+    else:
+        assert all(r.passed for r in harness.run(harness.ExperimentSpec("lattice", spec)))
+    assert (len(enumerations), len(steps)) == work
 
 
 def test_seed_reaches_the_acceptance_suite(monkeypatch, capsys):

@@ -53,8 +53,10 @@ def test_lattice_validation():
     assert lat.contains((98, 1, 0))
     assert not lat.contains((1, 1, 0))
     assert lat.determinant() == 101
-    # the all-zero congruence is the full integer lattice
-    assert CongruenceLattice(coeffs=(101, 202), p=101).determinant() == 1
+    # the vacuous congruence (every coefficient divisible by p) is refused
+    # where it is built, so every lattice has index p
+    with pytest.raises(ValueError, match="divisible by p"):
+        CongruenceLattice(coeffs=(101, 202), p=101)
 
 
 def test_convex_box_volume():
