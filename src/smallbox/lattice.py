@@ -78,10 +78,7 @@ class ConvexBox:
         return len(self.halfwidths)
 
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for h in self.halfwidths:
-            v *= 2 * h
-        return v
+        return Fraction(2 ** self.n * math.prod(self.nums), self.den ** self.n)
 
     def enum_volume(self, scale) -> float:
         """Cells of the enumeration grid of scale*D, as the guard counts them;
@@ -130,9 +127,8 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     The other coordinates split into a query half and a table half: taken
     largest range first, each joins the half with fewer cells so far.  Each
     cell is reduced to its half-sum inv * sum c_j x_j mod p, and the table
-    is sorted.  Write
-    2b+1 = q*p + w: every residue has q representatives in [-b, b] and the
-    w residues -b, ..., -b+w-1 one more.  A query u therefore meets q*|T|
+    is sorted.  Write 2b+1 = q*p + w: every residue has q representatives
+    in [-b, b] and the w residues -b, ..., -b+w-1 one more.  A query u therefore meets q*|T|
     points plus the table values t with (b - u - t) mod p < w, one cyclic
     window of residues, counted by binary search:
 
@@ -142,10 +138,12 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     split leaves each half at most sqrt(F * f_max) cells, with F the free
     cell count and f_max its largest range: when the last range c joined
     the larger half, that half held no more cells than the other, so it
-    ends at most c times the other and its square at most F * c.  The pivot
+    ends at most c times the other and its square at most F * c.  Unless a
+    coordinate of zero coefficient is wider than every other, the pivot
     range is at least f_max, so a count needs O(sqrt(enumeration volume))
-    memory.  One call is one enumeration; `successive_minima` makes one per
-    doubling scale it needs, and a `cor7_check` record usually just one.
+    memory.  One call is one enumeration: `successive_minima` makes one per
+    doubling scale it reaches, and `cor7_check` none beyond those unless
+    its scan ends below scale 1.
     """
     if lat.n != box.n:
         raise ValueError("dimension mismatch between lattice and box")
@@ -173,9 +171,10 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
             query.append(j)
             nq *= 2 * bounds[j] + 1
 
-    # d_j x mod p for every free coordinate j and |x| <= mid, the largest
-    # free bound; |x| < ENUM_GUARD and d_j < p keep d_j x below 2^61 in
-    # int64 (p < INT64_P_LIMIT).  mid is at most sqrt(enumeration volume)
+    # d_j x mod p for every coordinate j and |x| <= mid, the largest free
+    # bound, so no larger than n times the half holding that range;
+    # |x| < ENUM_GUARD and d_j < p keep d_j x below 2^61 in int64 (p <
+    # INT64_P_LIMIT)
     mid = max((bounds[j] for j in query + table), default=0)
     dtype = residue_dtype(p)
     terms = (np.array(d, dtype=dtype)[:, None] * np.arange(-mid, mid + 1, dtype=dtype)) % p
@@ -196,12 +195,14 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
 
     # walk each query's table cyclically down from its largest t <= a, at
     # index hi - 1 - |T|: step i meets the pivot x = -b + ((a - t) mod p) +
-    # (i // |T|) * p, which increases, and the first q*|T| + hits steps are
-    # the x in [-b, b].  k = hi - 1 - i is the walk's index into t, t + p;
-    # every coordinate is written as its digit x + bound, then shifted
+    # (i // |T|) * p, which increases, and the first per = q*|T| + hits
+    # steps are the x in [-b, b].  Those steps are the indices k into t, t + p
+    # from hi - per to hi - 1, with i = hi - 1 - k; the rows of a query are
+    # consecutive, from cumsum(per) - per, so k = row + hi - cumsum(per).
+    # Every coordinate is written as its digit x + bound, then shifted
     per = q * len(t) + hits
     qi = np.arange(len(u)).repeat(per)
-    k = (hi - 1 + per.cumsum() - per).repeat(per) - np.arange(count)
+    k = (hi - per.cumsum()).repeat(per) + np.arange(count)
     tj = k % len(t)
     digit = (top[qi] - t[tj]) % p
     if q:
@@ -420,21 +421,24 @@ class Cor7Report:
 
 def cor7_check(lat: CongruenceLattice, box: ConvexBox) -> Cor7Report:
     """Product of min{lambda_i, 1} against (2n+1)!! / #(D cap Gamma),
-    compared exactly in rational arithmetic.  #(D cap Gamma) comes from the
-    minima scan's own enumeration of a scale >= 1, so a record costs the
-    minima's enumerations alone; only when every minimum sits below 1, and
-    the scan never reaches D, is D counted by a call of its own."""
+    compared exactly in integers.  #(D cap Gamma) is read off the minima
+    scan's own enumeration of a scale >= 1, so a record costs the minima's
+    enumerations alone.  Only a body whose scan ends below scale 1 (D holds
+    over 10^6 cells and every minimum sits below 1) is counted by one more,
+    count-only, join."""
     if lat.n != box.n:
         raise ValueError("dimension mismatch between lattice and box")
     rep, count = _minima_scan(lat, box, lat.n)
     if count is None:
         count = lattice_points_in_box(lat, box).count
-    prod = Fraction(1)
+    num = den = 1  # the product, num / den
     for lam in rep.lambdas:
-        prod *= min(lam, Fraction(1))
-    bound = Fraction(double_factorial(2 * lat.n + 1), count)
-    return Cor7Report(product=float(prod), bound=float(bound),
-                      ok=prod <= bound, point_count=count, minima=rep)
+        if lam.numerator < lam.denominator:
+            num, den = num * lam.numerator, den * lam.denominator
+    bound = double_factorial(2 * lat.n + 1)  # over count
+    # int / int true division rounds the exact ratio, as float(Fraction) does
+    return Cor7Report(product=num / den, bound=bound / count,
+                      ok=num * count <= bound * den, point_count=count, minima=rep)
 
 
 def minkowski_check(lat: CongruenceLattice, box: ConvexBox,
@@ -442,7 +446,7 @@ def minkowski_check(lat: CongruenceLattice, box: ConvexBox,
     """First-minimum form of Minkowski's theorem: lambda_1^n vol(D) <= 2^n det,
     on minima already computed for (lat, box), e.g. `Cor7Report.minima`."""
     lhs = minima.lambdas[0] ** lat.n * box.volume()
-    rhs = Fraction(2 ** lat.n * lat.determinant())
+    rhs = 2 ** lat.n * lat.determinant()
     return CheckResult(lhs=float(lhs), rhs=float(rhs), ok=lhs <= rhs)
 
 

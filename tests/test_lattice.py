@@ -502,6 +502,30 @@ def test_cor7_and_minkowski_hold_randomized():
         assert mink.rhs == 2 ** n * p  # the congruence lattice has determinant p
 
 
+@pytest.mark.parametrize("coeffs, p, halfwidths, own_counts", [
+    # the minima scan reaches scale 1, and D is counted off that enumeration
+    ((1, 3, 5), 101, (4, 6, 9), 0),
+    ((17, 40, 3, 99), 211, (3, 5, 2, 7), 0),
+    ((1, 7), 31, (3, 2), 0),
+    # D holds over 10^6 cells, so the scan starts below scale 1, and its
+    # minima end it there: D is counted by a call of its own
+    ((5, 7), 101, (1000, 1000), 1),
+    ((2, 9, 40), 211, (120, 130, 140), 1),
+])
+def test_cor7_point_count_is_the_body_count(monkeypatch, coeffs, p, halfwidths, own_counts):
+    lat, box = CongruenceLattice(coeffs, p), ConvexBox(halfwidths)
+    counts = []
+    enumerate_points = lattice.lattice_points_in_box
+
+    def recorded(lat, box, scale=1, collect=False):
+        counts.append(collect)
+        return enumerate_points(lat, box, scale, collect)
+    monkeypatch.setattr(lattice, "lattice_points_in_box", recorded)
+    rep = cor7_check(lat, box)
+    assert counts.count(False) == own_counts
+    assert rep.point_count == len(_solved_points(lat, box, 1))
+
+
 def test_thm2_lattice_shape():
     setup = build_thm2_lattice((5, 6, 7, 8), 3, 10007)
     assert setup.lattice.coeffs == (1, 8, 7, 6, 5)
