@@ -354,7 +354,7 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
     first_sign = 3 ** np.arange(lat.n - 1, -1, -1)
     span = _Echelon()
     scanned = -1  # every key up to this one has been scanned
-    inside = None
+    body_count = None  # #(D cap Gamma), once a scale >= 1 is enumerated
     while len(witnesses) < n:
         pts = lattice_points_in_box(lat, box, scale=_power_of_two(e), collect=True).points
         # the rows whose first nonzero coordinate is negative: one of each +-v
@@ -362,8 +362,8 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
         # |x_i| <= 2^e * h_i, so no key exceeds top = floor(2^e * den)
         top = den << max(e, 0) >> max(-e, 0)
         keys = (np.abs(pts) * np.array(weights, dtype=int_dtype(max(*weights, top)))).max(axis=1)
-        if inside is None and e >= 0:  # 2^e D holds D, whose keys are <= den
-            inside = 2 * int(np.count_nonzero(keys <= den)) + 1
+        if body_count is None and e >= 0:  # 2^e D holds D, whose keys are <= den
+            body_count = 2 * int(np.count_nonzero(keys <= den)) + 1
         if scanned >= 0:
             fresh = keys > scanned
             pts, keys = pts[fresh], keys[fresh]
@@ -377,7 +377,7 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
         e += 1
     report = MinimaReport(lambdas=tuple(lambdas), witnesses=tuple(witnesses))
     _validate_minima(lat, box, report, n)
-    return report, inside
+    return report, body_count
 
 
 def _validate_minima(lat: CongruenceLattice, box: ConvexBox,
