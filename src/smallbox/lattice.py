@@ -423,9 +423,9 @@ def cor7_check(lat: CongruenceLattice, box: ConvexBox) -> Cor7Report:
     """Product of min{lambda_i, 1} against (2n+1)!! / #(D cap Gamma),
     compared exactly in integers.  #(D cap Gamma) is read off the minima
     scan's own enumeration of a scale >= 1, so a record costs the minima's
-    enumerations alone.  Only a body whose scan ends below scale 1 (D holds
-    over 10^6 cells and every minimum sits below 1) is counted by one more,
-    count-only, join."""
+    enumerations alone.  Only a body whose scan ends below scale 1, which
+    needs D to hold over 10^6 cells and every minimum to sit below 1, is
+    counted by one more, count-only, join."""
     if lat.n != box.n:
         raise ValueError("dimension mismatch between lattice and box")
     rep, count = _minima_scan(lat, box, lat.n)
