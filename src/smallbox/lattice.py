@@ -128,9 +128,10 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     largest range first, each joins the half with fewer cells so far.  Each
     cell is reduced to its half-sum inv * sum c_j x_j mod p, and the table
     is sorted.  Write 2b+1 = q*p + w: every residue has q representatives
-    in [-b, b] and the w residues -b, ..., -b+w-1 one more.  A query u therefore meets q*|T|
-    points plus the table values t with (b - u - t) mod p < w, one cyclic
-    window of residues, counted by binary search:
+    in [-b, b] and the w residues -b, ..., -b+w-1 one more.  A query u
+    therefore meets q*|T| points plus the table values t with
+    (b - u - t) mod p < w, one cyclic window of residues, counted by binary
+    search:
 
         count = q*|Q|*|T| + sum over queries of the window hits.
 
@@ -171,10 +172,10 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
             query.append(j)
             nq *= 2 * bounds[j] + 1
 
-    # d_j x mod p for every coordinate j and |x| <= mid, the largest free
-    # bound, so no larger than n times the half holding that range;
-    # |x| < ENUM_GUARD and d_j < p keep d_j x below 2^61 in int64 (p <
-    # INT64_P_LIMIT)
+    # terms holds d_j x mod p for every coordinate j and |x| <= mid, the
+    # largest free bound: at most n times the cells of the half holding
+    # that range.  |x| < ENUM_GUARD and d_j < p keep d_j x below 2^61 in
+    # int64 (p < INT64_P_LIMIT)
     mid = max((bounds[j] for j in query + table), default=0)
     dtype = residue_dtype(p)
     terms = (np.array(d, dtype=dtype)[:, None] * np.arange(-mid, mid + 1, dtype=dtype)) % p
