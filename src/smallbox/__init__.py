@@ -6,10 +6,9 @@ congruence-lattice minima, and the acceptance harness tying them together.
 
 from .boxcount import (Box2, WeilReport, bound_I, bound_J, count_curve_points,
                        count_graph_points, count_matches, weil_error)
-from .dynsys import (Trajectory, bound_diameter, diameter, iterate, trajectory_length,
+from .dynsys import (Trajectory, bound_diameter, diameter, trajectory_length,
                      trajectory_lengths)
-from .ffield import (FpPolynomial, PrimeModulus, discriminant, is_prime, is_qr,
-                     resultant)
+from .ffield import FpPolynomial, PrimeModulus, discriminant, is_prime, resultant
 from .harness import ExperimentSpec, ResultRecord, emit, run
 from .hyperelliptic import (ClassCensus, CubeBox, CurveVector, bound_N,
                             canonical_representative, class_census,

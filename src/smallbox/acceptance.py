@@ -81,11 +81,10 @@ def criterion_2(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResul
     M = 90000 if quick else 900000
     f = FpPolynomial.from_ints([3, 2, 0, 1], PrimeModulus(p))
     rep = boxcount.weil_error(f, boxcount.Box2(0, 0, M))
-    budget = rep.constant * rep.weil_budget
     return CriterionResult(
         2, "square-root error regime", rep.within_budget,
-        rep.deviation, budget,
-        f"|count - M^2/p| = {rep.deviation:.1f} vs budget {budget:.1f} "
+        rep.deviation, rep.budget,
+        f"|count - M^2/p| = {rep.deviation:.1f} vs budget {rep.budget:.1f} "
         f"(count {rep.count}, M={M})")
 
 
@@ -295,7 +294,7 @@ def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         for (rng, f, u0), traj in zip(draws[:20], orbits):
             N = rng.randint(1, traj.total_length)
             vals = traj.values[:N]
-            # the scalar walk of `diameter` against the lockstep values
+            # `diameter`'s certified seen-set walk against the lockstep values
             if dynsys.diameter(f, u0, N) != max(vals) - min(vals):
                 return CriterionResult(10, "iteration suite", False,
                                        checked, 3 * per_p,

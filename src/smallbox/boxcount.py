@@ -141,9 +141,8 @@ def count_graph_points(f: FpPolynomial, box: Box2) -> int:
 class WeilReport:
     count: int
     deviation: float
-    weil_budget: float  # sqrt(p) * (ln p)^2
-    constant: float
-    within_budget: bool
+    budget: float  # WEIL_CONSTANT * sqrt(p) * (ln p)^2
+    within_budget: bool  # deviation <= budget
 
 
 def check_curve_irreducible(f: FpPolynomial):
@@ -169,10 +168,9 @@ def weil_error(f: FpPolynomial, box: Box2) -> WeilReport:
     p = f.modulus.p
     count = count_curve_points(f, box)
     deviation = abs(count - box.M * box.M / p)
-    budget = math.sqrt(p) * math.log(p) ** 2
-    return WeilReport(count=count, deviation=deviation,
-                      weil_budget=budget, constant=WEIL_CONSTANT,
-                      within_budget=deviation <= WEIL_CONSTANT * budget)
+    budget = WEIL_CONSTANT * (math.sqrt(p) * math.log(p) ** 2)
+    return WeilReport(count=count, deviation=deviation, budget=budget,
+                      within_budget=deviation <= budget)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ pays off only across many lanes (a single lane costs some twenty times the
 scalar walk).  Both walks are proved by one shared certificate that
 evaluates f by ascending powers, a formula neither walker uses.  Each walk
 is refused with ValueError before its stored values would pass
-ffield.BYTE_GUARD bytes."""
+ffield.BYTE_GUARD bytes.  Diameters and box pair counts read the values of
+the certified single walk, so no third walker steps f: each costs the T
+steps of the whole orbit whatever N, and is refused where that walk is."""
 
 from __future__ import annotations
 
@@ -40,19 +42,6 @@ class Trajectory:
     def total_length(self) -> int:
         """T: the smallest t with u_t = u_s for some s < t."""
         return self.tail_length + self.cycle_length
-
-
-def iterate(f: FpPolynomial, u0: int, N: int) -> tuple[int, ...]:
-    """First N values u_0, ..., u_(N-1) of the iteration."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    p = f.modulus.p
-    u = u0 % p
-    vals = [u]
-    for _ in range(N - 1):
-        u = f(u)
-        vals.append(u)
-    return tuple(vals)
 
 
 def _seen_scan(f: FpPolynomial, u0: int) -> Trajectory:
@@ -213,11 +202,15 @@ def trajectory_lengths(fs, u0s) -> list[Trajectory]:
 
 
 def diameter(f: FpPolynomial, u0: int, N: int) -> int:
-    """D(N) = max - min of the first N values, as plain integers in [0, p-1].
+    """D(N) = max - min of the first N values, as plain integers in [0, p-1],
+    read off the certified walk of `trajectory_length`: for N > T the values
+    past index T-1 revisit the cycle, so the first T values hold them all.
 
     Distance is the ordinary one on the integer segment, no wrap-around.
     """
-    vals = iterate(f, u0, N)
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    vals = trajectory_length(f, u0).values[:N]
     return max(vals) - min(vals)
 
 
@@ -235,7 +228,8 @@ def bound_diameter(N: int, p: int, m: int, eps: float = 0.0) -> float:
 
 
 def pairs_in_box(f: FpPolynomial, u0: int, N: int, box: Box2) -> int:
-    """Number of steps n < N whose edge (u_n, u_(n+1)) lies in the box.
+    """Number of steps n < N whose edge (u_n, u_(n+1)) lies in the box, the
+    values read off the certified walk of `trajectory_length`.
 
     For N <= T the values u_0, ..., u_(N-1) are pairwise distinct, so this
     is dominated by the count of box points on the graph y = f(x).
@@ -243,8 +237,12 @@ def pairs_in_box(f: FpPolynomial, u0: int, N: int, box: Box2) -> int:
     if N < 1:
         raise ValueError("N >= 1 required")
     box.validate_for(f.modulus.p)
-    vals = iterate(f, u0, N + 1)
+    traj = trajectory_length(f, u0)
+    vals, s, c = traj.values, traj.tail_length, traj.cycle_length
+    T = traj.total_length
+    # past index T-1 the orbit continues at the tail: u_n = u_(s + (n-s) mod c)
+    orbit = [vals[n] if n < T else vals[s + (n - s) % c] for n in range(N + 1)]
     lo_x, hi_x = box.R + 1, box.R + box.M
     lo_y, hi_y = box.S + 1, box.S + box.M
     return sum(1 for n in range(N)
-               if lo_x <= vals[n] <= hi_x and lo_y <= vals[n + 1] <= hi_y)
+               if lo_x <= orbit[n] <= hi_x and lo_y <= orbit[n + 1] <= hi_y)

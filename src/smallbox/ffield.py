@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -113,21 +112,6 @@ class PrimeModulus:
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
-
-
-class QrStatus(Enum):
-    ZERO = "zero"
-    RESIDUE = "residue"
-    NONRESIDUE = "nonresidue"
-
-
-def is_qr(a: int, modulus: PrimeModulus) -> QrStatus:
-    """Euler criterion, tri-state: zero / residue / nonresidue."""
-    p = modulus.p
-    v = a % p
-    if v == 0:
-        return QrStatus.ZERO
-    return QrStatus.RESIDUE if pow(v, (p - 1) // 2, p) == 1 else QrStatus.NONRESIDUE
 
 
 def sqrt_mod_int(a: int, p: int) -> tuple[int, ...]:

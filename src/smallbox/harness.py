@@ -182,9 +182,8 @@ def _weil(params, seed):
     box = boxcount.Box2(int(params.get("R", 0)), int(params.get("S", 0)),
                         int(params["M"]))
     rep = boxcount.weil_error(_poly(params, "f", pm), box)
-    budget = rep.constant * rep.weil_budget
-    return [Row(rep.deviation, budget, rep.count, rep.within_budget)], lambda: [
-        f"count deviation from M^2/p: {rep.deviation:.2f}, budget {budget:.2f}, "
+    return [Row(rep.deviation, rep.budget, rep.count, rep.within_budget)], lambda: [
+        f"count deviation from M^2/p: {rep.deviation:.2f}, budget {rep.budget:.2f}, "
         f"{'within' if rep.within_budget else 'OUTSIDE'} budget (count {rep.count})"]
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ffield
-from .boxcount import DEFAULT_EPS, count_matches, list_matches
+from .boxcount import DEFAULT_EPS, BoundReport, count_matches, list_matches
 from .ffield import (FpPolynomial, PrimeModulus, discriminant, entry_bytes, int_dtype,
-                     is_qr, QrStatus, residue_dtype, roots_mod, run_starts, sqrt_mod_int)
+                     residue_dtype, roots_mod, run_starts, sqrt_mod_int)
 
 # bytes the arrays of one census keying or singularity-filter slice may hold
 _SLICE_BYTES = 1 << 23
@@ -508,11 +508,12 @@ def sharpness_witness(modulus: PrimeModulus, M: int, g: int) -> SharpnessReport:
     """Witness construction for the all-ones curve in the box [1, M]^(2g).
 
     Q is the set of quadratic residues among [1, floor(M^(1/(2g+1)))] and
-    A = {alpha : alpha^2 mod p in Q}; every alpha in A lands the scaled
-    vector inside the box, and #A = 2 #Q.  Both #A and the exact isomorphic
-    count are returned; distinct residues give distinct vectors while the
-    two roots of each residue collapse onto one, so the comparison of the
-    two numbers is reported, not enforced.
+    A = {alpha : alpha^2 mod p in Q}; one `sqrt_mod_int` call per candidate
+    finds both, a residue being a q with roots.  Every alpha in A lands the
+    scaled vector inside the box, and #A = 2 #Q.  Both #A and the exact
+    isomorphic count are returned; distinct residues give distinct vectors
+    while the two roots of each residue collapse onto one, so the comparison
+    of the two numbers is reported, not enforced.
     """
     p = modulus.p
     if M < 1:
@@ -525,15 +526,14 @@ def sharpness_witness(modulus: PrimeModulus, M: int, g: int) -> SharpnessReport:
     lim = 1
     while (lim + 1) ** (2 * g + 1) <= M:
         lim += 1
-    residues = [q for q in range(1, lim + 1)
-                if is_qr(q, modulus) is QrStatus.RESIDUE]
-    roots = [sqrt_mod_int(q, p) for q in residues]
+    # q <= lim < p is nonzero mod p: no roots marks a nonresidue
+    roots = [r for r in (sqrt_mod_int(q, p) for q in range(1, lim + 1)) if r]
     if any(len(r) != 2 for r in roots):
         raise RuntimeError("root pairing violated: a residue without two square roots")
     witness = sum(map(len, roots))
     n_count = _count_orbit_in_box(b, box)
     return SharpnessReport(witness_count=witness,
-                           residue_count=len(residues), isomorphic_count=n_count,
+                           residue_count=len(roots), isomorphic_count=n_count,
                            attained=n_count >= witness)
 
 
@@ -583,20 +583,14 @@ def reduce_to_power_congruence(b: CurveVector, h: int, box: CubeBox) -> PowerCon
                            solution_count=count, reduced_index=i_low)
 
 
-@dataclass(frozen=True)
-class ClassBound:
-    value: float
-    branch: str
-
-
 def bound_N(M: int, p: int, g: int, h: int | None = None,
-            eps: float = DEFAULT_EPS) -> ClassBound:
+            eps: float = DEFAULT_EPS) -> BoundReport:
     """Upper-bound evaluator for the per-class count N inside a side-M box.
 
     Two branches: the odd-exponent reduction (h odd, 3 <= h <= 2g+1) giving
     (M^(1/h) + M (M^4/p)^(2/(h(h+1)))) M^eps, and the genus >= 2 branch
-    giving M^2/p + M^(1/2+eps).  Returns the smaller applicable value and
-    which branch produced it.
+    giving M^2/p + M^(1/2+eps).  Returns the smaller applicable value, with
+    the branch that produced it as the regime.
     """
     if M < 1:
         raise ValueError("M >= 1 required")
@@ -609,5 +603,4 @@ def bound_N(M: int, p: int, g: int, h: int | None = None,
         candidates.append((v, "genus>=2"))
     if not candidates:
         raise ValueError(f"no bound branch applies for g={g}, h={h}")
-    value, branch = min(candidates, key=lambda t: t[0])
-    return ClassBound(value=value, branch=branch)
+    return BoundReport(*min(candidates, key=lambda t: t[0]))

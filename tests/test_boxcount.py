@@ -1,6 +1,7 @@
 """Exact box counts on curves and graphs against the naive double loop,
 plus the square-root cancellation budget and the bound evaluators."""
 
+import math
 import random
 
 import pytest
@@ -113,8 +114,8 @@ def test_weil_error_matches_direct_deviation():
     rep = weil_error(f, box)
     direct = abs(naive_curve(f, box) - 800 * 800 / 1009)
     assert rep.deviation == pytest.approx(direct)
-    assert rep.weil_budget > 0
-    assert rep.within_budget == (rep.deviation <= rep.constant * rep.weil_budget)
+    assert rep.budget == pytest.approx(10 * math.sqrt(1009) * math.log(1009) ** 2)
+    assert rep.within_budget == (rep.deviation <= rep.budget)
 
 
 def test_irreducibility_gate():

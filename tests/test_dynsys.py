@@ -1,7 +1,8 @@
 """Trajectory statistics of polynomial iteration: the scalar walk, the
 lockstep walk of many orbits (checked lane by lane against the scalar one),
 the shared certificate that proves both, the byte guard of each walk,
-diameters, the pair count, and the lower-bound shape."""
+diameters and the pair count (checked against a test-local walk, also past
+the first repeat), and the lower-bound shape."""
 
 import random
 import sys
@@ -16,7 +17,6 @@ from smallbox.boxcount import Box2, count_graph_points
 from smallbox.dynsys import (
     bound_diameter,
     diameter,
-    iterate,
     pairs_in_box,
     trajectory_length,
     trajectory_lengths,
@@ -24,16 +24,22 @@ from smallbox.dynsys import (
 from smallbox.ffield import FpPolynomial, PrimeModulus, residue_dtype
 
 
-def test_iterate_prefix_and_values():
-    mod = PrimeModulus(101)
-    f = FpPolynomial.from_text("1,0,1", mod)  # x^2 + 1
-    vals = [3]
-    for _ in range(5):
-        vals.append((vals[-1] ** 2 + 1) % 101)
-    assert iterate(f, 3, 6) == tuple(vals)
-    assert iterate(f, 3 + 101, 1) == (3,)
-    with pytest.raises(ValueError):
-        iterate(f, 3, 0)
+def _walk(f, u0, N):
+    """u_0, ..., u_(N-1), each step sum(c_j u^j) mod p: not
+    FpPolynomial.__call__, which the certified walk steps by."""
+    p = f.modulus.p
+    u, vals = u0 % p, []
+    for _ in range(N):
+        vals.append(u)
+        u = sum(c * pow(u, j, p) for j, c in enumerate(f.coeffs)) % p
+    return vals
+
+
+def _walk_pairs(f, u0, N, box):
+    """The steps n < N whose edge (u_n, u_(n+1)) lies in the box, by `_walk`."""
+    vals = _walk(f, u0, N + 1)
+    return sum(1 for n in range(N)
+               if box.R < vals[n] <= box.R + box.M and box.S < vals[n + 1] <= box.S + box.M)
 
 
 def test_trajectory_length_frozen_example():
@@ -63,13 +69,22 @@ def test_trajectory_properties_randomized():
 
 
 def test_trajectory_length_makes_its_own_walk(monkeypatch):
-    # the stored values come from the seen-set walk, not a separate pass
-    def no_iterate(*args):
-        raise AssertionError("iterate called")
-    monkeypatch.setattr(dynsys, "iterate", no_iterate)
+    # the stored values come from one seen-set walk, not the lockstep walk
+    scans = [0]
+    seen_scan = dynsys._seen_scan
+
+    def counted(*args):
+        scans[0] += 1
+        return seen_scan(*args)
+
+    def no_lockstep(*args):
+        raise AssertionError("the lockstep walk ran")
+    monkeypatch.setattr(dynsys, "_seen_scan", counted)
+    monkeypatch.setattr(dynsys, "_lockstep_scan", no_lockstep)
     f = FpPolynomial.from_text("1,0,1", PrimeModulus(10007))
     traj = trajectory_length(f, 3)
     assert (traj.tail_length, traj.cycle_length, len(traj.values)) == (3, 186, 189)
+    assert scans[0] == 1
 
 
 def test_trajectory_length_makes_T_scalar_evaluations(monkeypatch):
@@ -264,8 +279,10 @@ def test_diameter_is_max_minus_min():
     for _ in range(50):
         N = rng.randint(1, 80)
         u0 = rng.randrange(10007)
-        vals = iterate(f, u0, N)
+        vals = _walk(f, u0, N)
         assert diameter(f, u0, N) == max(vals) - min(vals)
+    with pytest.raises(ValueError, match="N >= 1 required"):
+        diameter(f, 3, 0)
 
 
 def test_bound_diameter_shape():
@@ -290,11 +307,34 @@ def test_pairs_in_box_matches_direct_scan():
         N = rng.randint(1, 60)
         M = rng.randint(1, 400)
         box = Box2(R=rng.randint(0, 1008 - M), S=rng.randint(0, 1008 - M), M=M)
-        vals = iterate(f, u0, N + 1)
-        expect = sum(1 for n in range(N)
-                     if box.R + 1 <= vals[n] <= box.R + M
-                     and box.S + 1 <= vals[n + 1] <= box.S + M)
-        assert pairs_in_box(f, u0, N, box) == expect
+        assert pairs_in_box(f, u0, N, box) == _walk_pairs(f, u0, N, box)
+
+
+def test_diameter_and_pairs_past_the_first_repeat():
+    # N up to 3T: pairs_in_box steps from index T-1 back to the tail, and
+    # diameter slices past T; T is the number of distinct values the
+    # test-local walk meets in p + 1 steps
+    rng = random.Random(38)
+    past = cycle_edges = 0
+    for _ in range(150):
+        p = rng.choice((31, 101, 1009))
+        f = FpPolynomial.from_ints([rng.randrange(p) for _ in range(rng.randint(1, 3))]
+                                   + [rng.randrange(1, p)], PrimeModulus(p))
+        u0 = rng.randrange(p)
+        T = len(set(_walk(f, u0, p + 1)))
+        N = rng.randint(1, 3 * T)
+        M = rng.randint(1, p - 1)
+        box = Box2(R=rng.randrange(p - M), S=rng.randrange(p - M), M=M)
+        vals = _walk(f, u0, N)
+        assert diameter(f, u0, N) == max(vals) - min(vals)
+        pairs = pairs_in_box(f, u0, N, box)
+        assert pairs == _walk_pairs(f, u0, N, box)
+        if N > T:
+            past += 1
+            cycle_edges += pairs > _walk_pairs(f, u0, T, box)
+    assert past > 80 and cycle_edges > 40
+    with pytest.raises(ValueError, match="N >= 1 required"):
+        pairs_in_box(f, u0, 0, box)
 
 
 def test_pairs_bounded_by_graph_count_before_repeat():

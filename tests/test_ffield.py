@@ -14,11 +14,9 @@ from sympy.ntheory import is_nthpow_residue, nthroot_mod
 from smallbox.ffield import (
     FpPolynomial,
     PrimeModulus,
-    QrStatus,
     count_roots,
     discriminant,
     is_prime,
-    is_qr,
     monic_square_root,
     poly_values,
     resultant,
@@ -55,18 +53,14 @@ def test_prime_modulus_rejects_bad_input():
 
 @pytest.mark.parametrize("p", [31, 13, 17, 41, 101, 211])
 def test_sqrt_mod_exhaustive(p):
-    # p = 31 hits the p % 4 == 3 path, 13 the p % 8 == 5 path,
-    # 17 and 41 the general Tonelli-Shanks path
-    mod = PrimeModulus(p)
+    # sqrt_mod_int is roots_mod at k = 2, whose Pohlig-Hellman correction
+    # takes one base-2 digit per factor 2 of p - 1: one at p = 31 and 211,
+    # two at 13 and 101, three at 41, four at 17
     squares = {}
     for y in range(p):
         squares.setdefault(y * y % p, []).append(y)
     for a in range(p):
         assert sqrt_mod_int(a, p) == tuple(squares.get(a, [])), (p, a)
-        expected_status = (QrStatus.ZERO if a == 0 else
-                           QrStatus.RESIDUE if a in squares else
-                           QrStatus.NONRESIDUE)
-        assert is_qr(a, mod) == expected_status
 
 
 def test_sqrt_mod_int_sorted_tuple():

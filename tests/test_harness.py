@@ -115,12 +115,20 @@ def test_dynsys_record_reads_the_stored_walk(monkeypatch):
     T = dynsys.trajectory_length(f, 3).total_length
     beyond = dynsys.diameter(f, 3, 3 * T)  # N > T repeats the same values
 
-    def walk(*args):
+    walks = [0]
+    trajectory_length = dynsys.trajectory_length
+
+    def counted(*args):
+        walks[0] += 1
+        return trajectory_length(*args)
+
+    def no_diameter(*args):
         raise AssertionError("the dynsys record walked its orbit again")
-    monkeypatch.setattr(dynsys, "diameter", walk)
-    monkeypatch.setattr(dynsys, "iterate", walk)
+    monkeypatch.setattr(dynsys, "trajectory_length", counted)
+    monkeypatch.setattr(dynsys, "diameter", no_diameter)
     assert run(spec_of("dynsys", {**params, "N": 50}))[1].value == 9837.0
     assert run(spec_of("dynsys", {**params, "N": 3 * T}))[1].value == beyond
+    assert walks[0] == 2  # one certified walk per record
     with pytest.raises(ValueError, match="N >= 1 required"):
         run(spec_of("dynsys", {**params, "N": 0}))
 

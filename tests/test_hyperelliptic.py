@@ -727,6 +727,23 @@ def test_sharpness_witness_frozen_values():
     assert wide.attained
 
 
+def test_sharpness_witness_counts_residues_by_euler():
+    # #Q counted here by Euler's criterion, not by the square roots the
+    # witness takes; the witness holds the two roots of each residue
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(60):
+        p = rng.choice((11, 101, 1009, 10007, 100003))
+        g = rng.randint(1, 3)
+        M = rng.randint(1, min(p - 1, 20000))
+        lim = max(q for q in range(1, 30) if q ** (2 * g + 1) <= M)
+        residues = sum(pow(q, (p - 1) // 2, p) == 1 for q in range(1, lim + 1))
+        rep = sharpness_witness(PrimeModulus(p), M, g)
+        assert (rep.residue_count, rep.witness_count) == (residues, 2 * residues)
+        seen.add(residues)
+    assert len(seen) >= 6
+
+
 def test_power_congruence_reduction():
     rng = random.Random(26)
     mod = PrimeModulus(101)
@@ -763,10 +780,10 @@ def test_bound_N_branches():
     odd = bound_N(50, 10 ** 6 + 3, 1, h=3, eps=0.05)
     expect = (50 ** (1 / 3) + 50 * (50 ** 4 / (10 ** 6 + 3)) ** (1 / 6)) * 50 ** 0.05
     assert odd.value == pytest.approx(expect)
-    assert odd.branch == "odd-exponent h=3"
+    assert odd.regime == "odd-exponent h=3"
     genus2 = bound_N(50, 10 ** 6 + 3, 2)
     assert genus2.value == pytest.approx(50 * 50 / (10 ** 6 + 3) + 50 ** 0.55)
-    assert genus2.branch == "genus>=2"
+    assert genus2.regime == "genus>=2"
     both = bound_N(50, 10 ** 6 + 3, 2, h=5)
     assert both.value == pytest.approx(min(
         genus2.value,

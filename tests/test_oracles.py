@@ -1,0 +1,127 @@
+"""Oracle independence: each kernel and the oracle that checks it run on a
+small input under `sys.setprofile`, and the package functions the two
+sides enter (every frame whose code lies in `src/smallbox`) may meet only
+in names allowed here with a reason.  The check is dynamic because a static
+scan cannot see a call such as `f(u)` reach `FpPolynomial.__call__`.  Each
+row also checks that the two sides agree."""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import smallbox
+from smallbox import ffield
+from smallbox.analytic import count_vinogradov
+from smallbox.boxcount import Box2, count_curve_points, naive_count
+from smallbox.dynsys import diameter, pairs_in_box, trajectory_length, trajectory_lengths
+from smallbox.ffield import FpPolynomial, PrimeModulus
+from smallbox.hyperelliptic import CubeBox, class_census
+from smallbox.lattice import CongruenceLattice, ConvexBox, lattice_points_in_box, successive_minima
+
+from test_analytic import _dict_dp_reference
+from test_dynsys import _walk, _walk_pairs
+from test_hyperelliptic import walk_census
+from test_lattice import _fraction_minima, naive_points
+
+PACKAGE = str(Path(smallbox.__file__).resolve().parent)
+
+MOD = PrimeModulus(101)
+CUBIC = FpPolynomial.from_ints([3, 2, 0, 1], MOD)
+BOX = Box2(R=10, S=20, M=60)
+MOD31 = PrimeModulus(31)
+CUBE = CubeBox(1, (3, 5), 6)
+LATTICE = CongruenceLattice((1, 3, 5), 101)
+CONVEX = ConvexBox((4, 6, 9))
+_rng = random.Random(40)
+LANES = [FpPolynomial.from_ints([_rng.randrange(101) for _ in range(4)], MOD) for _ in range(8)]
+STARTS = [_rng.randrange(101) for _ in LANES]
+
+CERTIFICATE = "the shared orbit certificate, by design: the walks share nothing else"
+WINDOWS = "the box's two windows, the input both sides count over"
+DIMENSION = "the input lattice's dimension"
+DTYPE = "the one dtype rule of residue arrays, which the certificate's arrays follow"
+
+# (name, kernel call, oracle call, {allowed shared qualname: reason})
+ROWS = [
+    ("successive_minima",
+     lambda: successive_minima(LATTICE, CONVEX),
+     lambda: _fraction_minima(LATTICE, CONVEX), {"CongruenceLattice.n": DIMENSION}),
+    ("trajectory_lengths",
+     lambda: trajectory_lengths(LANES, STARTS),
+     lambda: [trajectory_length(f, u) for f, u in zip(LANES, STARTS)],
+     {"_certify": CERTIFICATE, "_ascending_values": CERTIFICATE,
+      "_coefficient_rows": CERTIFICATE, "residue_dtype": DTYPE}),
+    ("count_curve_points",
+     lambda: count_curve_points(CUBIC, BOX),
+     lambda: naive_count(CUBIC.coeffs, (0, 0, 1), BOX.x_range, BOX.y_range, 101),
+     {"Box2.x_range": WINDOWS, "Box2.y_range": WINDOWS}),
+    ("class_census",
+     lambda: class_census(MOD31, CUBE).class_sizes,
+     lambda: walk_census(MOD31, CUBE), {}),
+    ("count_vinogradov",
+     lambda: count_vinogradov(3, 2, 6),
+     lambda: _dict_dp_reference(3, 2, 6), {}),
+    ("lattice_points_in_box",
+     lambda: lattice_points_in_box(LATTICE, CONVEX).count,
+     lambda: len(naive_points(LATTICE, CONVEX)), {}),
+    ("diameter",  # T = 11 from 7: both sides read past the first repeat
+     lambda: diameter(CUBIC, 7, 40),
+     lambda: max(_walk(CUBIC, 7, 40)) - min(_walk(CUBIC, 7, 40)), {}),
+    ("pairs_in_box",
+     lambda: pairs_in_box(CUBIC, 7, 40, BOX),
+     lambda: _walk_pairs(CUBIC, 7, 40, BOX), {}),
+]
+
+
+def _entered(call):
+    """The result of call() and the qualnames of the package functions it
+    entered.  A comprehension, generator or lambda counts as the function
+    it sits in, which is entered too; below Python 3.11 code has no
+    co_qualname, so a function is named by co_name and one whose name is
+    <...> is left out.  The root-context cache is emptied first, so a warm
+    cache cannot hide a shared call."""
+    names = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(PACKAGE):
+            name = getattr(code, "co_qualname", code.co_name).split(".<locals>.")[0]
+            if not name.startswith("<"):
+                names.add(name)
+    ffield._root_context.cache_clear()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, names
+
+
+def _shared(kernel, oracle, allowed):
+    """The names both sides enter outside the allowed ones; each side's
+    result must agree with the other's."""
+    got, kernel_names = _entered(kernel)
+    want, oracle_names = _entered(oracle)
+    assert got == want
+    return (kernel_names & oracle_names) - set(allowed)
+
+
+@pytest.mark.parametrize("name, kernel, oracle, allowed", ROWS, ids=[r[0] for r in ROWS])
+def test_oracle_shares_no_function_with_its_kernel(name, kernel, oracle, allowed):
+    assert _shared(kernel, oracle, allowed) == set()
+
+
+def test_an_oracle_patched_to_call_its_kernels_evaluator_fails(monkeypatch):
+    # the diameter row with its walk oracle stepped by f(u), the evaluator
+    # the kernel's seen-set walk uses: the same numbers, a shared function
+    def horner_walk(f, u0, N):
+        u, vals = u0 % f.modulus.p, []
+        for _ in range(N):
+            vals.append(u)
+            u = f(u)
+        return vals
+    monkeypatch.setitem(globals(), "_walk", horner_walk)
+    _, kernel, oracle, allowed = next(row for row in ROWS if row[0] == "diameter")
+    assert _shared(kernel, oracle, allowed) == {"FpPolynomial.__call__"}

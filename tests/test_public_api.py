@@ -27,7 +27,6 @@ ALLOWED = {"bound_I", "bound_J", "bound_N"}
 MEMBERS_ALLOWED = {
     "ResultRecord": "harness.emit writes every field through vars()",
     "BoundReport.regime": "a bound evaluator's label; ROADMAP item 6 records it",
-    "ClassBound.branch": "a bound evaluator's label; ROADMAP item 6 records it",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
