@@ -330,20 +330,39 @@ def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
     each x (zero above that x's own degree): each row then broadcasts
     against xs, so every x gets its own polynomial.  The accumulator
     starts at the leading coefficient, so degree d costs d passes of
-    multiply, add and reduce, and a zero coefficient skips its add.  The
-    result holds residues in [0, p-1] of residue_dtype(p), exact either
-    way.
+    multiply and add, and a zero coefficient skips its add.
+
+    A pass of % p costs several multiplies, so the accumulator is reduced
+    only when the next step could leave int64.  An exact bound top > |acc|
+    starts at p, and X >= |x| holds for every x: a range's two ends give X
+    without a pass (the window is reduced once only when X > p), an array
+    is reduced once and gets X = p.  A step takes top to top*X + p, and
+    acc is reduced before it whenever that would pass 2**63; after the
+    last step once.  The same rule runs on Python integers above
+    INT64_P_LIMIT.  The result holds residues in [0, p-1] of
+    residue_dtype(p), exact either way.
     """
     dtype = residue_dtype(p)
     if isinstance(xs, range):
-        xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
-    xs = np.asarray(xs, dtype=dtype) % p
+        X = max(abs(xs.start), abs(xs.stop))
+        xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64).astype(dtype, copy=False)
+        if X > p:
+            xs %= p
+            X = p
+    else:
+        xs, X = np.asarray(xs, dtype=dtype) % p, p
     acc = np.full(len(xs), coeffs[-1] % p if len(coeffs) else 0, dtype=dtype)
+    top = p
     for c in reversed(coeffs[:-1]):
+        if top * X + p > 2 ** 63:
+            acc %= p
+            top = p
         acc *= xs
         c = c % p
         if isinstance(c, np.ndarray) or c:  # a row is added even when zero
             acc += c
+        top = top * X + p
+    if top > p:
         acc %= p
     return acc
 

@@ -5,6 +5,7 @@ small fields."""
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from smallbox.ffield import (
     is_prime,
     monic_square_root,
     poly_values,
+    residue_dtype,
     resultant,
     roots_mod,
     sqrt_mod_int,
@@ -267,3 +269,90 @@ def test_monic_square_root_detects_unit_multiples_of_squares():
         assert monic_square_root(sq) == h
         # odd degree can never be a unit times a square
         assert monic_square_root(sq * FpPolynomial.from_ints((0, 1), mod)) is None
+
+
+# poly_values reduces only when its running bound says int64 could overflow;
+# this oracle reduces after every step, in Python integers
+HORNER_PRIMES = (3, 31, 1009, 1000003, 2 ** 31 - 1, 2147483659, 2 ** 61 - 1)
+
+
+def scalar_horner(coeffs, x, p):
+    """f(x) mod p by Horner in Python integers, reduced after every step."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+@st.composite
+def horner_cases(draw):
+    """(coeffs, xs, p): degree 0..8, coefficients in (-3p, 3p) or all p - 1,
+    xs a range (ending at p - 1 or p, symmetric about 0, longer than p,
+    step 3 or -1, empty) or an int64 or object array, reduced or not."""
+    p = draw(st.sampled_from(HORNER_PRIMES))
+    deg = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        coeffs = [p - 1] * (deg + 1)
+    else:
+        coeffs = draw(st.lists(st.integers(-3 * p + 1, 3 * p - 1),
+                               min_size=deg + 1, max_size=deg + 1))
+    n = draw(st.integers(0, 40))
+    start = draw(st.integers(-2 * p, 2 * p))
+    kind = draw(st.sampled_from(("to p-1", "to p", "symmetric", "longer than p",
+                                 "step 3", "step -1", "empty", "array")))
+    if kind in ("to p-1", "to p"):
+        end = p - 1 if kind == "to p-1" else p
+        xs = range(end - n + 1, end + 1)
+    elif kind == "symmetric":
+        xs = range(-n, n + 1)
+    elif kind == "longer than p":
+        xs = range(start, start + min(p, 1009) + 1 + n)  # longer than p while p <= 1009
+    elif kind == "step 3":
+        xs = range(start, start + 3 * n, 3)
+    elif kind == "step -1":
+        xs = range(start, start - n, -1)
+    elif kind == "empty":
+        xs = range(start, start - n)
+    else:
+        low = 0 if draw(st.booleans()) else -3 * p + 1
+        values = draw(st.lists(st.integers(low, 3 * p - 1), max_size=40))
+        xs = np.array(values, dtype=draw(st.sampled_from((np.int64, object))))
+    return coeffs, xs, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(horner_cases())
+def test_poly_values_matches_the_scalar_horner(case):
+    coeffs, xs, p = case
+    got = poly_values(coeffs, xs, p)
+    assert got.dtype == residue_dtype(p)
+    assert [int(v) for v in got] == [scalar_horner(coeffs, int(x), p) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(HORNER_PRIMES), st.integers(1, 16), st.data())
+def test_poly_values_per_lane_rows_match_the_scalar_horner(p, lanes, data):
+    # the rows the lockstep orbit walk builds: row j holds c_j of every lane,
+    # zero above each lane's own degree
+    polys = [data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=9))
+             for _ in range(lanes)]
+    width = max(len(c) for c in polys)
+    rows = np.array([c + [0] * (width - len(c)) for c in polys], dtype=residue_dtype(p)).T
+    xs = data.draw(st.lists(st.integers(-p + 1, 2 * p), min_size=lanes, max_size=lanes))
+    got = poly_values(rows, np.array(xs, dtype=residue_dtype(p)), p)
+    assert [int(v) for v in got] == [scalar_horner(c, x, p) for c, x in zip(polys, xs)]
+
+
+def test_poly_values_at_the_largest_int64_prime_reduces_every_step():
+    # (p - 1)^2 fits int64 but (p - 1)^3 does not: after the first step every
+    # step needs a reduction before it, and one skipped would wrap silently
+    p = 2 ** 31 - 1
+    assert (p - 1) ** 2 < 2 ** 63 < (p - 1) ** 3
+    rng = random.Random(8)
+    window = range(p - 200, p)
+    unreduced = np.array([rng.randrange(-3 * p + 1, 3 * p) for _ in window], dtype=np.int64)
+    for deg in range(9):
+        for coeffs in ([p - 1] * (deg + 1), [rng.randrange(p) for _ in range(deg + 1)]):
+            for xs in (window, np.array(window, dtype=np.int64), unreduced):
+                want = [scalar_horner(coeffs, int(x), p) for x in xs]
+                assert poly_values(coeffs, xs, p).tolist() == want

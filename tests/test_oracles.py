@@ -22,6 +22,7 @@ from smallbox.lattice import CongruenceLattice, ConvexBox, lattice_points_in_box
 
 from test_analytic import _dict_dp_reference
 from test_dynsys import _walk, _walk_pairs
+from test_ffield import scalar_horner
 from test_hyperelliptic import walk_census
 from test_lattice import _fraction_minima, naive_points
 
@@ -37,6 +38,7 @@ CONVEX = ConvexBox((4, 6, 9))
 _rng = random.Random(40)
 LANES = [FpPolynomial.from_ints([_rng.randrange(101) for _ in range(4)], MOD) for _ in range(8)]
 STARTS = [_rng.randrange(101) for _ in LANES]
+WINDOW = range(-40, 61)  # both ends in [-p, p]: poly_values skips the window's reduction
 
 CERTIFICATE = "the shared orbit certificate, by design: the walks share nothing else"
 WINDOWS = "the box's two windows, the input both sides count over"
@@ -53,6 +55,9 @@ ROWS = [
      lambda: [trajectory_length(f, u) for f, u in zip(LANES, STARTS)],
      {"_certify": CERTIFICATE, "_ascending_values": CERTIFICATE,
       "_coefficient_rows": CERTIFICATE, "residue_dtype": DTYPE}),
+    ("poly_values",
+     lambda: ffield.poly_values(CUBIC.coeffs, WINDOW, 101).tolist(),
+     lambda: [scalar_horner(CUBIC.coeffs, x, 101) for x in WINDOW], {}),
     ("count_curve_points",
      lambda: count_curve_points(CUBIC, BOX),
      lambda: naive_count(CUBIC.coeffs, (0, 0, 1), BOX.x_range, BOX.y_range, 101),
