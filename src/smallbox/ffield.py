@@ -1,7 +1,7 @@
 """Arithmetic over prime fields F_p: polynomials, square and k-th roots,
 discriminants, and the vector kernel every count is built on (Horner over
-a vector), with the rules that choose its array dtypes and bound its
-allocations.
+a vector, in cache-sized blocks), with the rules that choose its array
+dtypes and bound its allocations.
 
 Residues are stored in least nonnegative form, values in [0, p-1].  The
 modulus is capped below 2**62 so that products of two residues stay inside
@@ -321,50 +321,91 @@ class FpPolynomial:
         return f"FpPolynomial({self.to_text()!r} mod {self.modulus.p})"
 
 
-def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
-    """f(x) mod p for every integer x of xs, by Horner over the whole vector.
+# bytes of accumulator entries in one block of a Horner pass
+# (`_horner_blocks`), read at call time: a block's
+# temporaries (its x, its accumulator, a consumer's test) then stay in a
+# core's L2 cache instead of faulting in fresh pages on every call
+_BLOCK_BYTES = 1 << 18
+
+
+@lru_cache(maxsize=64)
+def _accumulator_bytes(p: int) -> int:
+    """Bytes of one Horner accumulator entry mod p, whose value stays below
+    p*p + p."""
+    return entry_bytes(residue_dtype(p), p * p)
+
+
+def _horner_blocks(coeffs: Sequence[int], xs, p: int):
+    """Yield (lo, v) in order, v = f(x) mod p for the block
+    xs[lo:lo + len(v)]; an empty xs is one empty block.  A block holds
+    _BLOCK_BYTES of accumulator entries, at least one.  Each v is a fresh
+    array of residue_dtype(p), the consumer's to keep or overwrite.
 
     coeffs are ascending; xs is a range or an integer array, negative
     values included.  coeffs may also be per-lane rows, an array of
     residue_dtype(p) and shape (deg+1, len(xs)) whose row j holds c_j for
     each x (zero above that x's own degree): each row then broadcasts
-    against xs, so every x gets its own polynomial.  The accumulator
-    starts at the leading coefficient, so degree d costs d passes of
-    multiply and add, and a zero coefficient skips its add.
+    against its block of xs, so every x gets its own polynomial.  The
+    accumulator starts at the leading coefficient, so degree d costs d
+    multiplies, and a zero coefficient skips its add.
 
     A pass of % p costs several multiplies, so the accumulator is reduced
     only when the next step could leave int64.  An exact bound top > |acc|
     starts at p, and X >= |x| holds for every x: a range's two ends give X
-    without a pass (the window is reduced once only when X > p), an array
-    is reduced once and gets X = p.  A step takes top to top*X + p, and
-    acc is reduced before it whenever that would pass 2**63; after the
-    last step once.  The same rule runs on Python integers above
-    INT64_P_LIMIT.  The result holds residues in [0, p-1] of
-    residue_dtype(p), exact either way.
+    without a pass (each block is reduced once only when X > p), an array
+    is reduced block by block and gets X = p.  A step takes top to
+    top*X + p, and acc is reduced before it whenever that would pass
+    2**63; after the last step once.  The same rule runs on Python
+    integers above INT64_P_LIMIT.
     """
     dtype = residue_dtype(p)
-    if isinstance(xs, range):
-        X = max(abs(xs.start), abs(xs.stop))
-        xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64).astype(dtype, copy=False)
-        if X > p:
-            xs %= p
-            X = p
-    else:
-        xs, X = np.asarray(xs, dtype=dtype) % p, p
-    acc = np.full(len(xs), coeffs[-1] % p if len(coeffs) else 0, dtype=dtype)
-    top = p
-    for c in reversed(coeffs[:-1]):
-        if top * X + p > 2 ** 63:
+    X = max(abs(xs.start), abs(xs.stop)) if isinstance(xs, range) else None
+    wrap = X is None or X > p  # an array, or a range past p, is reduced
+    if wrap:
+        X = p
+    n, step = len(xs), max(1, _BLOCK_BYTES // _accumulator_bytes(p))
+    for lo in range(0, n or 1, step):
+        x = xs if n <= step else xs[lo:lo + step]
+        if isinstance(x, range):
+            x = np.arange(x.start, x.stop, x.step, dtype=np.int64).astype(dtype, copy=False)
+            if wrap:
+                x %= p
+        else:
+            x = np.asarray(x, dtype=dtype) % p
+        terms = reversed(coeffs)
+        acc, top = next(terms, 0), p  # the leading coefficient
+        acc = acc[lo:lo + len(x)] % p if isinstance(acc, np.ndarray) else acc % p
+        for c in terms:
+            if top * X + p > 2 ** 63:
+                acc %= p
+                top = p
+            if isinstance(acc, np.ndarray):
+                acc *= x
+            else:  # the first step makes the block's array
+                acc = acc * x
+            if isinstance(c, np.ndarray):  # a row is added even when zero
+                acc += c[lo:lo + len(x)] % p
+            elif c % p:
+                acc += c % p
+            top = top * X + p
+        if top > p:
             acc %= p
-            top = p
-        acc *= xs
-        c = c % p
-        if isinstance(c, np.ndarray) or c:  # a row is added even when zero
-            acc += c
-        top = top * X + p
-    if top > p:
-        acc %= p
-    return acc
+        yield lo, acc if isinstance(acc, np.ndarray) else np.full(len(x), acc, dtype=dtype)
+
+
+def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
+    """f(x) mod p for every integer x of xs, by Horner block by block
+    (`_horner_blocks`, whose docstring gives the inputs and the reduction
+    rule).  A single block is returned as it is; longer inputs are
+    assembled into one array.  The result holds residues in [0, p-1] of
+    residue_dtype(p), exact at every p."""
+    for lo, acc in _horner_blocks(coeffs, xs, p):
+        if len(acc) == len(xs):
+            return acc
+        if not lo:
+            out = np.empty(len(xs), dtype=acc.dtype)
+        out[lo:lo + len(acc)] = acc
+    return out
 
 
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:

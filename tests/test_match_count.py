@@ -4,11 +4,16 @@ count built on them, against brute-force double loops and the reference
 loop `naive_count`, at small primes (int64 path), at p = 2^61 - 1
 (Python-integer path), and on both sides of the uint32 key limit."""
 
+import random
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smallbox import boxcount, ffield
 from smallbox.boxcount import (Box2, count_curve_points, count_graph_points,
                                count_matches, list_matches, naive_count)
 from smallbox.ffield import (FpPolynomial, PrimeModulus, key_dtype, poly_values,
@@ -231,3 +236,153 @@ def test_composed_values_at_the_object_path(xs, fc, hc):
     composed = poly_values(fc, poly_values(hc, np.array(xs, dtype=np.int64), BIG), BIG)
     assert composed.dtype == object
     assert list(composed) == [horner(fc, horner(hc, x, BIG), BIG) for x in xs]
+
+
+# ---------------------------------------------------------------------------
+# Horner runs block by block (ffield._BLOCK_BYTES of accumulator entries a
+# block), and the join reads each run's length off the neighbours of its
+# boundary, boxcount._PROBE keys deep, before it falls back on binary search
+
+
+def block_len(p):
+    """Values in one Horner block mod p, read from the module constant."""
+    return max(1, ffield._BLOCK_BYTES // ffield._accumulator_bytes(p))
+
+
+def counted_pairs(f, g, xs, ys, p):
+    """The pair count from scalar Horner values, each value's count on the
+    x side times its count on the y side (the double loop is too slow at
+    windows of two blocks)."""
+    on_y = Counter(horner(g, y, p) for y in ys)
+    return sum(on_y[horner(f, x, p)] for x in xs)
+
+
+@pytest.mark.parametrize("p", (1009, 1000003))
+def test_windows_at_the_block_length(p):
+    B = block_len(p)
+    assert B == ffield._BLOCK_BYTES // 8  # int64 accumulators
+    f = (5, p - 3, 0, 1)
+    for n in (B - 1, B, B + 1, 2 * B + 3):
+        xs = range(p - n // 2, p - n // 2 + n)  # across p: every block is reduced
+        assert len(list(ffield._horner_blocks(f, xs, p))) == -(-n // B)
+        want = [horner(f, x, p) for x in xs]
+        assert poly_values(f, xs, p).tolist() == want
+        assert poly_values(f, np.array(xs, dtype=np.int64), p).tolist() == want
+        ys = range(-n, 0)
+        assert count_matches(f, (0, 0, 1), xs, ys, p) == counted_pairs(f, (0, 0, 1), xs, ys, p)
+    if p > 2 * B + 3:
+        mod = PrimeModulus(p)
+        poly = FpPolynomial.from_ints(f, mod)
+        for n in (B - 1, B, B + 1, 2 * B + 3):
+            box = Box2(p - n - 7, 11, n)
+            assert count_curve_points(poly, box) == counted_pairs(
+                f, (0, 0, 1), box.x_range, box.y_range, p)
+            assert count_graph_points(poly, box) == sum(
+                box.S < horner(f, x, p) <= box.S + n for x in box.x_range)
+
+
+def test_object_blocks_at_the_first_object_prime():
+    p = (1 << 31) + 11
+    B = block_len(p)
+    assert residue_dtype(p) is object and 1000 < B < ffield._BLOCK_BYTES // 8
+    xs = range(p - B - 2, p + 3)  # two blocks, the last values past p
+    f = (7, 0, 3)
+    got = poly_values(f, xs, p)
+    assert got.dtype == object and len(list(ffield._horner_blocks(f, xs, p))) == 2
+    assert got.tolist() == [horner(f, x, p) for x in xs]
+    ys = range(-B - 4, 1)  # f is even, so f(y) = f(x) at y = x - p and y = p - x
+    assert count_matches(f, f, xs, ys, p) == counted_pairs(f, f, xs, ys, p) > B
+
+
+@SETTINGS
+@given(st.data())
+def test_small_blocks_are_the_reference_loop(data):
+    # blocks of 1 to 7 values: every window crosses block boundaries
+    p = data.draw(st.sampled_from(PRIMES))
+    B = data.draw(st.sampled_from((1, 2, 3, 7)))
+    f, g = (data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=6))
+            for _ in range(2))
+    xs, ys = data.draw(window(p)), data.draw(window(p))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "_BLOCK_BYTES", B * ffield._accumulator_bytes(p))
+        assert block_len(p) == B
+        assert poly_values(f, xs, p).tolist() == [horner(f, int(x), p) for x in xs]
+        assert count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
+
+
+@SETTINGS
+@given(poly_in_box(), st.sampled_from((1, 2, 5)))
+def test_box_counts_in_small_blocks(case, B):
+    p, coeffs, box = case
+    f = FpPolynomial.from_ints(coeffs, PrimeModulus(p))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "_BLOCK_BYTES", B * ffield._accumulator_bytes(p))
+        assert count_curve_points(f, box) == naive_count(
+            coeffs, (0, 0, 1), box.x_range, box.y_range, p)
+        assert count_graph_points(f, box) == naive_count(
+            coeffs, (0, 1), box.x_range, box.y_range, p)
+
+
+@pytest.mark.parametrize("p", (31, 2 ** 61 - 1))
+def test_per_lane_rows_in_small_blocks(monkeypatch, p):
+    rng = random.Random(p)
+    lanes = [[rng.randrange(p) for _ in range(rng.randint(1, 6))] for _ in range(23)]
+    width = max(len(c) for c in lanes)
+    rows = np.array([c + [0] * (width - len(c)) for c in lanes], dtype=residue_dtype(p)).T
+    xs = np.array([rng.randrange(-p, 2 * p) for _ in lanes], dtype=residue_dtype(p))
+    monkeypatch.setattr(ffield, "_BLOCK_BYTES", 4 * ffield._accumulator_bytes(p))
+    assert len(list(ffield._horner_blocks(rows, xs, p))) == 6
+    assert poly_values(rows, xs, p).tolist() == [horner(c, int(x), p)
+                                                 for c, x in zip(lanes, xs)]
+
+
+@pytest.mark.parametrize("p", (31, 101))
+def test_runs_far_past_the_probe(p):
+    # windows several times longer than p repeat every residue, and
+    # x^((p-1)/2) takes only the values 0, 1 and -1: runs of dozens of keys
+    # on both sides, far past the probe, go to the binary search
+    half = (0,) * ((p - 1) // 2) + (1,)
+    wide = range(-3 * p, 5 * p + 4)
+    cases = [(half, half, wide, range(2 * p)),
+             (half, (0, 1), wide, range(-p, p)),
+             ((0, 0, 1), (0, 0, 0, 1), wide, range(7 * p + 3)),
+             ((3, 1), (1,), wide, range(40)),  # a constant g: one run of 40
+             (half, (0, 0, 1), range(p // 2), range(p))]  # one long side
+    for f, g, xs, ys in cases:
+        assert max(max(Counter(horner(h, t, p) for t in ts).values())
+                   for h, ts in ((f, xs), (g, ys))) > boxcount._PROBE + 1
+        assert count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
+        assert count_matches(g, f, ys, xs, p) == naive_count(g, f, ys, xs, p)
+    assert count_matches(half, half, wide, range(2 * p), p) == (
+        counted_pairs(half, half, wide, range(2 * p), p))
+
+
+def test_empty_windows_are_one_empty_block():
+    for p in (31, BIG):
+        blocks = list(ffield._horner_blocks((1, 2, 3), range(5, 5), p))
+        assert [(lo, len(v), v.dtype) for lo, v in blocks] == [(0, 0, residue_dtype(p))]
+        assert poly_values((1, 2, 3), np.array([], dtype=np.int64), p).dtype == residue_dtype(p)
+        assert count_matches((1, 2, 3), (0, 1), range(0), range(9), p) == 0
+        assert count_matches((1, 2, 3), (0, 1), range(9), range(0), p) == 0
+
+
+def test_box_count_peaks_stay_near_the_key_array():
+    # the join peaks at its keys (4 bytes a value), their xors (4 more), the
+    # boundary test (a byte a key) and the boundary list: about 2.45 key
+    # arrays.  A whole-vector Horner pass would hold x and its accumulator in
+    # int64 beside the keys, one key array each: 3.0.  The window test keeps
+    # one block's x, accumulator and test.
+    p, M = 1000003, 200_000
+    f = FpPolynomial.from_ints((3, 7, 0, 1), PrimeModulus(p))
+    box = Box2(1000, 5000, M)
+    keys = 4 * 2 * M
+    for count, bound in ((count_curve_points, 2.75 * keys),
+                         (count_graph_points, 4 * ffield._BLOCK_BYTES)):
+        expect = count(f, box)
+        tracemalloc.start()
+        try:
+            assert count(f, box) == expect
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (count.__name__, peak)

@@ -14,7 +14,7 @@ import pytest
 import smallbox
 from smallbox import ffield
 from smallbox.analytic import count_vinogradov
-from smallbox.boxcount import Box2, count_curve_points, naive_count
+from smallbox.boxcount import Box2, count_curve_points, count_graph_points, naive_count
 from smallbox.dynsys import diameter, pairs_in_box, trajectory_length, trajectory_lengths
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.hyperelliptic import CubeBox, class_census
@@ -61,6 +61,10 @@ ROWS = [
     ("count_curve_points",
      lambda: count_curve_points(CUBIC, BOX),
      lambda: naive_count(CUBIC.coeffs, (0, 0, 1), BOX.x_range, BOX.y_range, 101),
+     {"Box2.x_range": WINDOWS, "Box2.y_range": WINDOWS}),
+    ("count_graph_points",
+     lambda: count_graph_points(CUBIC, BOX),
+     lambda: naive_count(CUBIC.coeffs, (0, 1), BOX.x_range, BOX.y_range, 101),
      {"Box2.x_range": WINDOWS, "Box2.y_range": WINDOWS}),
     ("class_census",
      lambda: class_census(MOD31, CUBE).class_sizes,
