@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import ffield
-from .ffield import FpPolynomial, entry_bytes, int_dtype, poly_values, run_starts
+from .ffield import (FpPolynomial, check_bytes, entry_bytes, int_dtype, poly_values,
+                     residue_dtype, run_starts)
 
 ERDOS_TURAN_CONSTANT = 3.0
 WEYL_LOOP_GUARD = 10 ** 9
@@ -30,10 +31,11 @@ class CheckResult:
 
 
 def _residues(g: FpPolynomial, k: int, M: int) -> np.ndarray:
-    """k g(n) mod p for n = 1..M, exact in residue_dtype(p)."""
+    """k g(n) mod p for n = 1..M in residue_dtype(p), with their phases held to BYTE_GUARD."""
     if M < 1:
         raise ValueError("M >= 1 required")
     p = g.modulus.p
+    check_bytes(f"a sum over {M} values", M * (entry_bytes(residue_dtype(p), p) + 2 * 8 + 2 * 16))
     return poly_values([k * c % p for c in g.coeffs], range(1, M + 1), p)
 
 
@@ -193,11 +195,8 @@ def count_vinogradov(k: int, m: int, H: int) -> int:
     radix = [k * H ** j + 1 for j in range(1, m + 1)]
     key_bound, count_bound = math.prod(radix), H ** k
     key_dtype, count_dtype = int_dtype(key_bound), int_dtype(count_bound)
-    nbytes = H * min(states, span) * (entry_bytes(key_dtype, key_bound)
-                                      + entry_bytes(count_dtype, count_bound) + 8)
-    if nbytes > ffield.BYTE_GUARD:
-        raise ValueError(f"J({k},{m};{H}) needs up to {nbytes} bytes in one step, "
-                         f"above the guard of {ffield.BYTE_GUARD} bytes")
+    check_bytes(f"one step of J({k},{m};{H})", H * min(states, span) * (
+        entry_bytes(key_dtype, key_bound) + entry_bytes(count_dtype, count_bound) + 8))
     place = np.array(list(itertools.accumulate(radix[:-1], operator.mul, initial=1)),
                      dtype=key_dtype)
     # atom x is sum_j x^j prod_(i<j) radix_i: every term is below key_bound

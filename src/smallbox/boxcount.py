@@ -12,8 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import kappa
-from .ffield import (FpPolynomial, _horner_blocks, discriminant, key_dtype,
-                     monic_square_root, poly_values)
+from .ffield import (FpPolynomial, _horner_blocks, check_bytes, discriminant, entry_bytes,
+                     key_dtype, monic_square_root, poly_values, residue_dtype)
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
 WEIL_CONSTANT = 10.0  # implied constant accepted in front of sqrt(p) (ln p)^2
@@ -73,9 +73,11 @@ def count_matches(f: Sequence[int], g: Sequence[int], xs, ys, p: int) -> int:
     the key of no residue, on each end of the sorted keys ends every run,
     and _PROBE - 1 zeros beyond it keep every read inside the array.
     Memory O(len(xs) + len(ys)): a key per value (4 bytes while residues
-    are int64), their xors, and one Horner block.  `naive_count` is its
-    reference double loop."""
+    are int64), their xors, and one Horner block, held to ffield.BYTE_GUARD.
+    `naive_count` is its reference double loop."""
     n, m, w = len(xs), len(ys), _PROBE
+    check_bytes(f"a join of {n} and {m} values",
+                2 * (w + n + m + w) * entry_bytes(key_dtype(p), 2 * p + 1))
     k = np.zeros(w + n + m + w, dtype=key_dtype(p))
     k[w - 1] = k[w + n + m] = 2 * p + 1
     for lo, v in _horner_blocks(f, xs, p):
@@ -144,7 +146,9 @@ def list_matches(f: Sequence[int], g: Sequence[int], xs, ys,
     length, in the order of the double loop over xs, then ys.  The g(y)
     are argsorted once (stably, so equal values keep the order of ys); the
     run of each f(x) among them is found by binary search on both sides
-    and expanded, in O(len(xs) + len(ys) + pairs) memory."""
+    and expanded, in O(len(xs) + len(ys) + pairs) memory, held to BYTE_GUARD before the pairs."""
+    check_bytes(f"listing the matches of {len(xs)} and {len(ys)} values",
+                (len(xs) + len(ys)) * (2 * entry_bytes(residue_dtype(p), p) + 3 * 8))
     u = poly_values(f, xs, p)  # on ranges: one with both ends in [-p, p] is not reduced
     v = poly_values(g, ys, p)
     xs, ys = (np.arange(t.start, t.stop, t.step, dtype=np.int64) if isinstance(t, range)

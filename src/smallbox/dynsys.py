@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ffield
 from .boxcount import Box2
-from .ffield import FpPolynomial, entry_bytes, poly_values, residue_dtype
+from .ffield import FpPolynomial, check_bytes, entry_bytes, poly_values, residue_dtype
 
 # the seen-set dict's own bytes per stored value at most (CPython 3.11: the
 # entry's hash and two pointers, plus its share of the index table and of the
@@ -151,10 +151,8 @@ def _lockstep_scan(coeffs: np.ndarray, u0s: np.ndarray,
     live, walked = np.arange(lanes), u0s[:, None]
     K = 64
     while live.size:
-        nbytes = live.size * K * (entry_bytes(dtype, p - 1) + 24)
-        if nbytes > ffield.BYTE_GUARD:
-            raise ValueError(f"{live.size} orbits of {K} values mod {p} take {nbytes} "
-                             f"bytes, above the guard of {ffield.BYTE_GUARD} bytes")
+        check_bytes(f"a walk of {live.size} orbits of {K} values mod {p}",
+                    live.size * K * (entry_bytes(dtype, p - 1) + 24))
         walk = np.empty((live.size, K), dtype=dtype)
         walk[:, :walked.shape[1]] = walked
         for j in range(walked.shape[1], K):

@@ -55,6 +55,12 @@ def entry_bytes(dtype, largest: int) -> int:
     return 8 + sys.getsizeof(largest) if dtype == object else dtype.itemsize
 
 
+def check_bytes(what: str, nbytes: int):
+    """ValueError, naming `what`, when nbytes passes BYTE_GUARD."""
+    if nbytes > BYTE_GUARD:
+        raise ValueError(f"{what} needs {nbytes} bytes, above the guard of {BYTE_GUARD} bytes")
+
+
 def run_starts(keys: np.ndarray, offsets) -> np.ndarray:
     """Index of the first key of each run of equal keys, where every segment
     keys[offsets[i]:offsets[i+1]] is sorted and no run crosses a segment

@@ -25,9 +25,9 @@ from .ffield import (FpPolynomial, PrimeModulus, discriminant, entry_bytes, int_
 # bytes the arrays of one census keying or singularity-filter slice may hold
 _SLICE_BYTES = 1 << 23
 # arrays of a slice's entry count alive at once, at the tracemalloc peak of a
-# keying slice (a free coordinate's values, its digit table and the candidate
-# sum, each of the slice's size when g = 1 and d = 2) and of a
-# `nonsingular_mask` pass (the Bezout stack and its elimination products)
+# keying slice (max(M^(2g-1), d/2 M) entries a (box, v0) row; at g = 1 the v1
+# candidates of this slice and the last, with windows and least digits) and
+# of a `nonsingular_mask` pass (the Bezout stack and its elimination products)
 _KEY_TEMPS = 3
 _FILTER_TEMPS = 4
 
@@ -354,18 +354,18 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
     least member x of the coset of its first coordinate v0 modulo the d-th
     powers (d = gcd(4g+2, p-1)), reached by the d roots alpha_c of
     alpha^(4g+2) = x/v0, found once for each distinct v0 of all the boxes
-    (-alpha acts as alpha, so half of them suffice).  The key is the
-    minimum over c of sum_j (alpha_c^(4g+2-2j) v_j mod p) p^(2g-1-j), whose
-    every term depends on (v0, c) and one coordinate v_j only: a box's keys
-    are the broadcast sum of one (M, d/2, M) digit table per coordinate,
-    then one minimum over c.  Boxes of equal side that follow each other
-    form one (boxes, M^(2g)) block, keyed in slices of rows and sorted
-    along its rows in one call.  A row is a (box, leading coordinates)
-    prefix: v0 alone, one more coordinate each time a row's candidates
-    exceed _SLICE_BYTES.  Keys are `int_dtype(p^(2g))`, and slices are sized
-    from the real entry size.  Raises ValueError, before allocating, when
-    the census of the batch would peak above ffield.BYTE_GUARD bytes.
-    Returns the keys and the offset of each box's first key (plus the end).
+    (-alpha acts as alpha, so half of them suffice).  Their squares
+    beta_0 zeta (zeta^(d/2) = 1) multiply v1 by beta_0^(2g) zeta^(-1), so
+    the d/2 candidate digits of v1 differ: the least is digit 1, and its c
+    scales the rest, digit j being alpha_c^(4g+2-2j) v_j mod p.  A
+    (box, v0) row of keys is the broadcast sum of x, that least digit and
+    one (M, M) table per later coordinate.  Boxes of equal side that follow
+    each other form one (boxes, M^(2g)) block, keyed in slices of whole
+    rows sized from the real entry size and sorted along its rows in one
+    call.  Keys are `int_dtype(p^(2g))`.  Raises ValueError, before
+    allocating, when the census of the batch would peak above
+    ffield.BYTE_GUARD bytes.  Returns the keys and the offset of each box's
+    first key (plus the end).
     """
     g = boxes[0].g
     n = 2 * g
@@ -384,6 +384,7 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
     alphas = [al for v0, x in zip(v0s, _coset_minima(v0s, d, p))
               for al in roots_mod(x * pow(v0, -1, p) % p, 4 * g + 2, p) if 2 * al < p]
     scal = _scaled_rows(alphas, (1,) * n, p).reshape(len(v0s), d // 2, n)
+    xs = (scal[:, 0, 0] * np.array(v0s) % p).astype(kdtype) * p ** (n - 1)  # digit 0: x
     # candidates are scal.dtype and keys kdtype: an object entry if either is
     entry = entry_bytes(np.result_type(kdtype, scal.dtype), p ** n)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -393,33 +394,24 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
         lows = np.array([b.lows() for b in group], dtype=np.int64)
         block = keys[done:done + len(lows) * M ** n]
         done += len(block)
-        first = np.searchsorted(v0s, lows[:, 0])  # row of scal for each box's first v0
-        free = n - 1  # coordinates after a row's prefix
-        while free and (d // 2) * M ** free * entry * _KEY_TEMPS > _SLICE_BYTES:
-            free -= 1
-        lead = n - free
-        rows = len(lows) * M ** lead
-        step = _slice_len((d // 2) * M ** free, entry, _KEY_TEMPS)
+        rows, width = len(lows) * M, M ** (n - 1)
+        step = _slice_len(max(width, d // 2 * M), entry, _KEY_TEMPS)
         for start in range(0, rows, step):
-            prefix = np.unravel_index(np.arange(start, min(rows, start + step)),
-                                      (len(lows),) + (M,) * lead)
-            count, lo = len(prefix[0]), lows[prefix[0]]
-            s = scal[first[prefix[0]] + prefix[1]]  # (rows, d/2, 2g)
-            cand = 0
-            for j in range(n):
-                shape = [count, d // 2] + [1] * free
-                if j < lead:
-                    v = lo[:, j, None] + prefix[j + 1][:, None]
-                else:
-                    v = lo[:, j, None] + np.arange(M)
-                    shape[2 + j - lead] = M
-                digit = s[:, :, j, None] * v[:, None, :]
-                digit %= p
-                digit = digit.astype(kdtype, copy=False)
-                digit *= p ** (n - 1 - j)
-                cand = cand + digit.reshape(shape)
-            cand.min(axis=1, out=block[start * M ** free:(start + count) * M ** free]
-                     .reshape([count] + [M] * free))
+            box, i = np.divmod(np.arange(start, min(rows, start + step)), M)
+            row = np.searchsorted(v0s, lows[box, 0] + i)  # scal's row of each (box, v0)
+            win = lows[box, 1:, None] + np.arange(M)  # windows of v1 .. v_(2g-1)
+            c1 = scal[row, :, 1, None] * win[:, None, 0]  # (rows, d/2, M)
+            c1 %= p
+            digit = c1.min(axis=1).astype(kdtype, copy=False)
+            if n > 2:
+                digit *= p ** (n - 2)
+                best = row[:, None], c1.argmin(axis=1)  # (rows, M): v1's scaling
+            out = block[start * width:][:len(row) * width].reshape((len(row),) + (M,) * (n - 1))
+            np.add(xs[row, None, None], digit[:, :, None], out=out.reshape(len(row), M, -1))
+            for j in range(2, n):  # digit j broadcast along (box, v0), v1 and v_j
+                digit = scal[best + (j,)][:, :, None] * win[:, None, j - 1] % p
+                digit = digit.astype(kdtype, copy=False) * p ** (n - 1 - j)
+                out += digit.reshape(digit.shape[:2] + (1,) * (j - 2) + (M,) + (1,) * (n - 1 - j))
         block.reshape(len(lows), M ** n).sort(axis=1)  # a box's equal keys become one run
     return keys, offsets
 
@@ -431,9 +423,9 @@ def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
     Takes the boxes in order of side (a stable sort) and keys every vector
     of every box by its packed canonical representative (`_packed_keys`:
     one root extraction of O(log p) per distinct value of the first
-    coordinate over all the boxes, one digit table of M^2 d/2 entries per
-    coordinate and box, then only adds and one minimum per vector, never
-    O(p)), with the keys of each side sorted box by box in one sort.  It
+    coordinate over all the boxes, one minimum over v1's d/2 candidate
+    digits per (box, v0) row, then only adds, never O(p)), with the keys of
+    each side sorted box by box in one sort.  It
     groups equal runs in one pass over all the boxes, and decides
     singularity once per distinct key of all the boxes in
     `nonsingular_mask` passes; each box looks its verdicts up by binary

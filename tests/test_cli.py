@@ -295,6 +295,12 @@ def test_lattice_check(capsys):
     ["vinogradov", "--k", "10", "--m", "3", "--H", "20"],
     # keys of about 4.5 million bits: refused before any is built
     ["vinogradov", "--k", "3000", "--m", "3000", "--H", "2"],
+    # windows of 10^15 values: refused before their arrays are allocated
+    ["expsum", "--p", "101", "--f", "1,2", "--k", "1", "--M", "1000000000000000"],
+    ["count-curve", "--p", "2305843009213693951", "--f", "1,0,1",
+     "--box", "0,0,1000000000000000"],
+    ["weil", "--p", "2305843009213693951", "--f", "1,0,0,1", "--M", "1000000000000000"],
+    ["sharpness", "--p", "2305843009213693951", "--g", "2", "--M", "1000000000000000"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

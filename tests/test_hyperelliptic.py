@@ -371,8 +371,10 @@ def test_orbit_count_takes_one_root_per_counted_vector(monkeypatch):
             assert n >= 1 and len(calls) == n
 
 
-@pytest.mark.parametrize("p, g, M", [(7, 1, 5), (13, 3, 2), (31, 1, 9), (31, 3, 2),
-                                     (101, 2, 3), (1009, 1, 12), (9973, 2, 3)])
+# (29, 3, 2) and (211, 2, 3) have d/2 = 7 and 5: coordinate 1 picks the
+# scaling among that many candidates
+@pytest.mark.parametrize("p, g, M", [(7, 1, 5), (13, 3, 2), (29, 3, 2), (31, 1, 9), (31, 3, 2),
+                                     (101, 2, 3), (211, 2, 3), (1009, 1, 12), (9973, 2, 3)])
 def test_census_keys_match_the_walk(p, g, M):
     rng = random.Random(p * g * M)
     mod = PrimeModulus(p)
@@ -447,10 +449,11 @@ def test_censuses_of_interleaved_sides_come_back_in_input_order():
         _assert_census_is(cen, walk_census(MOD31, box), box)
 
 
-# p = 31, g = 2: d/2 = 5 candidates of 8 bytes, _KEY_TEMPS = 3.  Budget 1
-# keys one vector per slice.  500 makes a row a (box, v0, v1, v2) prefix at
-# side 3 and a (box, v0, v1) prefix at side 2.  2000 makes it (box, v0, v1)
-# at side 3 and keeps whole (box, v0) rows, two a slice, at side 2.
+# p = 31, g = 2: entries of 8 bytes, _KEY_TEMPS = 3, and a (box, v0) row
+# counts max(M^3, d/2 M) entries with d/2 = 5: 27 at side 3, 10 at side 2.
+# Budget 1 keys one row per slice.  500 keys one row per slice at side 3
+# and a whole box, two rows, at side 2.  2000 keys three rows, a whole box,
+# per slice at side 3 and the side-2 box in one slice.
 @pytest.mark.parametrize("budget", [1, 500, 2000])
 def test_census_slices_do_not_change_the_result(monkeypatch, budget):
     boxes = [CubeBox(2, (3, 1, 4, 1), 3), CubeBox(2, (5, 9, 2, 6), 2), CubeBox(2, (3, 1, 4, 1), 3)]

@@ -7,24 +7,26 @@ row also checks that the two sides agree."""
 
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import smallbox
 from smallbox import ffield
-from smallbox.analytic import count_vinogradov
+from smallbox.analytic import count_vinogradov, weyl_majorant
 from smallbox.boxcount import Box2, count_curve_points, count_graph_points, naive_count
 from smallbox.dynsys import diameter, pairs_in_box, trajectory_length, trajectory_lengths
 from smallbox.ffield import FpPolynomial, PrimeModulus
 from smallbox.hyperelliptic import CubeBox, class_census
-from smallbox.lattice import CongruenceLattice, ConvexBox, lattice_points_in_box, successive_minima
+from smallbox.lattice import (CongruenceLattice, ConvexBox, lattice_points_in_box, lemma6_count,
+                              successive_minima)
 
-from test_analytic import _dict_dp_reference
+from test_analytic import _dict_dp_reference, _per_term_majorant
 from test_dynsys import _walk, _walk_pairs
 from test_ffield import scalar_horner
 from test_hyperelliptic import walk_census
-from test_lattice import _fraction_minima, naive_points
+from test_lattice import _fraction_minima, _scan_count, naive_points
 
 PACKAGE = str(Path(smallbox.__file__).resolve().parent)
 
@@ -39,6 +41,10 @@ _rng = random.Random(40)
 LANES = [FpPolynomial.from_ints([_rng.randrange(101) for _ in range(4)], MOD) for _ in range(8)]
 STARTS = [_rng.randrange(101) for _ in LANES]
 WINDOW = range(-40, 61)  # both ends in [-p, p]: poly_values skips the window's reduction
+# p = 223 lies past lemma6_count's determinant replay; deg g = 2 does not divide deg f = 3
+MOD223 = PrimeModulus(223)
+LEMMA6 = (FpPolynomial.from_ints([5, 7, 11, 1], MOD223), FpPolynomial.from_ints([2, 3, 1], MOD223),
+          [3, 5, 8], [21, 20, 30])  # 4 roots
 
 CERTIFICATE = "the shared orbit certificate, by design: the walks share nothing else"
 WINDOWS = "the box's two windows, the input both sides count over"
@@ -81,6 +87,12 @@ ROWS = [
     ("pairs_in_box",
      lambda: pairs_in_box(CUBIC, 7, 40, BOX),
      lambda: _walk_pairs(CUBIC, 7, 40, BOX), {}),
+    ("weyl_majorant",
+     lambda: weyl_majorant(Fraction(7, 101), 3, 6),
+     lambda: _per_term_majorant(Fraction(7, 101), 3, 6), {}),
+    ("lemma6_count",
+     lambda: lemma6_count(*LEMMA6),
+     lambda: _scan_count(*LEMMA6), {}),
 ]
 
 
