@@ -189,9 +189,13 @@ def count_curve_points(f: FpPolynomial, box: Box2) -> int:
 
 def count_graph_points(f: FpPolynomial, box: Box2) -> int:
     """Exact #{(x, y) in box : y = f(x) mod p}; at most one y per column,
-    so the count is the number of values f(x) that fall in the y-window."""
+    so the count is the number of values f(x) that fall in the y-window.
+    The blocks hold little, so the work is bounded instead: ValueError when
+    the window's values, held at once, would pass ffield.BYTE_GUARD bytes."""
     p = f.modulus.p
     box.validate_for(p)
+    check_bytes(f"a window of {box.M} values of f, held at once,",
+                box.M * entry_bytes(residue_dtype(p), p))
     # a window test on each Horner block, not count_matches(f.coeffs, (0, 1),
     # ...): it sorts nothing, 2.2 ms against the join's 7.9 ms at
     # p = 1000003, M = 2*10^5, cubic f (best of 40 calls, 2-CPU Xeon)

@@ -4,13 +4,13 @@ trajectory diameter over the first N terms, and the matching lower-bound
 evaluator.
 
 Two walkers find T.  `trajectory_length` walks one orbit by scalar Horner
-steps with a seen-set, which costs well under a millisecond for one orbit
-at p ~ 10^4; `trajectory_lengths` walks many orbits over one modulus in
-lockstep, one `ffield.poly_values` step over all live lanes at a time, which
-pays off only across many lanes (a single lane costs some twenty times the
-scalar walk).  Both walks are proved by one shared certificate that
-evaluates f by ascending powers, a formula neither walker uses.  Each walk
-is refused with ValueError before its stored values would pass
+steps with a seen-set, well under a millisecond for one orbit at p ~ 10^4;
+`trajectory_lengths` walks many orbits over one modulus in lockstep, one
+vector Horner step of every live lane by its own coefficients at a time,
+which pays off only across many lanes (a single lane costs some ten
+times the scalar walk).  Both walks are proved by one shared certificate
+that evaluates f by ascending powers, a formula neither walker uses.  Each
+walk is refused with ValueError before its stored values would pass
 ffield.BYTE_GUARD bytes.  Diameters and box pair counts read the values of
 the certified single walk, so no third walker steps f: each costs the T
 steps of the whole orbit whatever N, and is refused where that walk is."""
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ffield
 from .boxcount import Box2
-from .ffield import FpPolynomial, check_bytes, entry_bytes, poly_values, residue_dtype
+from .ffield import FpPolynomial, check_bytes, entry_bytes, residue_dtype
 
 # the seen-set dict's own bytes per stored value at most (CPython 3.11: the
 # entry's hash and two pointers, plus its share of the index table and of the
@@ -138,10 +138,10 @@ def _lockstep_scan(coeffs: np.ndarray, u0s: np.ndarray,
     concatenated values u_0..u_(T-1) of every lane in input order, with the
     lengths T and the tails.
 
-    The values go into a (lanes, K) matrix, one `poly_values` step over the
-    live lanes per column, K doubling from 64 (every lane has repeated once
-    K > p).  At each doubling one stable row-wise argsort finds each
-    lane's first repeat T and its tail, and finished lanes leave the matrix.
+    The values go into a (lanes, K) matrix, K doubling from 64 (every lane
+    has repeated once K > p), a column per Horner step of every live lane
+    by its own row of coeffs.  At each doubling a stable row-wise argsort
+    finds each lane's first repeat T and its tail; finished lanes leave.
     Before each matrix is allocated, its entries at their real size plus the
     sort's three 8-byte entries beside each are held to ffield.BYTE_GUARD;
     ValueError above it."""
@@ -156,7 +156,12 @@ def _lockstep_scan(coeffs: np.ndarray, u0s: np.ndarray,
         walk = np.empty((live.size, K), dtype=dtype)
         walk[:, :walked.shape[1]] = walked
         for j in range(walked.shape[1], K):
-            walk[:, j] = poly_values(coeffs, walk[:, j - 1], p)
+            u, acc = walk[:, j - 1], coeffs[-1].copy()
+            for c in coeffs[-2::-1]:  # acc*u + c < p*p + p: exact in residue_dtype(p)
+                acc *= u
+                acc += c
+                acc %= p
+            walk[:, j] = acc
         order = np.argsort(walk, axis=1, kind="stable")
         ordered = np.take_along_axis(walk, order, axis=1)
         # in a stable order the later copies of a value follow its first one,

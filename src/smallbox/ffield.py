@@ -347,13 +347,10 @@ def _horner_blocks(coeffs: Sequence[int], xs, p: int):
     _BLOCK_BYTES of accumulator entries, at least one.  Each v is a fresh
     array of residue_dtype(p), the consumer's to keep or overwrite.
 
-    coeffs are ascending; xs is a range or an integer array, negative
-    values included.  coeffs may also be per-lane rows, an array of
-    residue_dtype(p) and shape (deg+1, len(xs)) whose row j holds c_j for
-    each x (zero above that x's own degree): each row then broadcasts
-    against its block of xs, so every x gets its own polynomial.  The
-    accumulator starts at the leading coefficient, so degree d costs d
-    multiplies, and a zero coefficient skips its add.
+    coeffs are integers, ascending; xs is a range or an integer array,
+    negative values included.  The accumulator starts at the leading
+    coefficient, so degree d costs d multiplies, and a zero coefficient
+    skips its add.
 
     A pass of % p costs several multiplies, so the accumulator is reduced
     only when the next step could leave int64.  An exact bound top > |acc|
@@ -379,8 +376,7 @@ def _horner_blocks(coeffs: Sequence[int], xs, p: int):
         else:
             x = np.asarray(x, dtype=dtype) % p
         terms = reversed(coeffs)
-        acc, top = next(terms, 0), p  # the leading coefficient
-        acc = acc[lo:lo + len(x)] % p if isinstance(acc, np.ndarray) else acc % p
+        acc, top = next(terms, 0) % p, p  # the leading coefficient
         for c in terms:
             if top * X + p > 2 ** 63:
                 acc %= p
@@ -389,9 +385,7 @@ def _horner_blocks(coeffs: Sequence[int], xs, p: int):
                 acc *= x
             else:  # the first step makes the block's array
                 acc = acc * x
-            if isinstance(c, np.ndarray):  # a row is added even when zero
-                acc += c[lo:lo + len(x)] % p
-            elif c % p:
+            if c % p:
                 acc += c % p
             top = top * X + p
         if top > p:
@@ -400,11 +394,11 @@ def _horner_blocks(coeffs: Sequence[int], xs, p: int):
 
 
 def poly_values(coeffs: Sequence[int], xs, p: int) -> np.ndarray:
-    """f(x) mod p for every integer x of xs, by Horner block by block
-    (`_horner_blocks`, whose docstring gives the inputs and the reduction
-    rule).  A single block is returned as it is; longer inputs are
-    assembled into one array.  The result holds residues in [0, p-1] of
-    residue_dtype(p), exact at every p."""
+    """f(x) mod p for every integer x of xs, f given by its integer
+    coefficients, ascending, by Horner block by block (`_horner_blocks`,
+    whose docstring gives the reduction rule).  A single block is returned
+    as it is; longer inputs are assembled into one array.  The result
+    holds residues in [0, p-1] of residue_dtype(p), exact at every p."""
     for lo, acc in _horner_blocks(coeffs, xs, p):
         if len(acc) == len(xs):
             return acc

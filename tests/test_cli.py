@@ -301,6 +301,9 @@ def test_lattice_check(capsys):
      "--box", "0,0,1000000000000000"],
     ["weil", "--p", "2305843009213693951", "--f", "1,0,0,1", "--M", "1000000000000000"],
     ["sharpness", "--p", "2305843009213693951", "--g", "2", "--M", "1000000000000000"],
+    # a window of 10^15 values in small blocks: refused before hours of blocks
+    ["count-graph", "--p", "2305843009213693951", "--f", "1,0,1",
+     "--box", "0,0,1000000000000000"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -152,24 +152,23 @@ def test_certificate_checks_the_walk_at_large_p(monkeypatch):
 
 
 def test_certificate_catches_a_corrupted_lockstep_step(monkeypatch):
-    # the walk steps by Horner (poly_values), the certificate by ascending
-    # powers: a step that is off in one lane once is caught
+    # the walk steps by Horner, the certificate by ascending powers: one
+    # value off mid-walk in one lane is caught
     mod = PrimeModulus(1009)
     rng = random.Random(36)
     fs = [FpPolynomial.from_ints([rng.randrange(1009) for _ in range(4)], mod)
           for _ in range(6)]
     u0s = [rng.randrange(1009) for _ in fs]
     assert trajectory_lengths(fs, u0s) == [trajectory_length(f, u) for f, u in zip(fs, u0s)]
-    steps = [0]
-    horner = dynsys.poly_values
+    scan = dynsys._lockstep_scan
 
-    def off_once(coeffs, xs, p):
-        out = horner(coeffs, xs, p)
-        steps[0] += 1
-        if steps[0] == 5:
-            out[len(out) // 2] = (out[len(out) // 2] + 1) % p
-        return out
-    monkeypatch.setattr(dynsys, "poly_values", off_once)
+    def off_once(coeffs, u0s, p):
+        vals, lengths, tails = scan(coeffs, u0s, p)
+        assert lengths[3] > 2
+        mid = int(lengths[:3].sum() + lengths[3] // 2)
+        vals[mid] = (vals[mid] + 1) % p
+        return vals, lengths, tails
+    monkeypatch.setattr(dynsys, "_lockstep_scan", off_once)
     with pytest.raises(RuntimeError, match="certificate"):
         trajectory_lengths(fs, u0s)
 
@@ -197,17 +196,33 @@ def test_lockstep_matches_the_scalar_walk_lane_by_lane():
         assert trajectory_lengths(iter(fs), iter(u0s)) == trajectory_lengths(fs, u0s)
 
 
+def _swap(a, b, h, p):
+    """Coefficients of a + b - x + (x - a)(x - b) h(x) mod p, dense of
+    degree len(h) + 1, which sends a to b and b to a."""
+    out = [a + b, -1] + [0] * len(h)
+    for i, c in enumerate(h):
+        for j, q in enumerate((a * b, -a - b, 1)):
+            out[i + j] += c * q
+    return [c % p for c in out]
+
+
 def test_lockstep_on_python_integers_above_2_31():
-    p = 2 ** 31 + 11
-    mod = PrimeModulus(p)
-    c = pow(3, (p - 1) // 6, p)  # of multiplicative order dividing 6
-    fs = [FpPolynomial.from_ints(cs, mod)
-          for cs in ([], [8], [0, 1], [0, p - 1], [0, c], [0, 0, 1], [0, 0, 0, 1])]
-    u0s = [5, -3, 2 * p + 9, 12, 10 ** 12, p - 1, c]
-    trajs = trajectory_lengths(fs, u0s)
-    assert trajs == [trajectory_length(f, u) for f, u in zip(fs, u0s)]
-    assert [t.total_length for t in trajs] == [2, 2, 1, 2, 6, 2, 2]
-    assert all(type(v) is int for t in trajs for v in t.values)
+    # at 2^61 - 1 a product of two residues passes 2^63 as well
+    for p, base in ((2 ** 31 + 11, 3), (2 ** 61 - 1, 7)):
+        mod = PrimeModulus(p)
+        c = pow(base, (p - 1) // 6, p)  # of multiplicative order 6
+        assert pow(c, 2, p) != 1 and pow(c, 3, p) != 1
+        rng = random.Random(p)
+        a, b = rng.randrange(p), rng.randrange(p)
+        fs = [FpPolynomial.from_ints(cs, mod)
+              for cs in ([], [8], [0, 1], [0, p - 1], [0, c], [0, 0, 1], [0, 0, 0, 1],
+                         [0, 0, 0, 0, 1], _swap(a, b, [rng.randrange(p) for _ in range(4)], p))]
+        u0s = [5, -3, 2 * p + 9, 12, 10 ** 12, p - 1, c, c, a]
+        trajs = trajectory_lengths(fs, u0s)
+        assert trajs == [trajectory_length(f, u) for f, u in zip(fs, u0s)]
+        assert [t.total_length for t in trajs] == [2, 2, 1, 2, 6, 2, 2, 2, 2]
+        assert fs[-1].degree == 5 and trajs[-1].values == (a, b)
+        assert all(type(v) is int for t in trajs for v in t.values)
 
 
 @settings(max_examples=60, deadline=None)

@@ -329,20 +329,6 @@ def test_poly_values_matches_the_scalar_horner(case):
     assert [int(v) for v in got] == [scalar_horner(coeffs, int(x), p) for x in xs]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(HORNER_PRIMES), st.integers(1, 16), st.data())
-def test_poly_values_per_lane_rows_match_the_scalar_horner(p, lanes, data):
-    # the rows the lockstep orbit walk builds: row j holds c_j of every lane,
-    # zero above each lane's own degree
-    polys = [data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=9))
-             for _ in range(lanes)]
-    width = max(len(c) for c in polys)
-    rows = np.array([c + [0] * (width - len(c)) for c in polys], dtype=residue_dtype(p)).T
-    xs = data.draw(st.lists(st.integers(-p + 1, 2 * p), min_size=lanes, max_size=lanes))
-    got = poly_values(rows, np.array(xs, dtype=residue_dtype(p)), p)
-    assert [int(v) for v in got] == [scalar_horner(c, x, p) for c, x in zip(polys, xs)]
-
-
 def test_poly_values_at_the_largest_int64_prime_reduces_every_step():
     # (p - 1)^2 fits int64 but (p - 1)^3 does not: after the first step every
     # step needs a reduction before it, and one skipped would wrap silently

@@ -4,7 +4,6 @@ count built on them, against brute-force double loops and the reference
 loop `naive_count`, at small primes (int64 path), at p = 2^61 - 1
 (Python-integer path), and on both sides of the uint32 key limit."""
 
-import random
 import tracemalloc
 from collections import Counter
 
@@ -129,25 +128,6 @@ def test_poly_values_is_horner(p, coeffs, xs):
     xs = [x % p - (p if i % 2 else 0) for i, x in enumerate(xs)]  # some negative
     got = poly_values(coeffs, np.array(xs, dtype=np.int64), p)
     assert [int(v) for v in got] == [horner(coeffs, x, p) for x in xs]
-
-
-@SETTINGS
-@given(st.sampled_from(PRIMES),
-       st.lists(st.lists(st.integers(0, BIG), max_size=6), min_size=1, max_size=8),
-       st.data())
-def test_poly_values_per_lane_rows_are_per_column_calls(p, lanes, data):
-    # row j of the (deg+1, lanes) array holds c_j of every lane, zero-padded
-    # above each lane's degree; lane i must see only its own polynomial
-    dtype = residue_dtype(p)
-    width = max(len(c) for c in lanes)
-    rows = np.array([[c % p for c in cs] + [0] * (width - len(cs)) for cs in lanes],
-                    dtype=dtype).reshape(len(lanes), width).T
-    xs = data.draw(st.lists(st.integers(-p, 2 * p), min_size=len(lanes),
-                            max_size=len(lanes)))
-    got = poly_values(rows, np.array(xs, dtype=dtype), p)
-    assert got.dtype == dtype
-    assert [int(v) for v in got] == [int(poly_values(cs, np.array([x]), p)[0])
-                                     for cs, x in zip(lanes, xs)]
 
 
 @SETTINGS
@@ -321,19 +301,6 @@ def test_box_counts_in_small_blocks(case, B):
             coeffs, (0, 0, 1), box.x_range, box.y_range, p)
         assert count_graph_points(f, box) == naive_count(
             coeffs, (0, 1), box.x_range, box.y_range, p)
-
-
-@pytest.mark.parametrize("p", (31, 2 ** 61 - 1))
-def test_per_lane_rows_in_small_blocks(monkeypatch, p):
-    rng = random.Random(p)
-    lanes = [[rng.randrange(p) for _ in range(rng.randint(1, 6))] for _ in range(23)]
-    width = max(len(c) for c in lanes)
-    rows = np.array([c + [0] * (width - len(c)) for c in lanes], dtype=residue_dtype(p)).T
-    xs = np.array([rng.randrange(-p, 2 * p) for _ in lanes], dtype=residue_dtype(p))
-    monkeypatch.setattr(ffield, "_BLOCK_BYTES", 4 * ffield._accumulator_bytes(p))
-    assert len(list(ffield._horner_blocks(rows, xs, p))) == 6
-    assert poly_values(rows, xs, p).tolist() == [horner(c, int(x), p)
-                                                 for c, x in zip(lanes, xs)]
 
 
 @pytest.mark.parametrize("p", (31, 101))

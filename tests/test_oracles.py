@@ -10,20 +10,21 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smallbox
-from smallbox import ffield
+from smallbox import dynsys, ffield
 from smallbox.analytic import count_vinogradov, weyl_majorant
 from smallbox.boxcount import Box2, count_curve_points, count_graph_points, naive_count
 from smallbox.dynsys import diameter, pairs_in_box, trajectory_length, trajectory_lengths
 from smallbox.ffield import FpPolynomial, PrimeModulus
-from smallbox.hyperelliptic import CubeBox, class_census
-from smallbox.lattice import (CongruenceLattice, ConvexBox, lattice_points_in_box, lemma6_count,
-                              successive_minima)
+from smallbox.hyperelliptic import CubeBox, CurveVector, class_census, count_isomorphic_in_box
+from smallbox.lattice import (CongruenceLattice, ConvexBox, _Echelon, _rank,
+                              lattice_points_in_box, lemma6_count, successive_minima)
 
 from test_analytic import _dict_dp_reference, _per_term_majorant
-from test_dynsys import _walk, _walk_pairs
+from test_dynsys import _as_scan, _walk, _walk_pairs
 from test_ffield import scalar_horner
 from test_hyperelliptic import walk_census
 from test_lattice import _fraction_minima, _scan_count, naive_points
@@ -45,11 +46,48 @@ WINDOW = range(-40, 61)  # both ends in [-p, p]: poly_values skips the window's 
 MOD223 = PrimeModulus(223)
 LEMMA6 = (FpPolynomial.from_ints([5, 7, 11, 1], MOD223), FpPolynomial.from_ints([2, 3, 1], MOD223),
           [3, 5, 8], [21, 20, 30])  # 4 roots
+# (curve vector, box): 8, 1 and 6 (criterion 6's N) isomorphic vectors in the box
+ORBITS = [(CurveVector(1, (3, 7), MOD31), CubeBox(1, (2, 4), 20)),
+          (CurveVector(2, (1, 1, 1, 1), MOD31), CubeBox(2, (0, 0, 0, 0), 6)),
+          (CurveVector(1, (1, 1), PrimeModulus(1009)), CubeBox(1, (0, 0), 64))]
+# each walk's input and output arrays, made outside the profile, for the
+# certificate to check
+SEEN = (dynsys._coefficient_rows([CUBIC], np.int64), np.array([7]),
+        *_as_scan([dynsys._seen_scan(CUBIC, 7)], 101))
+LANE_ROWS, LANE_STARTS = dynsys._coefficient_rows(LANES, np.int64), np.array(STARTS)
+LOCKSTEP = (LANE_ROWS, LANE_STARTS, *dynsys._lockstep_scan(LANE_ROWS, LANE_STARTS, 101))
+RANK_ROWS = [(1, 3, 5, 0), (2, 6, 10, 0), (0, 1, 0, 7), (1, 4, 5, 7), (3, 0, 2, 1)]  # rank 3
 
 CERTIFICATE = "the shared orbit certificate, by design: the walks share nothing else"
 WINDOWS = "the box's two windows, the input both sides count over"
 DIMENSION = "the input lattice's dimension"
 DTYPE = "the one dtype rule of residue arrays, which the certificate's arrays follow"
+
+
+def _orbit_scan(b, box):
+    """The members of b's scaling orbit {(a^(4g+2-2i) b_i)_i : a in [1, p-1]}
+    inside the box, by plain pow over every a."""
+    p = b.modulus.p
+    orbit = {tuple(pow(a, 4 * b.g + 2 - 2 * i, p) * c % p for i, c in enumerate(b.a))
+             for a in range(1, p)}
+    return sum(all(r < v <= r + box.M for v, r in zip(vec, box.R)) for vec in orbit)
+
+
+def _lengths(vals, lengths, tails):
+    """The lengths and tails of a walk's arrays."""
+    return lengths.tolist(), tails.tolist()
+
+
+def _certified(coeffs, u0s, *scan):
+    """The lengths and tails of a walk, once the certificate accepts it."""
+    dynsys._certify(coeffs, u0s, *scan, 101)
+    return _lengths(*scan)
+
+
+def _echelon_rank(rows):
+    echelon = _Echelon()
+    return sum(echelon.add(v) for v in rows)
+
 
 # (name, kernel call, oracle call, {allowed shared qualname: reason})
 ROWS = [
@@ -93,6 +131,19 @@ ROWS = [
     ("lemma6_count",
      lambda: lemma6_count(*LEMMA6),
      lambda: _scan_count(*LEMMA6), {}),
+    *((f"count_isomorphic_in_box-{b.modulus.p}-g{b.g}",
+       lambda b=b, box=box: count_isomorphic_in_box(b, box),
+       lambda b=b, box=box: _orbit_scan(b, box), {}) for b, box in ORBITS),
+    # runtime checks against the code they check
+    ("_seen_scan",
+     lambda: _lengths(*_as_scan([dynsys._seen_scan(CUBIC, 7)], 101)),
+     lambda: _certified(*SEEN), {}),
+    ("_lockstep_scan",
+     lambda: _lengths(*dynsys._lockstep_scan(LANE_ROWS, LANE_STARTS, 101)),
+     lambda: _certified(*LOCKSTEP), {}),
+    ("_Echelon.add",
+     lambda: _echelon_rank(RANK_ROWS),
+     lambda: _rank(RANK_ROWS), {}),
 ]
 
 
@@ -146,3 +197,15 @@ def test_an_oracle_patched_to_call_its_kernels_evaluator_fails(monkeypatch):
     monkeypatch.setitem(globals(), "_walk", horner_walk)
     _, kernel, oracle, allowed = next(row for row in ROWS if row[0] == "diameter")
     assert _shared(kernel, oracle, allowed) == {"FpPolynomial.__call__"}
+
+
+def test_orbit_rows_count_the_recorded_vectors():
+    assert [count_isomorphic_in_box(b, box) for b, box in ORBITS] == [8, 1, 6]
+
+
+def test_the_lockstep_walk_enters_no_box_count_kernel():
+    # the walk steps its own lanes: the Horner kernel of box counts takes
+    # one coefficient form, for its own callers
+    _, names = _entered(lambda: trajectory_lengths(LANES, STARTS))
+    assert {"_lockstep_scan", "_certify"} <= names
+    assert not names & {"poly_values", "_horner_blocks"}
