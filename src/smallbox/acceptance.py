@@ -294,8 +294,8 @@ def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         for (rng, f, u0), traj in zip(draws[:20], orbits):
             N = rng.randint(1, traj.total_length)
             vals = traj.values[:N]
-            # `diameter`'s certified seen-set walk against the lockstep values
-            if dynsys.diameter(f, u0, N) != max(vals) - min(vals):
+            # the D of an independent certified seen-set walk against the lockstep values
+            if dynsys.diameter(dynsys.trajectory_length(f, u0), N) != max(vals) - min(vals):
                 return CriterionResult(10, "iteration suite", False,
                                        checked, 3 * per_p,
                                        f"diameter identity broke at p={p}")
@@ -306,12 +306,12 @@ def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         p = rng.choice((101, 1009))
         f = _random_poly(rng, p, rng.randint(2, 4), PrimeModulus(p))
         draws.append((rng, f, rng.randrange(p)))
-    for (rng, f, u0), traj in zip(draws, _certified_orbits(draws)):
+    for (rng, f, _), traj in zip(draws, _certified_orbits(draws)):
         p = f.modulus.p
         N = rng.randint(1, traj.total_length)
         M = rng.randint(1, p - 1)
         box = boxcount.Box2(rng.randrange(p - M), rng.randrange(p - M), M)
-        edges = dynsys.pairs_in_box(f, u0, N, box)
+        edges = dynsys.pairs_in_box(traj, N, box)
         cap = boxcount.count_graph_points(f, box)
         if edges > cap:
             return CriterionResult(10, "iteration suite", False, edges, cap,

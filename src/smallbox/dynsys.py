@@ -11,9 +11,9 @@ which pays off only across many lanes (a single lane costs some ten
 times the scalar walk).  Both walks are proved by one shared certificate
 that evaluates f by ascending powers, a formula neither walker uses.  Each
 walk is refused with ValueError before its stored values would pass
-ffield.BYTE_GUARD bytes.  Diameters and box pair counts read the values of
-the certified single walk, so no third walker steps f: each costs the T
-steps of the whole orbit whatever N, and is refused where that walk is."""
+ffield.BYTE_GUARD bytes.  Diameters and box pair counts read a certified
+`Trajectory` from either walker, which records its modulus p, so no third
+walker steps f and a caller that already holds the walk pays no second one."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ class Trajectory:
     values: tuple[int, ...]  # u_0, ..., u_(T-1), pairwise distinct
     tail_length: int
     cycle_length: int
+    p: int  # the modulus of the walk
 
     @property
     def total_length(self) -> int:
@@ -61,7 +62,7 @@ def _seen_scan(f: FpPolynomial, u0: int) -> Trajectory:
         u = f(u)
         n += 1
     s = seen[u]
-    return Trajectory(tuple(seen), s, n - s)
+    return Trajectory(tuple(seen), s, n - s, p)
 
 
 def _coefficient_rows(fs: list[FpPolynomial], dtype) -> np.ndarray:
@@ -200,20 +201,20 @@ def trajectory_lengths(fs, u0s) -> list[Trajectory]:
     vals, lengths, tails = _lockstep_scan(coeffs, starts, p)
     _certify(coeffs, starts, vals, lengths, tails, p)
     flat, ends = vals.tolist(), np.cumsum(lengths).tolist()
-    return [Trajectory(tuple(flat[e - n:e]), s, n - s)
+    return [Trajectory(tuple(flat[e - n:e]), s, n - s, p)
             for e, n, s in zip(ends, lengths.tolist(), tails.tolist())]
 
 
-def diameter(f: FpPolynomial, u0: int, N: int) -> int:
-    """D(N) = max - min of the first N values, as plain integers in [0, p-1],
-    read off the certified walk of `trajectory_length`: for N > T the values
-    past index T-1 revisit the cycle, so the first T values hold them all.
+def diameter(traj: Trajectory, N: int) -> int:
+    """D(N) = max - min of the first N values of a certified walk, as plain
+    integers in [0, p-1]: for N > T the values past index T-1 revisit the
+    cycle, so the first T values hold them all.
 
     Distance is the ordinary one on the integer segment, no wrap-around.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
-    vals = trajectory_length(f, u0).values[:N]
+    vals = traj.values[:N]
     return max(vals) - min(vals)
 
 
@@ -230,17 +231,16 @@ def bound_diameter(N: int, p: int, m: int, eps: float = 0.0) -> float:
     return min((N * p) ** 0.5, N ** (1 + 1 / (2 ** (m - 1) - 1)) * p ** (-eps))
 
 
-def pairs_in_box(f: FpPolynomial, u0: int, N: int, box: Box2) -> int:
+def pairs_in_box(traj: Trajectory, N: int, box: Box2) -> int:
     """Number of steps n < N whose edge (u_n, u_(n+1)) lies in the box, the
-    values read off the certified walk of `trajectory_length`.
+    values read off a certified walk and continued past T along its cycle.
 
     For N <= T the values u_0, ..., u_(N-1) are pairwise distinct, so this
     is dominated by the count of box points on the graph y = f(x).
     """
     if N < 1:
         raise ValueError("N >= 1 required")
-    box.validate_for(f.modulus.p)
-    traj = trajectory_length(f, u0)
+    box.validate_for(traj.p)
     vals, s, c = traj.values, traj.tail_length, traj.cycle_length
     T = traj.total_length
     # past index T-1 the orbit continues at the tail: u_n = u_(s + (n-s) mod c)

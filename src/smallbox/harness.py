@@ -250,8 +250,7 @@ def _dynsys(params, seed):
     N = int(params.get("N", T))
     bound = dynsys.bound_diameter(N, pm.p, max(f.degree, 2),
                                   float(params.get("eps", 0.0)))  # raises unless N >= 1
-    vals = traj.values[:N]  # u_0, ..., u_(N-1) take these values also for N > T
-    D = max(vals) - min(vals)
+    D = dynsys.diameter(traj, N)
     rows = [Row(T, pm.p, None, T <= pm.p, "-T"),
             Row(D, bound, None, D <= pm.p - 1, "-D")]
     return rows, lambda: [

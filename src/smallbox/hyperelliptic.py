@@ -110,17 +110,16 @@ def apply_scaling(b: CurveVector, alpha: int) -> CurveVector:
                        b.modulus)
 
 
-def _scaled_rows(alphas, a, p: int) -> np.ndarray:
-    """Row j holds (alpha_j^(4g+2-2i) a_i mod p) for i = 0..2g-1, of
-    residue_dtype(p)."""
-    dtype = residue_dtype(p)
-    beta = np.asarray(alphas, dtype=dtype).reshape(-1)
+def _scaled_rows(alphas, g: int, p: int) -> np.ndarray:
+    """Row j holds alpha_j^(4g+2-2i) mod p for i = 1..2g-1, the scalings of
+    every coordinate after the first, of residue_dtype(p)."""
+    beta = np.asarray(alphas, dtype=residue_dtype(p)).reshape(-1)
     beta = beta * beta % p
     cols, w = [], beta
-    for _ in a:  # beta^2, beta^3, ...: coordinates 2g-1 down to 0
+    for _ in range(2 * g - 1):  # beta^2, ..., beta^(2g): coordinates 2g-1 down to 1
         w = w * beta % p
         cols.append(w)
-    return np.stack(cols[::-1], axis=1) * np.asarray(a, dtype=dtype) % p
+    return np.stack(cols[::-1], axis=1)
 
 
 def _coset_minima(cs, d: int, p: int) -> list[int]:
@@ -362,32 +361,22 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
     one (M, M) table per later coordinate.  Boxes of equal side that follow
     each other form one (boxes, M^(2g)) block, keyed in slices of whole
     rows sized from the real entry size and sorted along its rows in one
-    call.  Keys are `int_dtype(p^(2g))`.  Raises ValueError, before
-    allocating, when the census of the batch would peak above
-    ffield.BYTE_GUARD bytes.  Returns the keys and the offset of each box's
-    first key (plus the end).
+    call.  Keys are `int_dtype(p^(2g))`.  Returns the keys and the offset
+    of each box's first key (plus the end).
     """
     g = boxes[0].g
     n = 2 * g
     kdtype = int_dtype(p ** n)  # keys are below p^n
-    sizes = [b.cell_count() for b in boxes]
-    # class_censuses holds at most five arrays of the batch's length at once
-    # (the keys and two copies, sharing one Python integer a key at dtype
-    # object; two int64 arrays; a bool mask) beside one slice's arrays
-    nbytes = sum(sizes) * (entry_bytes(kdtype, p ** n) + 4 * 8 + 1) + _SLICE_BYTES
-    if nbytes > ffield.BYTE_GUARD:
-        raise ValueError(
-            f"census of {sum(sizes)} vectors needs {nbytes} bytes, above the "
-            f"guard of {ffield.BYTE_GUARD} bytes; sample smaller sub-boxes instead")
     d = math.gcd(4 * g + 2, p - 1)
     v0s = sorted({v0 for b in boxes for v0 in range(b.R[0] + 1, b.R[0] + b.M + 1)})
-    alphas = [al for v0, x in zip(v0s, _coset_minima(v0s, d, p))
+    minima = _coset_minima(v0s, d, p)
+    alphas = [al for v0, x in zip(v0s, minima)
               for al in roots_mod(x * pow(v0, -1, p) % p, 4 * g + 2, p) if 2 * al < p]
-    scal = _scaled_rows(alphas, (1,) * n, p).reshape(len(v0s), d // 2, n)
-    xs = (scal[:, 0, 0] * np.array(v0s) % p).astype(kdtype) * p ** (n - 1)  # digit 0: x
+    scal = _scaled_rows(alphas, g, p).reshape(len(v0s), d // 2, n - 1)  # coordinates 1..n-1
+    xs = np.array(minima, dtype=kdtype) * p ** (n - 1)  # digit 0: x
     # candidates are scal.dtype and keys kdtype: an object entry if either is
     entry = entry_bytes(np.result_type(kdtype, scal.dtype), p ** n)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    offsets = np.concatenate(([0], np.cumsum([b.cell_count() for b in boxes])))
     keys = np.empty(offsets[-1], dtype=kdtype)
     done = 0
     for M, group in itertools.groupby(boxes, key=lambda b: b.M):
@@ -400,7 +389,7 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
             box, i = np.divmod(np.arange(start, min(rows, start + step)), M)
             row = np.searchsorted(v0s, lows[box, 0] + i)  # scal's row of each (box, v0)
             win = lows[box, 1:, None] + np.arange(M)  # windows of v1 .. v_(2g-1)
-            c1 = scal[row, :, 1, None] * win[:, None, 0]  # (rows, d/2, M)
+            c1 = scal[row, :, 0, None] * win[:, None, 0]  # (rows, d/2, M)
             c1 %= p
             digit = c1.min(axis=1).astype(kdtype, copy=False)
             if n > 2:
@@ -409,7 +398,7 @@ def _packed_keys(boxes: list[CubeBox], p: int) -> tuple[np.ndarray, np.ndarray]:
             out = block[start * width:][:len(row) * width].reshape((len(row),) + (M,) * (n - 1))
             np.add(xs[row, None, None], digit[:, :, None], out=out.reshape(len(row), M, -1))
             for j in range(2, n):  # digit j broadcast along (box, v0), v1 and v_j
-                digit = scal[best + (j,)][:, :, None] * win[:, None, j - 1] % p
+                digit = scal[best + (j - 1,)][:, :, None] * win[:, None, j - 1] % p
                 digit = digit.astype(kdtype, copy=False) * p ** (n - 1 - j)
                 out += digit.reshape(digit.shape[:2] + (1,) * (j - 2) + (M,) + (1,) * (n - 1 - j))
         block.reshape(len(lows), M ** n).sort(axis=1)  # a box's equal keys become one run
@@ -448,6 +437,16 @@ def class_censuses(modulus: PrimeModulus, boxes) -> list[ClassCensus]:
         box.validate_for(p)
     order = sorted(range(len(boxes)), key=lambda i: boxes[i].M)
     boxes = [boxes[i] for i in order]  # boxes of one side form one block
+    vectors = sum(b.cell_count() for b in boxes)
+    # at most five arrays of the batch's length at once (the keys and two
+    # copies, sharing one Python integer a key at dtype object; two int64
+    # arrays; a bool mask) beside one slice's arrays
+    top = p ** (2 * g)  # keys are below p^(2g)
+    nbytes = vectors * (entry_bytes(int_dtype(top), top) + 4 * 8 + 1) + _SLICE_BYTES
+    if nbytes > ffield.BYTE_GUARD:
+        raise ValueError(
+            f"census of {vectors} vectors needs {nbytes} bytes, above the "
+            f"guard of {ffield.BYTE_GUARD} bytes; sample smaller sub-boxes instead")
     # each array is dropped once used: the peak sets the process's RSS
     keys, offsets = _packed_keys(boxes, p)
     first = run_starts(keys, offsets)

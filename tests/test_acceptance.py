@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from smallbox import acceptance
+from smallbox import acceptance, dynsys
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -61,3 +61,17 @@ def test_default_seed_is_stable():
     a = _run(acceptance.criterion_1)
     b = _run(acceptance.criterion_1)
     assert (a.value, a.bound, a.detail) == (b.value, b.bound, b.detail)
+
+
+def test_criterion_10_walks_no_orbit_twice(monkeypatch):
+    # one lockstep walk per prime of each suite, one independent seen-set
+    # walk per diameter identity, and none for the duality edges, which read
+    # the lockstep walks already certified
+    calls = {"_seen_scan": 0, "_lockstep_scan": 0}
+    for name in calls:
+        def counted(*args, name=name, walk=getattr(dynsys, name)):
+            calls[name] += 1
+            return walk(*args)
+        monkeypatch.setattr(dynsys, name, counted)
+    assert acceptance.criterion_10(quick=True).passed
+    assert calls == {"_seen_scan": 60, "_lockstep_scan": 5}

@@ -1,8 +1,8 @@
 """Trajectory statistics of polynomial iteration: the scalar walk, the
 lockstep walk of many orbits (checked lane by lane against the scalar one),
 the shared certificate that proves both, the byte guard of each walk,
-diameters and the pair count (checked against a test-local walk, also past
-the first repeat), and the lower-bound shape."""
+diameters and the pair count read off either walk (checked against a
+test-local walk, also past the first repeat), and the lower-bound shape."""
 
 import random
 import sys
@@ -111,10 +111,10 @@ def _bad_walks(traj: dynsys.Trajectory, p: int) -> list[dynsys.Trajectory]:
     corrupted = list(vals)
     corrupted[s + c // 2] = (corrupted[s + c // 2] + 1) % p
     return [
-        dynsys.Trajectory(vals, s + 1, c - 1),  # wrong tail: only the closing step breaks
-        dynsys.Trajectory(tuple(corrupted), s, c),  # one value off
-        dynsys.Trajectory(vals + vals[s:], s, 2 * c),  # every step holds, values repeat
-        dynsys.Trajectory(vals[1:], s - 1, c),  # the orbit of f(u0), not of u0
+        dynsys.Trajectory(vals, s + 1, c - 1, p),  # wrong tail: only the closing step breaks
+        dynsys.Trajectory(tuple(corrupted), s, c, p),  # one value off
+        dynsys.Trajectory(vals + vals[s:], s, 2 * c, p),  # every step holds, values repeat
+        dynsys.Trajectory(vals[1:], s - 1, c, p),  # the orbit of f(u0), not of u0
     ]
 
 
@@ -289,15 +289,16 @@ def test_huge_orbit_is_a_usage_error(monkeypatch, capsys):
 def test_diameter_is_max_minus_min():
     mod = PrimeModulus(10007)
     f = FpPolynomial.from_text("1,0,1", mod)
-    assert diameter(f, 3, 50) == 9837
+    traj = trajectory_length(f, 3)
+    assert diameter(traj, 50) == 9837
     rng = random.Random(32)
     for _ in range(50):
         N = rng.randint(1, 80)
         u0 = rng.randrange(10007)
         vals = _walk(f, u0, N)
-        assert diameter(f, u0, N) == max(vals) - min(vals)
+        assert diameter(trajectory_length(f, u0), N) == max(vals) - min(vals)
     with pytest.raises(ValueError, match="N >= 1 required"):
-        diameter(f, 3, 0)
+        diameter(traj, 0)
 
 
 def test_bound_diameter_shape():
@@ -322,13 +323,14 @@ def test_pairs_in_box_matches_direct_scan():
         N = rng.randint(1, 60)
         M = rng.randint(1, 400)
         box = Box2(R=rng.randint(0, 1008 - M), S=rng.randint(0, 1008 - M), M=M)
-        assert pairs_in_box(f, u0, N, box) == _walk_pairs(f, u0, N, box)
+        assert pairs_in_box(trajectory_length(f, u0), N, box) == _walk_pairs(f, u0, N, box)
 
 
 def test_diameter_and_pairs_past_the_first_repeat():
     # N up to 3T: pairs_in_box steps from index T-1 back to the tail, and
     # diameter slices past T; T is the number of distinct values the
-    # test-local walk meets in p + 1 steps
+    # test-local walk meets in p + 1 steps.  Both readers take the walk of
+    # either walker.
     rng = random.Random(38)
     past = cycle_edges = 0
     for _ in range(150):
@@ -341,15 +343,19 @@ def test_diameter_and_pairs_past_the_first_repeat():
         M = rng.randint(1, p - 1)
         box = Box2(R=rng.randrange(p - M), S=rng.randrange(p - M), M=M)
         vals = _walk(f, u0, N)
-        assert diameter(f, u0, N) == max(vals) - min(vals)
-        pairs = pairs_in_box(f, u0, N, box)
-        assert pairs == _walk_pairs(f, u0, N, box)
+        pairs = _walk_pairs(f, u0, N, box)
+        for traj in (trajectory_length(f, u0), trajectory_lengths([f], [u0])[0]):
+            assert traj.p == p
+            assert diameter(traj, N) == max(vals) - min(vals)
+            assert pairs_in_box(traj, N, box) == pairs
         if N > T:
             past += 1
             cycle_edges += pairs > _walk_pairs(f, u0, T, box)
     assert past > 80 and cycle_edges > 40
     with pytest.raises(ValueError, match="N >= 1 required"):
-        pairs_in_box(f, u0, 0, box)
+        pairs_in_box(traj, 0, box)
+    with pytest.raises(ValueError, match="exceeds"):  # the walk's own modulus bounds the box
+        pairs_in_box(traj, 1, Box2(R=traj.p - 1, S=0, M=1))
 
 
 def test_pairs_bounded_by_graph_count_before_repeat():
@@ -362,8 +368,8 @@ def test_pairs_bounded_by_graph_count_before_repeat():
             [rng.randrange(1009) for _ in range(2)] + [rng.randrange(1, 1009)],
             mod)
         u0 = rng.randrange(1009)
-        T = trajectory_length(f, u0).total_length
-        N = rng.randint(1, T)
+        traj = trajectory_length(f, u0)
+        N = rng.randint(1, traj.total_length)
         M = rng.randint(50, 500)
         box = Box2(R=rng.randint(0, 1008 - M), S=rng.randint(0, 1008 - M), M=M)
-        assert pairs_in_box(f, u0, N, box) <= count_graph_points(f, box)
+        assert pairs_in_box(traj, N, box) <= count_graph_points(f, box)

@@ -110,25 +110,27 @@ def test_run_dynsys_emits_length_and_diameter():
 
 
 def test_dynsys_record_reads_the_stored_walk(monkeypatch):
+    # one certified walk per record, and D is `diameter` of that very walk
     params = {"p": 10007, "f": [1, 0, 1], "u0": 3}
     f = FpPolynomial.from_ints([1, 0, 1], PrimeModulus(10007))
-    T = dynsys.trajectory_length(f, 3).total_length
-    beyond = dynsys.diameter(f, 3, 3 * T)  # N > T repeats the same values
+    traj = dynsys.trajectory_length(f, 3)
+    beyond = dynsys.diameter(traj, 3 * traj.total_length)  # N > T repeats the same values
 
-    walks = [0]
-    trajectory_length = dynsys.trajectory_length
+    walked, read = [], []
+    trajectory_length, diameter = dynsys.trajectory_length, dynsys.diameter
 
     def counted(*args):
-        walks[0] += 1
-        return trajectory_length(*args)
+        walked.append(trajectory_length(*args))
+        return walked[-1]
 
-    def no_diameter(*args):
-        raise AssertionError("the dynsys record walked its orbit again")
+    def reader(traj, N):
+        read.append(traj)
+        return diameter(traj, N)
     monkeypatch.setattr(dynsys, "trajectory_length", counted)
-    monkeypatch.setattr(dynsys, "diameter", no_diameter)
+    monkeypatch.setattr(dynsys, "diameter", reader)
     assert run(spec_of("dynsys", {**params, "N": 50}))[1].value == 9837.0
-    assert run(spec_of("dynsys", {**params, "N": 3 * T}))[1].value == beyond
-    assert walks[0] == 2  # one certified walk per record
+    assert run(spec_of("dynsys", {**params, "N": 3 * traj.total_length}))[1].value == beyond
+    assert len(walked) == 2 and all(r is w for r, w in zip(read, walked, strict=True))
     with pytest.raises(ValueError, match="N >= 1 required"):
         run(spec_of("dynsys", {**params, "N": 0}))
 

@@ -84,9 +84,9 @@ def root_walk_count(b, box):
     """The earlier orbit count, kept as the oracle of the power-congruence
     join: for each value v0 of coordinate 0's window the scalars with
     alpha^(4g+2) b_0 = v0 are the (4g+2)-th roots of v0/b_0, and each
-    candidate vector is tested against the box.  Every vector in the box is
-    hit by exactly one stabilizer coset of scalars, which is checked.  One
-    root extraction per value of v0, at any p."""
+    candidate vector, built by plain pow, is tested against the box.  Every
+    vector in the box is hit by exactly one stabilizer coset of scalars,
+    which is checked.  One root extraction per value of v0, at any p."""
     p, g = b.modulus.p, b.g
     if 0 in b.a:
         return 0
@@ -94,7 +94,8 @@ def root_walk_count(b, box):
     inv_b0 = pow(b.a[0], -1, p)
     alphas = [al for v0 in range(lo[0], hi[0] + 1)
               for al in ffield.roots_mod(v0 * inv_b0 % p, 4 * g + 2, p)]
-    rows = hyperelliptic._scaled_rows(alphas, b.a, p)
+    rows = np.array([[pow(al, e, p) * c % p for e, c in zip(scaling_exponents(g), b.a)]
+                     for al in alphas], dtype=np.int64).reshape(-1, 2 * g)
     inside = ((rows >= np.asarray(lo)) & (rows <= np.asarray(hi))).all(axis=1)
     distinct = len(set(map(tuple, rows[inside].tolist())))
     # alpha fixes b exactly when alpha^gcd(p-1, exponents) = 1

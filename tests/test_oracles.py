@@ -19,9 +19,11 @@ from smallbox.analytic import count_vinogradov, weyl_majorant
 from smallbox.boxcount import Box2, count_curve_points, count_graph_points, naive_count
 from smallbox.dynsys import diameter, pairs_in_box, trajectory_length, trajectory_lengths
 from smallbox.ffield import FpPolynomial, PrimeModulus
-from smallbox.hyperelliptic import CubeBox, CurveVector, class_census, count_isomorphic_in_box
+from smallbox.hyperelliptic import (CubeBox, CurveVector, class_census, count_isomorphic_in_box,
+                                    reduce_to_power_congruence)
 from smallbox.lattice import (CongruenceLattice, ConvexBox, _Echelon, _rank,
-                              lattice_points_in_box, lemma6_count, successive_minima)
+                              lattice_points_in_box, lemma6_count, shifted_congruence_count,
+                              successive_minima)
 
 from test_analytic import _dict_dp_reference, _per_term_majorant
 from test_dynsys import _as_scan, _walk, _walk_pairs
@@ -57,6 +59,13 @@ SEEN = (dynsys._coefficient_rows([CUBIC], np.int64), np.array([7]),
 LANE_ROWS, LANE_STARTS = dynsys._coefficient_rows(LANES, np.int64), np.array(STARTS)
 LOCKSTEP = (LANE_ROWS, LANE_STARTS, *dynsys._lockstep_scan(LANE_ROWS, LANE_STARTS, 101))
 RANK_ROWS = [(1, 3, 5, 0), (2, 6, 10, 0), (0, 1, 0, 7), (1, 4, 5, 7), (3, 0, 2, 1)]  # rank 3
+# (vector, h, box) of Y^h = lambda X^2: h = 3 at g = 1 and h = 5 at g = 2, at two primes
+POWERS = [(CurveVector(1, (5, 17), PrimeModulus(p)), 3, CubeBox(1, (4, 9), M))
+          for p, M in ((101, 60), (1009, 200))] + [
+         (CurveVector(2, (3, 8, 2, 11), PrimeModulus(p)), 5, CubeBox(2, (7, 1, 2, 5), M))
+         for p, M in ((101, 60), (1009, 200))]
+# (c, M, p) over the window [-M, M], once inside (-p, p) and once wrapping around p
+SHIFTED = [((3, 5, 7, 2), 40, 101), ((4, -6, 1, 9), 40, 31)]
 
 CERTIFICATE = "the shared orbit certificate, by design: the walks share nothing else"
 WINDOWS = "the box's two windows, the input both sides count over"
@@ -82,6 +91,25 @@ def _certified(coeffs, u0s, *scan):
     """The lengths and tails of a walk, once the certificate accepts it."""
     dynsys._certify(coeffs, u0s, *scan, 101)
     return _lengths(*scan)
+
+
+def _power_scan(b, h, box):
+    """The (X, Y) of the box's two coordinate windows with
+    Y^h = lambda X^2, lambda = b_(2g-1)^h / b_(2g+1-h)^2, by plain pow."""
+    p, g = b.modulus.p, b.g
+    lo = 2 * g + 1 - h
+    lam = pow(b.a[2 * g - 1], h, p) * pow(b.a[lo], -2, p) % p
+    return sum(pow(Y, h, p) == lam * pow(X, 2, p) % p
+               for X in range(box.R[lo] + 1, box.R[lo] + box.M + 1)
+               for Y in range(box.R[2 * g - 1] + 1, box.R[2 * g - 1] + box.M + 1))
+
+
+def _shifted_scan(c, M, p):
+    """The (x, y) with |x|, |y| <= M and y^2 - c_0 y = c_3 x^3 + c_2 x^2 + c_1 x
+    mod p, by plain pow."""
+    c0, c1, c2, c3 = c
+    return sum((pow(y, 2, p) - c0 * y - c3 * pow(x, 3, p) - c2 * pow(x, 2, p) - c1 * x) % p == 0
+               for x in range(-M, M + 1) for y in range(-M, M + 1))
 
 
 def _echelon_rank(rows):
@@ -120,11 +148,17 @@ ROWS = [
      lambda: lattice_points_in_box(LATTICE, CONVEX).count,
      lambda: len(naive_points(LATTICE, CONVEX)), {}),
     ("diameter",  # T = 11 from 7: both sides read past the first repeat
-     lambda: diameter(CUBIC, 7, 40),
+     lambda: diameter(trajectory_length(CUBIC, 7), 40),
      lambda: max(_walk(CUBIC, 7, 40)) - min(_walk(CUBIC, 7, 40)), {}),
     ("pairs_in_box",
-     lambda: pairs_in_box(CUBIC, 7, 40, BOX),
+     lambda: pairs_in_box(trajectory_length(CUBIC, 7), 40, BOX),
      lambda: _walk_pairs(CUBIC, 7, 40, BOX), {}),
+    *((f"reduce_to_power_congruence-{b.modulus.p}-g{b.g}",
+       lambda b=b, h=h, box=box: reduce_to_power_congruence(b, h, box).solution_count,
+       lambda b=b, h=h, box=box: _power_scan(b, h, box), {}) for b, h, box in POWERS),
+    *((f"shifted_congruence_count-{p}",
+       lambda c=c, M=M, p=p: shifted_congruence_count(c, M, p),
+       lambda c=c, M=M, p=p: _shifted_scan(c, M, p), {}) for c, M, p in SHIFTED),
     ("weyl_majorant",
      lambda: weyl_majorant(Fraction(7, 101), 3, 6),
      lambda: _per_term_majorant(Fraction(7, 101), 3, 6), {}),
@@ -197,6 +231,21 @@ def test_an_oracle_patched_to_call_its_kernels_evaluator_fails(monkeypatch):
     monkeypatch.setitem(globals(), "_walk", horner_walk)
     _, kernel, oracle, allowed = next(row for row in ROWS if row[0] == "diameter")
     assert _shared(kernel, oracle, allowed) == {"FpPolynomial.__call__"}
+
+
+def test_the_readers_walk_nothing():
+    # diameter and pairs_in_box read a walk they are handed, from either walker
+    walks = {"_seen_scan", "_lockstep_scan", "_certify", "FpPolynomial.__call__"}
+    lockstep = trajectory_lengths([CUBIC, *LANES], [7, *STARTS])[0]
+    for traj in (trajectory_length(CUBIC, 7), lockstep):
+        for read in (lambda: diameter(traj, 40), lambda: pairs_in_box(traj, 40, BOX)):
+            _, names = _entered(read)
+            assert names and not names & walks
+
+
+def test_congruence_rows_count_solutions():
+    assert [reduce_to_power_congruence(*row).solution_count for row in POWERS] == [33, 43, 30, 37]
+    assert [shifted_congruence_count(*row) for row in SHIFTED] == [73, 210]
 
 
 def test_orbit_rows_count_the_recorded_vectors():

@@ -5,7 +5,8 @@ classes is read as an attribute outside its own definition.  Code that
 only tests call is deleted rather than kept: tests are not scanned, and
 the re-exports in `__init__.py` are import aliases, not references.
 Dunders are exempt.  The package's modules import each other without a
-cycle, function-level imports included, and hold no `assert` statement:
+cycle, function-level imports included, read every name they import
+(save two aliases the benchmark's tracer wraps), and hold no `assert` statement:
 checks on results raise, since `python -O` strips every `assert`.  Only
 `ffield.py` writes the int64 limit 2**63 or the uint32 limit 2**32, or
 defines a byte guard, so that the dtype rules and the byte budget each
@@ -158,3 +159,26 @@ def test_dtype_and_byte_rules_live_in_ffield():
         stray += [f"{where}:{node.lineno} {name}" for node in tree.body
                   for name in _bound_names(node) if name.endswith("BYTE_GUARD")]
     assert not stray, "outside ffield.py:\n" + "\n".join(stray)
+
+
+# imports nobody reads in their module, with the reason they stay
+UNREAD_IMPORTS = {
+    ("boxcount", "sqrt_mod_int"): "perfbench/layertrace.py traces this alias",
+    ("lattice", "sqrt_mod_int"): "perfbench/layertrace.py traces this alias",
+}
+
+
+def test_every_import_is_read():
+    # `__init__.py` re-exports, so its imports are the package's API
+    unread = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unread |= {(path.stem, name) for name in imported - read}
+    assert unread == set(UNREAD_IMPORTS), (f"unread: {sorted(unread - set(UNREAD_IMPORTS))}, "
+                                           f"listed but read: {sorted(set(UNREAD_IMPORTS) - unread)}")
