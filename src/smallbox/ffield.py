@@ -20,8 +20,8 @@ import numpy as np
 
 MAX_MODULUS = 1 << 62
 
-# bytes the arrays of one guarded call may take (a census batch, a stored
-# orbit, a power-sum step), read as ffield.BYTE_GUARD at call time
+# bytes the arrays of one guarded call may take (a census batch, an orbit,
+# a power-sum step, a lattice join or scan), read as ffield.BYTE_GUARD at call time
 BYTE_GUARD = 10 ** 9
 
 # below this modulus a product of two residues stays under 2**62, so vector

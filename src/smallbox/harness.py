@@ -308,7 +308,7 @@ def _thm2_lattice(params, seed):
     c = _int_list(params["c"])
     setup = lattice.build_thm2_lattice(c, M, p)
     # only the first three minima feed the l3 < 1 diagnostic; the later
-    # ones of this body routinely sit beyond the enumeration guard
+    # ones of this body routinely need more than the byte guard allows
     rep = lattice.successive_minima(setup.lattice, setup.box, upto=3)
     solutions = lattice.shifted_congruence_count(c, M, p)
     lam3 = rep.lambdas[2]

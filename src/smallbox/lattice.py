@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -16,10 +17,8 @@ import numpy as np
 
 from .analytic import CheckResult
 from .boxcount import count_matches
-from .ffield import FpPolynomial, count_roots, int_dtype, is_prime, residue_dtype
+from .ffield import FpPolynomial, check_bytes, count_roots, entry_bytes, int_dtype, is_prime
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
-
-ENUM_GUARD = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -79,16 +78,6 @@ class ConvexBox:
 
     def volume(self) -> Fraction:
         return Fraction(2 ** self.n * math.prod(self.nums), self.den ** self.n)
-
-    def enum_volume(self, scale) -> float:
-        """Cells of the enumeration grid of scale*D, as the guard counts them;
-        scale is an int or a Fraction.  Each scale*h_i is one int/int true
-        division, rounded as float(Fraction) rounds it."""
-        a, b = scale.numerator, scale.denominator * self.den
-        vol = 1.0
-        for h in self.nums:
-            vol *= 2 * (a * h / b) + 1
-        return vol
 
 
 @dataclass(frozen=True)
@@ -151,9 +140,6 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     scale = Fraction(scale)
     if scale.numerator < 0:
         raise ValueError("scale must be nonnegative")
-    vol = box.enum_volume(scale)
-    if vol > ENUM_GUARD:
-        raise ValueError(f"enumeration volume {vol:.3g} above guard {ENUM_GUARD}")
     p = lat.p
     num, den = scale.numerator, scale.denominator * box.den
     bounds = [num * h // den for h in box.nums]  # floor(scale * h_i)
@@ -174,10 +160,16 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
 
     # terms holds d_j x mod p for every coordinate j and |x| <= mid, the
     # largest free bound: at most n times the cells of the half holding
-    # that range.  |x| < ENUM_GUARD and d_j < p keep d_j x below 2^61 in
-    # int64 (p < INT64_P_LIMIT)
+    # that range.  Its products stay below mid * p, the half-sums below
+    # n * p.  Priced: terms, its products and range, and six entries a cell
+    # of each half (a half, the sorted table, its order and doubled copy,
+    # each query's window ends and hits)
     mid = max((bounds[j] for j in query + table), default=0)
-    dtype = residue_dtype(p)
+    largest = max(mid, lat.n) * p
+    dtype = int_dtype(largest)
+    size = entry_bytes(dtype, largest)
+    check_bytes(f"a join of {nq} by {nt} cells",
+                ((2 * lat.n + 1) * (2 * mid + 1) + 6 * (nq + nt)) * size)
     terms = (np.array(d, dtype=dtype)[:, None] * np.arange(-mid, mid + 1, dtype=dtype)) % p
     u = _half_sums(query, terms, bounds, mid)
     t = _half_sums(table, terms, bounds, mid) % p
@@ -186,7 +178,7 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     q, w = divmod(2 * b + 1, p)
     # the window of a query u is the t with (a - t) mod p < w, a = (b - u)
     # mod p: the values in [a + p - w + 1, a + p] of the sorted t, t + p
-    top = (b - u) % p + p
+    top = (b % p - u) % p + p
     t2 = np.concatenate((t, t + p))
     hi = t2.searchsorted(top, side="right")
     hits = hi - t2.searchsorted(top - (w - 1), side="left")
@@ -194,6 +186,10 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     if not collect:
         return PointCount(count=count, points=None)
 
+    # the points, six index arrays and two digit arrays of their length
+    check_bytes(f"collecting {count} points of Z^{lat.n}", count * (8 * (lat.n + 6) + 2 * size))
+    if int_dtype(2 * b) is object:
+        raise ValueError(f"collecting pivot digits up to {2 * b} would pass int64")
     # walk each query's table cyclically down from its largest t <= a, at
     # index hi - 1 - |T|: step i meets the pivot x = -b + ((a - t) mod p) +
     # (i // |T|) * p, which increases, and the first per = q*|T| + hits
@@ -217,11 +213,6 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
     _fill_cells(pts, order[tj], table, bounds)
     pts -= np.array(bounds, dtype=np.int64)
     return PointCount(count=count, points=pts)
-
-
-def _power_of_two(e: int):
-    """2^e exactly: an int for e >= 0, a Fraction below."""
-    return 1 << e if e >= 0 else Fraction(1, 1 << -e)
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
@@ -315,12 +306,11 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
 
     When every minimum is asked for, the doubling starts at the first
     scale s of its grid with s^n >= 2^n det(Gamma) / (n! vol D), a lower
-    bound on lambda_n^n by Minkowski's second theorem.  Scales below it
-    cannot span, and the scale that ends the doubling, which alone decides
-    the enumeration guard, is not below it.
-
-    upto requests only the first few minima; bodies whose later minima sit
-    beyond the enumeration guard can still report their early ones exactly.
+    bound on lambda_n^n by Minkowski's second theorem: scales below it
+    cannot span.  Each scale's join, points and scan rows are priced against
+    ffield.BYTE_GUARD before they are built, so a body whose minima need
+    more raises ValueError; upto requests only the first few minima, and
+    such a body can still report its early ones exactly.
     """
     if lat.n != box.n:
         raise ValueError("dimension mismatch between lattice and box")
@@ -334,11 +324,15 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
                  n: int) -> tuple[MinimaReport, int | None]:
     """The first n minima of `successive_minima`, validated, and
     #(D cap Gamma), read off the first enumeration that holds D (scale >= 1)
-    as 2 #{its rows with key <= den} + 1; None when the scan ends below 1."""
-    # the scales are 2^e; start small enough that huge bodies (whose minima
-    # sit far below 1) never trip the enumeration guard on the way up
+    as 2 #{its rows with key <= den} + 1; None when the scan ends below 1.
+    The rows of each scale are priced before the scan builds them."""
+    # the scales are 2^e, from the largest 2^e <= 1 whose grid holds at most
+    # 10^6 cells prod(2 floor(2^e h_i) + 1).  check_bytes guards each scale;
+    # this cap bounds the first one's cost.  A start at Minkowski's lambda_1
+    # collects millions of points on degenerate proof bodies, and one at the
+    # first nonempty scale triples the enumerations of batch-sized bodies
     e = 0
-    while e > -40 and box.enum_volume(_power_of_two(e)) > 10 ** 6:
+    while math.prod(2 * (h // (box.den << -e)) + 1 for h in box.nums) > 10 ** 6:
         e -= 1
     if n == lat.n:
         # lambda_1 ... lambda_n vol(D) >= 2^n det / n!, and lambda_n is the
@@ -357,7 +351,7 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
     scanned = -1  # every key up to this one has been scanned
     body_count = None  # #(D cap Gamma), once a scale >= 1 is enumerated
     while len(witnesses) < n:
-        pts = lattice_points_in_box(lat, box, scale=_power_of_two(e), collect=True).points
+        pts = lattice_points_in_box(lat, box, scale=Fraction(2) ** e, collect=True).points
         # the rows whose first nonzero coordinate is negative: one of each +-v
         pts = pts[np.sign(pts) @ first_sign < 0]
         # |x_i| <= 2^e * h_i, so no key exceeds top = floor(2^e * den)
@@ -368,6 +362,11 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
         if scanned >= 0:
             fresh = keys > scanned
             pts, keys = pts[fresh], keys[fresh]
+        # a row is a key and n coordinates, ints of at most top, in a list
+        # and a tuple, beside the points, their keys and sorted copies of both
+        row = ((lat.n + 1) * entry_bytes(object, top) + sys.getsizeof([0] * lat.n)
+               + sys.getsizeof((0, 0)) + 8 * (2 * lat.n + 3))
+        check_bytes(f"scanning {len(keys)} points", len(keys) * row)
         for key, v in _key_order(keys, pts):
             if span.add(v):
                 lambdas.append(Fraction(key, den))
@@ -425,8 +424,8 @@ def cor7_check(lat: CongruenceLattice, box: ConvexBox) -> Cor7Report:
     compared exactly in integers.  #(D cap Gamma) is read off the minima
     scan's own enumeration of a scale >= 1, so a record costs the minima's
     enumerations alone.  Only a body whose scan ends below scale 1, which
-    needs D to hold over 10^6 cells and every minimum to sit below 1, is
-    counted by one more, count-only, join."""
+    needs D's grid to hold over 10^6 cells and every minimum below 1, is
+    counted by one more join, count-only and priced like the others."""
     if lat.n != box.n:
         raise ValueError("dimension mismatch between lattice and box")
     rep, count = _minima_scan(lat, box, lat.n)

@@ -10,7 +10,7 @@ from smallbox.harness import parse_records
 
 # (argv, exit code, exact stdout) for every command but acceptance, recorded
 # before the commands were driven by the experiment registry; the J(20,1;10)
-# line was added later
+# line and the p = 1000003 thm2-lattice line were added later
 GOLDEN = [
     (["count-curve", "--p", "101", "--f", "3,2,0,1", "--box", "0,0,50"], 0,
      "y^2 = f(x) points in box R=0,S=0,M=50 mod 101: 23 (trivial bound 100)\n"),
@@ -102,6 +102,13 @@ GOLDEN = [
      "lattice coeffs (1, 4, 3, 2, 1), halfwidths (128, 512, 128, 32, 32)\n"
      "first minima: l1 = 1/128, l2 = 1/64, l3 = 1/32\n"
      "shifted congruence solutions with |x|,|y| <= 4: 2\n"
+     "l3 < 1: yes (logged, not asserted)\n"),
+    # its scale-1/8 grid holds 4.9 * 10^9 cells, but the join builds two
+    # tables of 2,193 cells and collects 5,053 points
+    (["thm2-lattice", "--p", "1000003", "--c", "194039,436082,72516,1", "--M", "8"], 0,
+     "lattice coeffs (1, 1, 72516, 436082, 194039), halfwidths (512, 4096, 512, 64, 64)\n"
+     "first minima: l1 = 1/512, l2 = 3/64, l3 = 5/64\n"
+     "shifted congruence solutions with |x|,|y| <= 8: 2\n"
      "l3 < 1: yes (logged, not asserted)\n"),
 ]
 
@@ -286,7 +293,7 @@ def test_lattice_check(capsys):
     ["count-graph", "--p", "31", "--f", "1,x", "--box", "0,0,5"],
     ["lattice-check", "--n", "2", "--coeffs", "1,3,5", "--p", "101",
      "--halfwidths", "4,6,9"],
-    # minima beyond the enumeration guard at p = 2^61 - 1
+    # the Minkowski start at p = 2^61 - 1 needs a join table of 3.2 * 10^9 cells
     ["lattice-check", "--p", "2305843009213693951", "--coeffs",
      "1,1152921504606846977", "--halfwidths", "3,3"],
     # the vacuous congruence: every coefficient divisible by p

@@ -14,10 +14,9 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smallbox import lattice
+from smallbox import ffield, lattice
 from smallbox.ffield import FpPolynomial, PrimeModulus, poly_values
 from smallbox.lattice import (
-    ENUM_GUARD,
     CongruenceLattice,
     ConvexBox,
     _Echelon,
@@ -154,11 +153,13 @@ def test_word_sized_prime_does_not_overflow():
 
 
 @pytest.mark.parametrize("halfwidths", [(499, 499, 499), (31, 31, 31, 31, 31),
-                                        (10 ** 6, 249), (3000, 25, 25, 25)])
+                                        (10 ** 6, 249), (3000, 25, 25, 25),
+                                        (4999, 4999, 4999)])
 def test_count_memory_is_square_root_of_volume(halfwidths):
     lat = CongruenceLattice(tuple(range(3, 3 + 2 * len(halfwidths), 2)), 1000003)
     box = ConvexBox(halfwidths)
-    assert ENUM_GUARD / 2 < math.prod(2 * h + 1 for h in halfwidths) <= ENUM_GUARD
+    # 7.96 * 10^8 to 10^12 cells: at 8 bytes each, far above 8 MiB
+    assert math.prod(2 * h + 1 for h in halfwidths) > 7 * 10 ** 8
     tracemalloc.start()
     try:
         lattice_points_in_box(lat, box)
@@ -168,11 +169,39 @@ def test_count_memory_is_square_root_of_volume(halfwidths):
     assert peak < 8 * 2 ** 20
 
 
+def _window_counts(lo, hi, p):
+    """N_r = #{x in [lo, hi] : x = r mod p} for r = 0..p-1."""
+    return [len(range(lo + (r - lo) % p, hi + 1, p)) for r in range(p)]
+
+
 def test_enumeration_guard():
+    # 4 * 10^12 cells: the count-only join holds two tables of 2 * 10^6 + 1
+    # cells, and x_0 + x_1 = 0 mod 101 pairs the residue classes r and -r
     lat = CongruenceLattice(coeffs=(1, 1), p=101)
     box = ConvexBox(halfwidths=(10 ** 6, 10 ** 6))
-    with pytest.raises(ValueError):
-        lattice_points_in_box(lat, box)
+    N = _window_counts(-10 ** 6, 10 ** 6, 101)
+    assert lattice_points_in_box(lat, box).count == sum(N[r] * N[-r % 101] for r in range(101))
+    with pytest.raises(ValueError, match="bytes"):
+        lattice_points_in_box(lat, box, collect=True)
+
+
+def test_enumeration_is_exact_past_int64_pivots():
+    # the pivot range [-10^20, 10^20] passes int64; 5 x_0 + 7 x_1 = 0 mod 101
+    # puts x_0 in the class -7 x_1 / 5 for each of the three x_1
+    lat = CongruenceLattice((5, 7), 101)
+    box = ConvexBox((10 ** 20, 1))
+    N = _window_counts(-10 ** 20, 10 ** 20, 101)
+    expect = sum(N[-7 * x * pow(5, -1, 101) % 101] for x in (-1, 0, 1))
+    assert lattice_points_in_box(lat, box).count == expect
+    with pytest.raises(ValueError, match="bytes"):
+        lattice_points_in_box(lat, box, collect=True)
+    # x_0 = 0, +-p, +-2p in [-2^62, 2^62]: five points of int64 coordinates,
+    # but their pivot digits x_0 + 2^62 reach 2^63
+    lat = CongruenceLattice((1, 1), 2 ** 61 - 1)
+    box = ConvexBox((2 ** 62, Fraction(1, 2)))
+    assert lattice_points_in_box(lat, box).count == 5
+    with pytest.raises(ValueError, match="int64"):
+        lattice_points_in_box(lat, box, collect=True)
 
 
 def naive_minima(lat, box, cap=24):
@@ -459,17 +488,47 @@ def test_minima_partial_prefix():
 
 
 def test_minima_partial_dodges_guard():
-    # full minima of the M = 4 proof body overflow the enumeration guard
-    # (the fifth direction needs an integer sum reaching p), the first
-    # three are still reachable
+    # full minima of the M = 4 proof body pass the byte guard (the fifth
+    # direction needs an integer sum reaching p), the first three are
+    # still reachable
     setup = build_thm2_lattice((1, 2, 3, 4), 4, 10007)
     rep = successive_minima(setup.lattice, setup.box, upto=3)
     assert rep.lambdas == (Fraction(1, 128), Fraction(1, 64), Fraction(1, 32))
 
 
+def test_full_thm2_minima_are_refused_by_bytes(monkeypatch):
+    # the fifth minimum of the M = 4 proof body needs scale 1, whose
+    # 69,764,273 points the default guard refuses before they are collected
+    setup = build_thm2_lattice((1, 2, 3, 4), 4, 10007)
+    with pytest.raises(ValueError, match="collecting 69764273 points .* bytes"):
+        lattice_points_in_box(setup.lattice, setup.box, collect=True)
+    # the full minima stop the same way; at the default guard they first scan
+    # the 2.1 million rows of scale 1/2, too slow for this suite, so a guard
+    # of 5 * 10^7 bytes stops them at the rows of scale 1/4
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 5 * 10 ** 7)
+    with pytest.raises(ValueError, match="scanning .* bytes"):
+        successive_minima(setup.lattice, setup.box)
+
+
+def test_degenerate_proof_body_is_one_enumeration(monkeypatch):
+    # the first three minima of the c = 0 body sit in its start scale 1/64;
+    # a start at Minkowski's lambda_1 collects millions of points here
+    setup = build_thm2_lattice((0, 0, 0, 0), 8, 1000003)
+    calls = []
+    enumerate_points = lattice.lattice_points_in_box
+
+    def recorded(lat, box, scale=1, collect=False):
+        got = enumerate_points(lat, box, scale, collect)
+        calls.append((scale, got.count))
+        return got
+    monkeypatch.setattr(lattice, "lattice_points_in_box", recorded)
+    rep = successive_minima(setup.lattice, setup.box, upto=3)
+    assert calls == [(Fraction(1, 64), 19737)]
+    assert rep.lambdas == (Fraction(1, 4096), Fraction(1, 512), Fraction(1, 64))
+
+
 def test_minima_propagate_enumeration_guard(monkeypatch):
-    from smallbox import lattice as mod
-    monkeypatch.setattr(mod, "ENUM_GUARD", 10 ** 5)
+    monkeypatch.setattr(ffield, "BYTE_GUARD", 10 ** 5)
     lat = CongruenceLattice(coeffs=(1, 1), p=10 ** 6 + 3)
     box = ConvexBox(halfwidths=(1, 1))
     with pytest.raises(ValueError):

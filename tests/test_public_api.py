@@ -9,8 +9,8 @@ cycle, function-level imports included, read every name they import
 (save two aliases the benchmark's tracer wraps), and hold no `assert` statement:
 checks on results raise, since `python -O` strips every `assert`.  Only
 `ffield.py` writes the int64 limit 2**63 or the uint32 limit 2**32, or
-defines a byte guard, so that the dtype rules and the byte budget each
-live in one place."""
+defines a module-level guard (save the Weyl loop count), so that the dtype
+rules and the byte budget each live in one place."""
 
 import ast
 from collections import Counter
@@ -147,6 +147,13 @@ def _is_dtype_limit(node: ast.AST) -> bool:
     ) in {(ast.Pow, 2, 63), (ast.LShift, 1, 63), (ast.Pow, 2, 32), (ast.LShift, 1, 32)}
 
 
+# module-level guards other than ffield.BYTE_GUARD, with the reason they stay
+GUARDS_ALLOWED = {
+    ("analytic", "WEYL_LOOP_GUARD"): "bounds the loop count of weyl_majorant, "
+                                     "whose slices are already memory-bounded",
+}
+
+
 def test_dtype_and_byte_rules_live_in_ffield():
     stray = []
     for path in SOURCES:
@@ -157,7 +164,8 @@ def test_dtype_and_byte_rules_live_in_ffield():
         stray += [f"{where}:{node.lineno} {ast.unparse(node)} literal"
                   for node in ast.walk(tree) if _is_dtype_limit(node)]
         stray += [f"{where}:{node.lineno} {name}" for node in tree.body
-                  for name in _bound_names(node) if name.endswith("BYTE_GUARD")]
+                  for name in _bound_names(node) if name.endswith("_GUARD")
+                  and (path.stem, name) not in GUARDS_ALLOWED]
     assert not stray, "outside ffield.py:\n" + "\n".join(stray)
 
 
