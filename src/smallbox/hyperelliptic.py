@@ -142,37 +142,23 @@ def _check_pair(a: CurveVector, b: CurveVector):
         raise ValueError("genus/modulus mismatch")
 
 
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*x + v*y = g = gcd(x, y)."""
-    u0, v0, u1, v1 = 1, 0, 0, 1
-    while y:
-        q, r = divmod(x, y)
-        x, y = y, r
-        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
-    return x, u0, v0
-
-
 def isomorphism_scalars(a: CurveVector, b: CurveVector) -> set[int]:
     """All alpha in F_p^* with a_i = alpha^(4g+2-2i) b_i for every i.
 
     Nonempty exactly when the two vectors are isomorphic.  Singular vectors
     are allowed; the relation is purely coefficient-wise.  The zero patterns
-    must match; an extended gcd over the exponents of the nonzero
-    coordinates (and p-1) gives alpha^G = C, whose k-th roots are the
-    candidates, each checked on every coordinate.  The all-zero pair gets
-    all of F_p^*.
+    must match; the candidates are the e-th roots of x/y on the nonzero
+    coordinate (x, y) of least gcd(e, p-1), each checked on every
+    coordinate.  The all-zero pair gets all of F_p^*.
     """
     _check_pair(a, b)
     p, exps = a.modulus.p, scaling_exponents(a.g)
     if any((x == 0) != (y == 0) for x, y in zip(a.a, b.a)):
         return set()
-    G, C = p - 1, 1  # alpha^(p-1) = 1 for every alpha
-    for e, x, y in zip(exps, a.a, b.a):
-        if y:
-            # u*G + v*e = gcd(G, e), so alpha^gcd = C^u (x/y)^v
-            g, u, v = _ext_gcd(G, e)
-            G, C = g, pow(C, u, p) * pow(x * pow(y, -1, p) % p, v, p) % p
-    return {al for al in roots_mod(C, G, p)
+    # alpha^(p-1) = 1 for every alpha, the all-zero pair's only relation
+    e0, x0, y0 = min(((e, x, y) for e, x, y in zip(exps, a.a, b.a) if y),
+                     key=lambda exy: math.gcd(exy[0], p - 1), default=(p - 1, 1, 1))
+    return {al for al in roots_mod(x0 * pow(y0, -1, p) % p, e0, p)
             if all(pow(al, e, p) * y % p == x for e, x, y in zip(exps, a.a, b.a))}
 
 

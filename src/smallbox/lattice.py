@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -17,14 +16,16 @@ import numpy as np
 
 from .analytic import CheckResult
 from .boxcount import count_matches
-from .ffield import FpPolynomial, check_bytes, count_roots, entry_bytes, int_dtype, is_prime
+from .ffield import (FpPolynomial, PrimeModulus, check_bytes, count_roots, entry_bytes,
+                     int_dtype)
 from .ffield import sqrt_mod_int  # noqa: F401  perfbench/layertrace.py traces this alias
 
 
 @dataclass(frozen=True)
 class CongruenceLattice:
-    """Gamma = {X in Z^n : sum c_i X_i = 0 (mod p)}, 2 <= n <= 6, with some
-    c_i nonzero mod p: the vacuous congruence is refused."""
+    """Gamma = {X in Z^n : sum c_i X_i = 0 (mod p)}, 2 <= n <= 6, p a
+    `PrimeModulus` kept as a plain int, with some c_i nonzero mod p: the
+    vacuous congruence is refused."""
 
     coeffs: tuple[int, ...]
     p: int
@@ -33,8 +34,7 @@ class CongruenceLattice:
         n = len(self.coeffs)
         if not 2 <= n <= 6:
             raise ValueError(f"dimension must be in [2, 6], got {n}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        PrimeModulus(self.p)
         object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
         if not any(self.coeffs):
             raise ValueError(f"all coefficients divisible by p = {self.p}")
@@ -86,14 +86,15 @@ class PointCount:
     points: np.ndarray | None  # (count, n) int64 when collected
 
 
-def _half_sums(coords: Sequence[int], terms: np.ndarray, bounds: Sequence[int],
-               mid: int) -> np.ndarray:
+def _half_sums(coords: Sequence[int], d: Sequence[int], bounds: Sequence[int],
+               p: int, dtype) -> np.ndarray:
     """sum of (d_j x_j mod p) over every cell of the coordinates coords, in C
     order (last coordinate fastest): congruent to the half-sum, and below
-    len(coords) * p.  Row j of terms holds d_j x mod p for x = -mid..mid."""
-    rows = [terms[j, mid - bounds[j]:mid + bounds[j] + 1] for j in coords]
-    acc = rows[0] if rows else np.zeros(1, dtype=terms.dtype)
-    for row in rows[1:]:
+    len(coords) * p.  Each coordinate's row d_j x mod p is built over its own
+    range |x| <= bounds[j]."""
+    acc = np.zeros(1, dtype=dtype)
+    for j in coords:
+        row = np.arange(-bounds[j], bounds[j] + 1, dtype=dtype) * d[j] % p
         acc = (acc[:, None] + row).ravel()
     return acc
 
@@ -158,21 +159,18 @@ def lattice_points_in_box(lat: CongruenceLattice, box: ConvexBox,
             query.append(j)
             nq *= 2 * bounds[j] + 1
 
-    # terms holds d_j x mod p for every coordinate j and |x| <= mid, the
-    # largest free bound: at most n times the cells of the half holding
-    # that range.  Its products stay below mid * p, the half-sums below
-    # n * p.  Priced: terms, its products and range, and six entries a cell
+    # a row d_j x mod p, |x| <= b_j <= mid, holds no more cells than its
+    # half.  Its products stay below mid * p, the half-sums below n * p.
+    # Priced: the widest row, its range and products, and six entries a cell
     # of each half (a half, the sorted table, its order and doubled copy,
     # each query's window ends and hits)
     mid = max((bounds[j] for j in query + table), default=0)
     largest = max(mid, lat.n) * p
     dtype = int_dtype(largest)
     size = entry_bytes(dtype, largest)
-    check_bytes(f"a join of {nq} by {nt} cells",
-                ((2 * lat.n + 1) * (2 * mid + 1) + 6 * (nq + nt)) * size)
-    terms = (np.array(d, dtype=dtype)[:, None] * np.arange(-mid, mid + 1, dtype=dtype)) % p
-    u = _half_sums(query, terms, bounds, mid)
-    t = _half_sums(table, terms, bounds, mid) % p
+    check_bytes(f"a join of {nq} by {nt} cells", (3 * (2 * mid + 1) + 6 * (nq + nt)) * size)
+    u = _half_sums(query, d, bounds, p, dtype)
+    t = _half_sums(table, d, bounds, p, dtype) % p
     order = t.argsort()
     t = t[order]
     q, w = divmod(2 * b + 1, p)
@@ -268,16 +266,6 @@ class _Echelon:
         return True
 
 
-def _key_order(keys: np.ndarray, pts: np.ndarray):
-    """The rows (key, v) in the order of sorted((key, v)): sorted by key in
-    numpy, and each run of equal keys by the vector only once the scan
-    reaches it."""
-    order = keys.argsort()
-    rows = zip(keys[order].tolist(), pts[order].tolist())
-    for _, run in itertools.groupby(rows, key=operator.itemgetter(0)):
-        yield from sorted(run)
-
-
 @dataclass(frozen=True)
 class MinimaReport:
     lambdas: tuple[Fraction, ...]
@@ -298,19 +286,21 @@ def successive_minima(lat: CongruenceLattice, box: ConvexBox,
     floor(s * den): each point is scanned at most once, and the span, the
     minima and the witnesses carry over from scale to scale.  Each scale is
     one `lattice_points_in_box` call, so a call makes one enumeration per
-    scale it reaches, usually one or two.  Of each pair +-v only the row
-    whose first nonzero coordinate is negative is scanned; the order meets
-    it first, and -v never grows the span.  Spans are tested on an
-    incremental integer echelon basis, O(n^2) integer operations per
-    candidate, and the norms are exact fractions.
+    scale it reaches, usually one or two.  Its rows are sorted as arrays by
+    one `np.lexsort`, and only the rows the scan reaches become Python
+    lists.  Of each pair +-v only the row whose first nonzero coordinate is
+    negative is scanned; the order meets it first, and -v never grows the
+    span.  Spans are tested on an incremental integer echelon basis, O(n^2)
+    integer operations per candidate, and the norms are exact fractions.
 
     When every minimum is asked for, the doubling starts at the first
     scale s of its grid with s^n >= 2^n det(Gamma) / (n! vol D), a lower
     bound on lambda_n^n by Minkowski's second theorem: scales below it
-    cannot span.  Each scale's join, points and scan rows are priced against
-    ffield.BYTE_GUARD before they are built, so a body whose minima need
-    more raises ValueError; upto requests only the first few minima, and
-    such a body can still report its early ones exactly.
+    cannot span.  Each scale's join and points are priced against
+    ffield.BYTE_GUARD before they are built, and its scan arrays before
+    they are sorted, so a body whose minima need more raises ValueError;
+    upto requests only the first few minima, and such a body can still
+    report its early ones exactly.
     """
     if lat.n != box.n:
         raise ValueError("dimension mismatch between lattice and box")
@@ -324,8 +314,7 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
                  n: int) -> tuple[MinimaReport, int | None]:
     """The first n minima of `successive_minima`, validated, and
     #(D cap Gamma), read off the first enumeration that holds D (scale >= 1)
-    as 2 #{its rows with key <= den} + 1; None when the scan ends below 1.
-    The rows of each scale are priced before the scan builds them."""
+    as 2 #{its rows with key <= den} + 1; None when the scan ends below 1."""
     # the scales are 2^e, from the largest 2^e <= 1 whose grid holds at most
     # 10^6 cells prod(2 floor(2^e h_i) + 1).  check_bytes guards each scale;
     # this cap bounds the first one's cost.  A start at Minkowski's lambda_1
@@ -362,14 +351,14 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
         if scanned >= 0:
             fresh = keys > scanned
             pts, keys = pts[fresh], keys[fresh]
-        # a row is a key and n coordinates, ints of at most top, in a list
-        # and a tuple, beside the points, their keys and sorted copies of both
-        row = ((lat.n + 1) * entry_bytes(object, top) + sys.getsizeof([0] * lat.n)
-               + sys.getsizeof((0, 0)) + 8 * (2 * lat.n + 3))
-        check_bytes(f"scanning {len(keys)} points", len(keys) * row)
-        for key, v in _key_order(keys, pts):
+        # the points and keys before and after that filter, and the sorted index
+        check_bytes(f"scanning {len(keys)} points",
+                    len(keys) * (8 * (2 * lat.n + 1) + 2 * entry_bytes(keys.dtype, top)))
+        # sorted by key, then by coordinates 0..n-1: the order of sorted((key, v))
+        for i in np.lexsort((*pts.T[::-1], keys)):
+            v = pts[i].tolist()
             if span.add(v):
-                lambdas.append(Fraction(key, den))
+                lambdas.append(Fraction(int(keys[i]), den))
                 witnesses.append(tuple(v))
                 if len(witnesses) == n:
                     break

@@ -56,6 +56,11 @@ def test_lattice_validation():
     # where it is built, so every lattice has index p
     with pytest.raises(ValueError, match="divisible by p"):
         CongruenceLattice(coeffs=(101, 202), p=101)
+    # the modulus rule of every other kernel: an odd prime below 2^62
+    for p in (2, 2 ** 62 + 135):
+        with pytest.raises(ValueError, match="3 <= p < 2\\*\\*62"):
+            CongruenceLattice(coeffs=(1, 1), p=p)
+    assert type(CongruenceLattice((1, 1), 2 ** 61 - 1).p) is int
 
 
 def test_convex_box_volume():
@@ -175,14 +180,49 @@ def _window_counts(lo, hi, p):
 
 
 def test_enumeration_guard():
-    # 4 * 10^12 cells: the count-only join holds two tables of 2 * 10^6 + 1
-    # cells, and x_0 + x_1 = 0 mod 101 pairs the residue classes r and -r
+    # 4 * 10^12 cells: the count-only join's table is the 2 * 10^6 + 1 cells
+    # of x_1, and x_0 + x_1 = 0 mod 101 pairs the residue classes r and -r
     lat = CongruenceLattice(coeffs=(1, 1), p=101)
     box = ConvexBox(halfwidths=(10 ** 6, 10 ** 6))
     N = _window_counts(-10 ** 6, 10 ** 6, 101)
-    assert lattice_points_in_box(lat, box).count == sum(N[r] * N[-r % 101] for r in range(101))
+    tracemalloc.start()
+    try:
+        count = lattice_points_in_box(lat, box).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == sum(N[r] * N[-r % 101] for r in range(101))
+    # the table, its sorted copy, order and doubled copy peak near 80 MB; a
+    # row of the pivot x_0 beside them passes 110 MB
+    assert peak < 90 * 10 ** 6
     with pytest.raises(ValueError, match="bytes"):
         lattice_points_in_box(lat, box, collect=True)
+
+
+def test_scan_holds_only_its_arrays(monkeypatch):
+    # the start scale of this body holds 15^5 cells and over 10^5 rows of
+    # one of each +-v.  From the scan's price to the end of the call, memory
+    # stays within 1.5 times its arrays' 8 (2n + 3) bytes a row: only the
+    # rows the scan reaches become Python lists
+    lat, box = CongruenceLattice((1, 1, 1, 1, 1), 3), ConvexBox((7, 7, 7, 7, 7))
+    rows = []
+    check = lattice.check_bytes
+
+    def priced(what, nbytes):
+        check(what, nbytes)
+        if what.startswith("scanning"):
+            rows.append(int(what.split()[1]))
+            tracemalloc.reset_peak()
+    monkeypatch.setattr(lattice, "check_bytes", priced)
+    tracemalloc.start()
+    try:
+        rep = successive_minima(lat, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.lambdas == (Fraction(1, 7),) * 5
+    assert len(rows) == 1 and rows[0] > 10 ** 5
+    assert peak < 1.5 * rows[0] * 8 * (2 * lat.n + 3)
 
 
 def test_enumeration_is_exact_past_int64_pivots():
@@ -341,6 +381,14 @@ def test_minima_equal_the_fraction_rank_path():
         box = ConvexBox(tuple(rng.randint(1, 8) for _ in range(n)))
         upto = rng.choice((None, 1, 2, 3))
         assert successive_minima(lat, box, upto=upto) == _fraction_minima(lat, box, upto)
+    # equal halfwidths give long runs of equal keys, ordered by the vectors
+    for coeffs, p, halfwidths in (((1, 1, 1), 31, (3, 3, 3)), ((1, 30, 5), 31, (3, 3, 3)),
+                                  ((1, 1, 1, 1), 5, (2, 2, 2, 2)),
+                                  ((2, 3, 5, 7), 11, (2, 2, 2, 2)),
+                                  ((1, 1, 1, 1, 1), 3, (1, 1, 1, 1, 1))):
+        lat, box = CongruenceLattice(coeffs, p), ConvexBox(halfwidths)
+        for upto in (None, 1, 2, 3):
+            assert successive_minima(lat, box, upto=upto) == _fraction_minima(lat, box, upto)
 
 
 ORACLE_POINTS = 2000  # points the Fraction path may sort and rank per example
@@ -504,9 +552,11 @@ def test_full_thm2_minima_are_refused_by_bytes(monkeypatch):
         lattice_points_in_box(setup.lattice, setup.box, collect=True)
     # the full minima stop the same way; at the default guard they first scan
     # the 2.1 million rows of scale 1/2, too slow for this suite, so a guard
-    # of 5 * 10^7 bytes stops them at the rows of scale 1/4
+    # of 5 * 10^7 bytes stops them at the 4.5 million points of scale 1/2,
+    # once the rows of scale 1/4 are scanned
     monkeypatch.setattr(ffield, "BYTE_GUARD", 5 * 10 ** 7)
-    with pytest.raises(ValueError, match="scanning .* bytes"):
+    with pytest.raises(ValueError, match=r"^collecting 4530521 points of Z\^5 needs 471174184 "
+                                         r"bytes, above the guard of 50000000 bytes$"):
         successive_minima(setup.lattice, setup.box)
 
 
