@@ -341,6 +341,25 @@ def _accumulator_bytes(p: int) -> int:
     return entry_bytes(residue_dtype(p), p * p)
 
 
+def _reduce(a: np.ndarray, p: int, q: np.ndarray | None) -> np.ndarray | None:
+    """Reduce the array a mod p in place, and return the quotient buffer
+    for the next reduction.  An int64 a becomes a - p * (a // p), the
+    quotient written into q, which is made on first use and made again only
+    when a is shorter or longer; numpy divides an int64 array by a scalar
+    through a multiply by its reciprocal, but computes % with a divide per
+    entry, about twice as slow.  Python integers (dtype object) keep a %= p,
+    which there is twice as fast as the floor form, and need no buffer."""
+    if a.dtype == object:
+        a %= p
+        return q
+    if q is None or len(q) != len(a):
+        q = np.empty(len(a), dtype=a.dtype)
+    np.floor_divide(a, p, out=q)
+    q *= p
+    a -= q
+    return q
+
+
 def _horner_blocks(coeffs: Sequence[int], xs, p: int):
     """Yield (lo, v) in order, v = f(x) mod p for the block
     xs[lo:lo + len(v)]; an empty xs is one empty block.  A block holds
@@ -352,7 +371,7 @@ def _horner_blocks(coeffs: Sequence[int], xs, p: int):
     coefficient, so degree d costs d multiplies, and a zero coefficient
     skips its add.
 
-    A pass of % p costs several multiplies, so the accumulator is reduced
+    A reduction costs a pass over the block, so the accumulator is reduced
     only when the next step could leave int64.  An exact bound top > |acc|
     starts at p, and X >= |x| holds for every x: a range's two ends give X
     without a pass (each block is reduced once only when X > p), an array
@@ -360,6 +379,15 @@ def _horner_blocks(coeffs: Sequence[int], xs, p: int):
     top*X + p, and acc is reduced before it whenever that would pass
     2**63; after the last step once.  The same rule runs on Python
     integers above INT64_P_LIMIT.
+
+    Every reduction is `_reduce`: in int64, acc - p * (acc // p).  numpy's
+    int64 floor_divide rounds toward -infinity, so the result lies in
+    [0, p) and equals Python's % also for the negative accumulators that
+    the unreduced ranges in [-p, p] produce; where p * (acc // p) would
+    pass -2**63, int64 arithmetic wraps and still ends at that value.  The
+    final quotient goes into the block's x, which the last multiply leaves
+    dead; the quotients of x's own reduction and of the in-loop ones share
+    one buffer per call.
     """
     dtype = residue_dtype(p)
     X = max(abs(xs.start), abs(xs.stop)) if isinstance(xs, range) else None
@@ -367,29 +395,30 @@ def _horner_blocks(coeffs: Sequence[int], xs, p: int):
     if wrap:
         X = p
     n, step = len(xs), max(1, _BLOCK_BYTES // _accumulator_bytes(p))
+    q = None  # the quotient buffer
     for lo in range(0, n or 1, step):
         x = xs if n <= step else xs[lo:lo + step]
         if isinstance(x, range):
             x = np.arange(x.start, x.stop, x.step, dtype=np.int64).astype(dtype, copy=False)
-            if wrap:
-                x %= p
         else:
-            x = np.asarray(x, dtype=dtype) % p
+            x = np.array(x, dtype=dtype)  # a copy: the caller's array stays as it is
+        if wrap:
+            q = _reduce(x, p, q)
         terms = reversed(coeffs)
         acc, top = next(terms, 0) % p, p  # the leading coefficient
         for c in terms:
-            if top * X + p > 2 ** 63:
-                acc %= p
-                top = p
-            if isinstance(acc, np.ndarray):
+            if not isinstance(acc, np.ndarray):  # the first step makes the block's array
+                acc = acc * x  # acc is a residue, so top = p holds as it is
+            else:
+                if top * X + p > 2 ** 63:
+                    q = _reduce(acc, p, q)
+                    top = p
                 acc *= x
-            else:  # the first step makes the block's array
-                acc = acc * x
             if c % p:
                 acc += c % p
             top = top * X + p
         if top > p:
-            acc %= p
+            _reduce(acc, p, x)
         yield lo, acc if isinstance(acc, np.ndarray) else np.full(len(x), acc, dtype=dtype)
 
 

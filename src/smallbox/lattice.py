@@ -334,18 +334,21 @@ def _minima_scan(lat: CongruenceLattice, box: ConvexBox,
     weights = [h.denominator * (den // h.numerator) for h in box.halfwidths]
     lambdas: list[Fraction] = []
     witnesses: list[tuple[int, ...]] = []
-    # the sign of sum_j sign(v_j) 3^(n-1-j) is that of v's first nonzero entry
-    first_sign = 3 ** np.arange(lat.n - 1, -1, -1)
     span = _Echelon()
     scanned = -1  # every key up to this one has been scanned
     body_count = None  # #(D cap Gamma), once a scale >= 1 is enumerated
     while len(witnesses) < n:
         pts = lattice_points_in_box(lat, box, scale=Fraction(2) ** e, collect=True).points
-        # the rows whose first nonzero coordinate is negative: one of each +-v
-        pts = pts[np.sign(pts) @ first_sign < 0]
+        # the rows whose first nonzero coordinate is negative: one of each +-v.
+        # argmax finds that coordinate (0 in a zero row, which is dropped):
+        # a byte an entry and three indices a row, not a sign array like pts
+        pts = pts[pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)] < 0]
         # |x_i| <= 2^e * h_i, so no key exceeds top = floor(2^e * den)
         top = den << max(e, 0) >> max(-e, 0)
-        keys = (np.abs(pts) * np.array(weights, dtype=int_dtype(max(*weights, top)))).max(axis=1)
+        dtype = int_dtype(max(*weights, top))
+        keys = np.abs(pts, dtype=dtype)  # the products made in place
+        keys *= np.array(weights, dtype=dtype)
+        keys = keys.max(axis=1)
         if body_count is None and e >= 0:  # 2^e D holds D, whose keys are <= den
             body_count = 2 * int(np.count_nonzero(keys <= den)) + 1
         if scanned >= 0:

@@ -201,18 +201,29 @@ def test_enumeration_guard():
 
 def test_scan_holds_only_its_arrays(monkeypatch):
     # the start scale of this body holds 15^5 cells and over 10^5 rows of
-    # one of each +-v.  From the scan's price to the end of the call, memory
-    # stays within 1.5 times its arrays' 8 (2n + 3) bytes a row: only the
-    # rows the scan reaches become Python lists
+    # one of each +-v.  From the end of the collection to the scan's price,
+    # the sign filter and the keys hold under 0.75 times the collected
+    # points beside them.  From the scan's price to the end of the call,
+    # memory stays within 1.5 times its arrays' 8 (2n + 3) bytes a row: only
+    # the rows the scan reaches become Python lists
     lat, box = CongruenceLattice((1, 1, 1, 1, 1), 3), ConvexBox((7, 7, 7, 7, 7))
-    rows = []
-    check = lattice.check_bytes
+    rows, collected, step = [], [], []
+    check, collect = lattice.check_bytes, lattice.lattice_points_in_box
+
+    def counted(*args, **kwargs):
+        out = collect(*args, **kwargs)
+        if out.points is not None:
+            collected.append(out.points.nbytes)
+            tracemalloc.reset_peak()
+        return out
 
     def priced(what, nbytes):
         check(what, nbytes)
         if what.startswith("scanning"):
             rows.append(int(what.split()[1]))
+            step.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
+    monkeypatch.setattr(lattice, "lattice_points_in_box", counted)
     monkeypatch.setattr(lattice, "check_bytes", priced)
     tracemalloc.start()
     try:
@@ -222,6 +233,7 @@ def test_scan_holds_only_its_arrays(monkeypatch):
         tracemalloc.stop()
     assert rep.lambdas == (Fraction(1, 7),) * 5
     assert len(rows) == 1 and rows[0] > 10 ** 5
+    assert step[0] < 1.75 * collected[0], (step[0], collected[0])
     assert peak < 1.5 * rows[0] * 8 * (2 * lat.n + 3)
 
 

@@ -290,6 +290,54 @@ def test_small_blocks_are_the_reference_loop(data):
         assert count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
 
 
+@pytest.mark.parametrize("p", (3, 1000003, (1 << 31) - 1, (1 << 31) + 11))
+def test_reduction_is_python_mod_at_the_int64_edges(p):
+    # near -2^63 the product p * (a // p) passes int64 and wraps, and the
+    # difference still lands on Python's residue
+    vals = [-(2 ** 63 - 1), -(2 ** 63 - 1) + p - 2, 2 ** 63 - 1, -p - 1, -p, -1, 0, p]
+    for dtype in (np.int64, object):
+        a = np.array(vals, dtype=dtype)
+        ffield._reduce(a, p, None)
+        assert a.dtype == dtype and a.tolist() == [v % p for v in vals]
+
+
+@st.composite
+def ragged_window(draw, p, B):
+    """A window of k*B + r values, 0 < r < B when B > 1: a range of
+    negative values within [-p, 0), which is not reduced, one below -p or
+    past p, which is, or an int64 array with negative entries."""
+    n = draw(st.integers(0, 3)) * B + draw(st.integers(1, max(1, B - 1)))
+    kind = draw(st.sampled_from(("negative", "wrapped", "array")))
+    if kind == "array":
+        return np.array(draw(st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n)),
+                        dtype=np.int64)
+    if kind == "negative":
+        start = draw(st.integers(-p, -n))
+    else:
+        start = draw(st.one_of(st.integers(-2 * p, -p - n), st.integers(p - n + 1, 2 * p)))
+    return range(start, start + n)
+
+
+@SETTINGS
+@given(st.data())
+def test_small_blocks_reduce_inside_the_loop(data):
+    # at these primes degree 3 to 8 reduces before one or more steps of
+    # every block, so the quotient buffer is shared across blocks and made
+    # again for the shorter last one
+    p = data.draw(st.sampled_from((1000003, (1 << 31) - 1)))
+    B = data.draw(st.sampled_from((1, 2, 3, 7)))
+    f, g = ([data.draw(st.integers(-2 * p, 2 * p)) for _ in range(data.draw(st.integers(3, 8)))]
+            + [data.draw(st.integers(1, p - 1))] for _ in range(2))
+    xs, ys = data.draw(ragged_window(p, B)), data.draw(ragged_window(p, B))
+    before = [list(t) for t in (xs, ys)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "_BLOCK_BYTES", B * ffield._accumulator_bytes(p))
+        assert block_len(p) == B
+        assert poly_values(f, xs, p).tolist() == [horner(f, int(x), p) for x in xs]
+        assert count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
+    assert [list(t) for t in (xs, ys)] == before  # the caller's arrays are not reduced
+
+
 @SETTINGS
 @given(poly_in_box(), st.sampled_from((1, 2, 5)))
 def test_box_counts_in_small_blocks(case, B):
@@ -338,18 +386,21 @@ def test_box_count_peaks_stay_near_the_key_array():
     # boundary test (a byte a key) and the boundary list: about 2.45 key
     # arrays.  A whole-vector Horner pass would hold x and its accumulator in
     # int64 beside the keys, one key array each: 3.0.  The window test keeps
-    # one block's x, accumulator and test.
+    # one block's x, accumulator, quotient buffer and test.  The quintic
+    # reduces before several steps, so a temporary made by each reduction
+    # would show in its peak
     p, M = 1000003, 200_000
-    f = FpPolynomial.from_ints((3, 7, 0, 1), PrimeModulus(p))
     box = Box2(1000, 5000, M)
     keys = 4 * 2 * M
-    for count, bound in ((count_curve_points, 2.75 * keys),
-                         (count_graph_points, 4 * ffield._BLOCK_BYTES)):
-        expect = count(f, box)
-        tracemalloc.start()
-        try:
-            assert count(f, box) == expect
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (count.__name__, peak)
+    for coeffs in ((3, 7, 0, 1), (3, 7, 0, 5, 2, 1)):
+        f = FpPolynomial.from_ints(coeffs, PrimeModulus(p))
+        for count, bound in ((count_curve_points, 2.75 * keys),
+                             (count_graph_points, 4 * ffield._BLOCK_BYTES)):
+            expect = count(f, box)
+            tracemalloc.start()
+            try:
+                assert count(f, box) == expect
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (coeffs, count.__name__, peak)
