@@ -143,24 +143,43 @@ def _levels(k, last, at, sign, level, zeros):
 def list_matches(f: Sequence[int], g: Sequence[int], xs, ys,
                  p: int) -> tuple[np.ndarray, np.ndarray]:
     """Every pair that `count_matches` counts, as two arrays (x, y) of equal
-    length, in the order of the double loop over xs, then ys.  The g(y)
-    are argsorted once (stably, so equal values keep the order of ys); the
-    run of each f(x) among them is found by binary search on both sides
-    and expanded, in O(len(xs) + len(ys) + pairs) memory, held to BYTE_GUARD before the pairs."""
-    check_bytes(f"listing the matches of {len(xs)} and {len(ys)} values",
-                (len(xs) + len(ys)) * (2 * entry_bytes(residue_dtype(p), p) + 3 * 8))
+    length, in the order of the double loop over xs, then ys.  Both sides'
+    values are argsorted (unstably), and the sorted f(x) find their runs
+    among the sorted g(y) by binary search as ascending needles, about a
+    quarter of the cost of needles in window order, whose every probe is a
+    mispredicted branch.  The runs are expanded into pairs of indices, and
+    one lexsort puts the pairs back into the double loop's order.  At
+    p = 1000003 with the orbit count's polynomials that takes about 0.2 ms
+    at M = 2000 and 2.2 ms at M = 20000, against 0.5 and 7 ms for needles
+    in window order among stably sorted g(y) (best of 5, 2-CPU Xeon); at
+    M <= 100 the second argsort and the lexsort add 1-4 us to about 30.
+    Memory O(len(xs) + len(ys) + pairs), held to ffield.BYTE_GUARD, with
+    the pairs priced before they are made."""
+    value_bytes = (len(xs) + len(ys)) * (2 * entry_bytes(residue_dtype(p), p) + 4 * 8)
+    check_bytes(f"listing the matches of {len(xs)} and {len(ys)} values", value_bytes)
     u = poly_values(f, xs, p)  # on ranges: one with both ends in [-p, p] is not reduced
     v = poly_values(g, ys, p)
-    xs, ys = (np.arange(t.start, t.stop, t.step, dtype=np.int64) if isinstance(t, range)
-              else np.asarray(t) for t in (xs, ys))
-    order = np.argsort(v, kind="stable")
-    v = v[order]
+    ou, ov = np.argsort(u), np.argsort(v)
+    u, v = u[ou], v[ov]
     first = np.searchsorted(v, u, side="left")
     n = np.searchsorted(v, u, side="right") - first
-    ix = np.repeat(np.arange(len(u)), n)
+    ends = np.cumsum(n)  # ends[i]: the pairs of the first i + 1 sorted f(x)
+    total = int(ends[-1]) if len(ends) else 0
+    # six 8-byte entries a pair at the peak: ix, iy, the lexsort's order and
+    # workspace, then one reordered index and one output at a time
+    check_bytes(f"listing {total} matches of {len(xs)} and {len(ys)} values",
+                value_bytes + total * 6 * 8)
+    ix = np.repeat(ou, n)
     # the k-th pair is entry k - start of its x's run, starting at v[first]
-    iy = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(len(ix))
-    return xs[ix], ys[order[iy]]
+    iy = np.repeat(first - ends + n, n)
+    iy += np.arange(total)
+    iy = ov[iy]
+    order = np.lexsort((iy, ix))
+    xs, ys = (np.arange(t.start, t.stop, t.step, dtype=np.int64) if isinstance(t, range)
+              else np.asarray(t) for t in (xs, ys))
+    x = xs[ix[order]]
+    del ix
+    return x, ys[iy[order]]
 
 
 def naive_count(f: Sequence[int], g: Sequence[int], xs, ys, p: int) -> int:

@@ -76,8 +76,10 @@ def run_starts(keys: np.ndarray, offsets) -> np.ndarray:
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < 2**64."""
+    """Deterministic Miller-Rabin primality test for n < 2**64; verdicts
+    are cached, so each PrimeModulus of a prime met before costs a lookup."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:

@@ -44,10 +44,14 @@ class ExperimentSpec:
     def canonical_params(self) -> str:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
 
-    def cache_key(self) -> str:
-        payload = json.dumps(
-            {"kind": self.kind, "params": self.params, "seed": self.seed},
-            sort_keys=True, separators=(",", ":"))
+    def cache_key(self, params: str | None = None) -> str:
+        """sha256 of the compact sorted-key JSON {"kind", "params", "seed"},
+        spliced around `params`, the canonical_params() a caller has made
+        already, so `execute` serializes the params once."""
+        if params is None:
+            params = self.canonical_params()
+        payload = (f'{{"kind":{json.dumps(self.kind)},"params":{params},'
+                   f'"seed":{json.dumps(self.seed)}}}')
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -123,8 +127,8 @@ def execute(spec: ExperimentSpec) -> tuple[list[ResultRecord], Summary]:
     t0 = time.perf_counter()
     rows, summary = EXPERIMENTS[spec.kind].runner(spec.params, spec.seed)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    ident = f"{spec.kind}-{spec.cache_key()[:12]}"
     params = spec.canonical_params()
+    ident = f"{spec.kind}-{spec.cache_key(params)[:12]}"
     records = []
     for row in rows:
         value, bound = _exact(row.value), float(row.bound)

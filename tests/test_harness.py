@@ -90,6 +90,25 @@ def test_cache_key_ignores_param_order():
     assert a.cache_key() != c.cache_key()
     d = spec_of("count_curve", COUNT_PARAMS, seed=8)
     assert a.cache_key() != d.cache_key()
+    assert a.cache_key() == "6f13bfbc80554768f430f537803dc07033843518fc8efcc203b50a1c75abc747"
+
+
+# experiment ids as released: the key is the sha256 of the compact
+# sorted-key JSON of kind, params and seed, so a change of that
+# serialization renames every stored record
+PINNED_IDS = [
+    ("count_curve", COUNT_PARAMS, 7, "count_curve-6f13bfbc8055"),
+    ("count_curve", {**COUNT_PARAMS, "oracle": True}, DEFAULT_SEED, "count_curve-64e28f52ccb2"),
+    ("census", {"p": 31, "g": 1, "M": 4, "R": [2, 3]}, 7, "census-64f81cd6c040"),
+    ("count_graph", {**COUNT_PARAMS, "f": "3,2,0,1"}, 0, "count_graph-fda869ed5869"),
+]
+
+
+@pytest.mark.parametrize("kind, params, seed, ident", PINNED_IDS)
+def test_experiment_ids_are_pinned(kind, params, seed, ident):
+    spec = spec_of(kind, params, seed)
+    assert [r.experiment_id for r in run(spec)] == [ident]
+    assert spec.cache_key().startswith(ident.rsplit("-", 1)[1])
 
 
 def test_run_count_curve_and_graph():

@@ -4,6 +4,7 @@ count built on them, against brute-force double loops and the reference
 loop `naive_count`, at small primes (int64 path), at p = 2^61 - 1
 (Python-integer path), and on both sides of the uint32 key limit."""
 
+import random
 import tracemalloc
 from collections import Counter
 
@@ -119,6 +120,82 @@ def test_list_matches_lists_the_counted_pairs(data):
     # the double loop's own order: equal values of g keep the order of ys
     assert pairs == [(a, b) for a in xl for b in yl if horner(f, a, p) == horner(g, b, p)]
     assert len(pairs) == count_matches(f, g, xs, ys, p) == naive_count(f, g, xs, ys, p)
+
+
+def loop_order_pairs(f, g, xs, ys, p):
+    """The matching pairs in the double loop's order, from a dict of the
+    y of each value in the order of ys: no sort and no search."""
+    on_y = {}
+    for y in ys:
+        on_y.setdefault(horner(g, y, p), []).append(y)
+    return [(x, y) for x in xs for y in on_y.get(horner(f, x, p), ())]
+
+
+def wide_window(p, n, as_range, rng):
+    """A window of n values whose residues repeat: at p = 101 and 1009 a
+    range longer than p with a negative start, or an array drawn from
+    [-2p, 2p]; at 2^61 - 1, where x^2 + 5 is listed, a range around 0, so
+    that x and -x meet, or an array of values in [-100, 100] shifted by
+    -p, 0 or p."""
+    if p < 10 ** 4:
+        if as_range:
+            start = rng.randrange(-2 * p, 0)
+            return range(start, start + n)
+        return np.array([rng.randrange(-2 * p, 2 * p) for _ in range(n)], dtype=np.int64)
+    if as_range:
+        return range(-(n // 2), n - n // 2)
+    return np.array([rng.randrange(-100, 101) + rng.randrange(-1, 2) * p for _ in range(n)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", (101, 1009, BIG))
+@pytest.mark.parametrize("seed", range(4))
+def test_list_matches_keeps_the_loop_order_on_wide_windows(p, seed):
+    # 300 to 3000 values a side, each residue met many times on both: the
+    # unstable argsorts scramble every run, and the lexsort alone restores
+    # the loop's order; seeds 0 to 3 pair ranges and arrays every way
+    rng = random.Random(seed)
+    if p < 10 ** 4:
+        f, g = ([rng.randrange(-2 * p, 2 * p) for _ in range(rng.randint(1, 3))] + [1]
+                for _ in range(2))
+    else:
+        f = g = (5, 0, 1)
+    xs, ys = (wide_window(p, rng.randrange(300, 3001), seed >> bit & 1, rng) for bit in (0, 1))
+    x, y = list_matches(f, g, xs, ys, p)
+    xl, yl = (list(t) if isinstance(t, range) else t.tolist() for t in (xs, ys))
+    want = loop_order_pairs(f, g, xl, yl, p)
+    assert list(zip(x.tolist(), y.tolist())) == want
+    assert len(want) >= 600
+
+
+def test_list_matches_prices_the_pairs_before_making_them():
+    # 4*10^10 pairs: the windows are cheap, so the pair count is the refusal
+    with pytest.raises(ValueError, match="listing 40000000000 matches"):
+        list_matches((0,), (0,), range(200000), range(200000), 1000003)
+
+
+def test_list_matches_peak_stays_under_its_price(monkeypatch):
+    # the orbit count's polynomials at M = 20000: the peak of the values,
+    # the two argsorts, the searches and the pairs stays under the largest
+    # byte count the call hands to check_bytes
+    p, M = 1000003, 20000
+    f, g = (0, 0, pow(7, 3, p)), (0, 0, 0, 11 * 11 % p)
+    xs, ys = range(1000, 1000 + M), range(5000, 5000 + M)
+    expect = list_matches(f, g, xs, ys, p)
+    prices, check = [], boxcount.check_bytes
+
+    def priced(what, nbytes):
+        prices.append(nbytes)
+        check(what, nbytes)
+    monkeypatch.setattr(boxcount, "check_bytes", priced)
+    tracemalloc.start()
+    try:
+        got = list_matches(f, g, xs, ys, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a, b) for a, b in zip(got, expect)) and len(got[0]) > 100
+    assert peak < max(prices), (peak, prices)
 
 
 @SETTINGS

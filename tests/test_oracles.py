@@ -49,9 +49,23 @@ MOD223 = PrimeModulus(223)
 LEMMA6 = (FpPolynomial.from_ints([5, 7, 11, 1], MOD223), FpPolynomial.from_ints([2, 3, 1], MOD223),
           [3, 5, 8], [21, 20, 30])  # 4 roots
 # (curve vector, box): 8, 1 and 6 (criterion 6's N) isomorphic vectors in the box
+MOD10007 = PrimeModulus(10007)
+
+
+def _box_around(b, alpha, M):
+    """A box of side M holding the scaling of b by alpha, each coordinate
+    about M/2 above its window's start."""
+    p = b.modulus.p
+    return CubeBox(b.g, tuple(min(max(pow(alpha, 4 * b.g + 2 - 2 * i, p) * c % p - M // 2, 0),
+                                  p - M - 1) for i, c in enumerate(b.a)), M)
+
+
+# the last two at the widths large-p runs: 2000-wide windows at p = 10007
 ORBITS = [(CurveVector(1, (3, 7), MOD31), CubeBox(1, (2, 4), 20)),
           (CurveVector(2, (1, 1, 1, 1), MOD31), CubeBox(2, (0, 0, 0, 0), 6)),
-          (CurveVector(1, (1, 1), PrimeModulus(1009)), CubeBox(1, (0, 0), 64))]
+          (CurveVector(1, (1, 1), PrimeModulus(1009)), CubeBox(1, (0, 0), 64))] + [
+         (b, _box_around(b, 3, 2000)) for b in (CurveVector(1, (5, 17), MOD10007),
+                                               CurveVector(2, (3, 8, 2, 11), MOD10007))]
 # each walk's input and output arrays, made outside the profile, for the
 # certificate to check
 SEEN = (dynsys._coefficient_rows([CUBIC], np.int64), np.array([7]),
@@ -186,8 +200,8 @@ def _entered(call):
     entered.  A comprehension, generator or lambda counts as the function
     it sits in, which is entered too; below Python 3.11 code has no
     co_qualname, so a function is named by co_name and one whose name is
-    <...> is left out.  The root-context cache is emptied first, so a warm
-    cache cannot hide a shared call."""
+    <...> is left out.  The root-context and primality caches are emptied
+    first, so a warm cache cannot hide a shared call."""
     names = set()
 
     def profile(frame, event, arg):
@@ -197,6 +211,7 @@ def _entered(call):
             if not name.startswith("<"):
                 names.add(name)
     ffield._root_context.cache_clear()
+    ffield.is_prime.cache_clear()
     sys.setprofile(profile)
     try:
         result = call()
@@ -249,7 +264,7 @@ def test_congruence_rows_count_solutions():
 
 
 def test_orbit_rows_count_the_recorded_vectors():
-    assert [count_isomorphic_in_box(b, box) for b, box in ORBITS] == [8, 1, 6]
+    assert [count_isomorphic_in_box(b, box) for b, box in ORBITS] == [8, 1, 6, 187, 10]
 
 
 def test_the_lockstep_walk_enters_no_box_count_kernel():
